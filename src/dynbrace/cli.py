@@ -60,7 +60,10 @@ def _dumps(obj) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -391,6 +394,16 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dynbrace",
@@ -404,9 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
         if input_opt:
             p.add_argument("--input", help="input JSON path")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--cap", type=int, default=EnumerationConfig().cap,
+        p.add_argument("--cap", type=_positive_int, default=EnumerationConfig().cap,
                        help="enumeration size cap")
-        p.add_argument("--workers", type=int, default=1,
+        p.add_argument("--workers", type=_positive_int, default=1,
                        help="number of deterministic partitions for the kernels")
 
     p = sub.add_parser("enumerate", help="materialise a maximal family as a quiver")

@@ -1,12 +1,17 @@
 """Enumeration of the maximal families of regular subsets and their invariants.
 
 The assignment space is the set of maps (group element -> automorphism index),
-packed big-endian into integer keys so ascending key order is the canonical
-lexicographic order.  Translation of whole key ranges is vectorised; component
-structure comes from iterated minimum propagation along translation images,
-which converges immediately because components of the unital space are
-complete quivers.  The table of component counts is exact and streaming: no
-per-vertex Python objects are built unless a caller materialises the result.
+packed big-endian into int32 keys so ascending key order is the canonical
+lexicographic order.  Spaces above 2**31 - 1 keys are refused with a
+resource-cap error whatever the configured cap.  Translation of whole key
+ranges is one gather-and-add kernel over a contribution table built once per
+space: pair b of S lands on a fixed element with a fixed automorphism once f_a
+is known, so its share of the target key is ``C[a, b, f_a, f_b]`` and a
+translate is n table lookups.  Component structure comes from iterated minimum
+propagation along translation images, which converges immediately because
+components of the unital space are complete quivers.  The table of component
+counts is exact and streaming: no per-vertex Python objects are built unless a
+caller materialises the result.
 """
 from __future__ import annotations
 
@@ -28,6 +33,11 @@ from .structures import (
 
 #: Above this many vertices the per-component partition listing is omitted.
 PARTITION_LISTING_LIMIT = 65536
+
+#: One dtype for keys, digits, translation tables and component labels.
+KEY_DTYPE = np.int32
+#: Largest space whose keys fit :data:`KEY_DTYPE`.
+KEY_LIMIT = int(np.iinfo(KEY_DTYPE).max)
 
 
 @dataclass(frozen=True)
@@ -60,17 +70,33 @@ class KeySpace:
         self.n = n
         self.radix = radix
         self.size = radix ** (n - 1) if unital else radix**n
-        if self.size > config.cap:
-            raise ResourceCapError(self.size, config.cap, "regular subsets")
+        cap = min(config.cap, KEY_LIMIT)
+        if self.size > cap:
+            raise ResourceCapError(self.size, cap, "regular subsets")
         weights = [radix ** (n - 1 - c) for c in range(n)]
         if unital:
             weights[0] = 0
-        self.weights = np.array(weights, dtype=np.int64)
+        self.weights = np.array(weights, dtype=KEY_DTYPE)
         self.unital_size = radix ** (n - 1)
         self._act = np.array([a.images for a in hol.auts], dtype=LABEL_DTYPE)
         self._comp = np.array(hol.comp, dtype=LABEL_DTYPE)
         self._ainv = np.array(hol.ainv, dtype=LABEL_DTYPE)
-        self._inv = np.array(group.inverses, dtype=LABEL_DTYPE)
+        self._contrib = self._contribution_table()
+
+    def _contribution_table(self) -> np.ndarray:
+        """``C[a, b, f * radix + d]``: key share of pair (b, d) when f_a = f.
+
+        (a, f)^-1 * (b, d) = (f^-1(a^-1 b), f^-1 o d), so the pair contributes
+        digit ``comp[f^-1, d]`` at position ``act[f^-1, a^-1 b]``.
+        """
+        n, radix = self.n, self.radix
+        fi = self._ainv.astype(np.intp)
+        mul = np.array(self.group.table, dtype=np.intp)
+        quotient = mul[np.array(self.group.inverses, dtype=np.intp)]  # (a, b) -> a^-1 b
+        pos = self._act[fi][:, quotient].transpose(1, 2, 0)  # (a, b, f) -> position
+        digit = self._comp[fi].astype(KEY_DTYPE)  # (f, d) -> digit
+        table = self.weights[pos][:, :, :, None] * digit[None, None, :, :]
+        return table.reshape(n, n, radix * radix)
 
     # -- scalar conversions --------------------------------------------------
 
@@ -92,32 +118,35 @@ class KeySpace:
     def digit(self, keys: np.ndarray, position: int) -> np.ndarray:
         w = int(self.weights[position])
         if w == 0:
-            return np.zeros(keys.shape, dtype=LABEL_DTYPE)
-        return ((keys // w) % self.radix).astype(LABEL_DTYPE)
+            return np.zeros(keys.shape, dtype=KEY_DTYPE)
+        return ((keys // w) % self.radix).astype(KEY_DTYPE, copy=False)
 
     def digits(self, keys: np.ndarray) -> list[np.ndarray]:
         return [self.digit(keys, c) for c in range(self.n)]
 
     def translate_keys(self, keys: np.ndarray, a: int, digits: list[np.ndarray] | None = None) -> np.ndarray:
-        """Key of the translation target along the arrow labelled ``a``."""
+        """Key of the translation target along the arrow labelled ``a``.
+
+        The sum over b of ``C[a, b, f_a, f_b]``.  Pair a itself lands on the
+        identity pair (e, id), whose digit is 0, so it is skipped.
+        """
         if digits is None:
             digits = self.digits(keys)
-        fa = digits[a]
-        fi = self._ainv[fa]
-        inv_a = self.group.inv(a)
-        out = np.zeros(keys.shape, dtype=np.int64)
+        row = digits[a] * self.radix
+        index = np.empty(keys.shape, dtype=np.intp)
+        out = np.zeros(keys.shape, dtype=KEY_DTYPE)
         for b in range(self.n):
-            target_elem = self.group.mul(inv_a, b)
-            pos = self._act[fi, target_elem].astype(np.intp)
-            dig = self._comp[fi, digits[b]].astype(np.int64)
-            out += dig * self.weights[pos]
+            if b == a:
+                continue
+            np.add(row, digits[b], out=index)
+            out += self._contrib[a, b].take(index)
         return out
 
     def translation_table(self) -> list[np.ndarray]:
         """All translation-image key arrays, one per label, chunk by chunk."""
-        tables = [np.empty(self.size, dtype=np.int64) for _ in range(self.n)]
+        tables = [np.empty(self.size, dtype=KEY_DTYPE) for _ in range(self.n)]
         for lo, hi in self.config.partitions(self.size):
-            keys = np.arange(lo, hi, dtype=np.int64)
+            keys = np.arange(lo, hi, dtype=KEY_DTYPE)
             digits = self.digits(keys)
             for a in range(self.n):
                 tables[a][lo:hi] = self.translate_keys(keys, a, digits)
@@ -136,7 +165,7 @@ def component_labels(space: KeySpace, tables: list[np.ndarray] | None = None) ->
     """
     if tables is None:
         tables = space.translation_table()
-    comp = np.arange(space.size, dtype=np.int64)
+    comp = np.arange(space.size, dtype=KEY_DTYPE)
     while True:
         new = comp.copy()
         for ta in tables:
@@ -212,18 +241,18 @@ def invariants(group: FiniteGroup, config: EnumerationConfig | None = None) -> I
     """
     config = config or EnumerationConfig()
     space = KeySpace(group, unital=True, config=config)
-    comp = component_labels(space)
-    roots, sizes = np.unique(comp, return_counts=True)
-    counts: dict[int, int] = {}
-    for s in sizes.tolist():
-        counts[s] = counts.get(s, 0) + 1
+    size_of_root = np.bincount(component_labels(space))
+    roots = np.flatnonzero(size_of_root)
+    sizes = size_of_root[roots]
+    histogram = np.bincount(sizes)
+    counts = {int(s): int(histogram[s]) for s in np.flatnonzero(histogram)}
     table = InvariantTable(
         group_name=group.name,
         order=group.order,
         aut_order=space.radix,
         vertex_count=space.size,
-        sizes=tuple(sorted(counts)),
-        counts=dict(sorted(counts.items())),
+        sizes=tuple(counts),
+        counts=counts,
         initial_counts={s: s * (space.radix - 1) for s in sorted(counts)},
         partitions=_component_partitions(space, roots, sizes),
         partitions_omitted=0 if roots.size <= PARTITION_LISTING_LIMIT else int(roots.size),
@@ -273,7 +302,7 @@ def initial_counts(group: FiniteGroup, config: EnumerationConfig | None = None) 
 
     per_component: dict[int, int] = {int(r): 0 for r in unital_roots}
     for lo, hi in config.partitions(space.size - k0):
-        initial_keys = np.arange(k0 + lo, k0 + hi, dtype=np.int64)
+        initial_keys = np.arange(k0 + lo, k0 + hi, dtype=KEY_DTYPE)
         if not initial_keys.size:
             continue
         labels = comp[initial_keys]
@@ -315,26 +344,21 @@ def initial_counts(group: FiniteGroup, config: EnumerationConfig | None = None) 
 
 def check_translation_composition(space: KeySpace, tables: list[np.ndarray]) -> None:
     """translate(translate(S,a),b) == translate(S, a *_S b) on the whole space."""
-    keys = np.arange(space.size, dtype=np.int64)
+    keys = np.arange(space.size, dtype=KEY_DTYPE)
     digits = space.digits(keys)
+    stacked = np.stack(tables, axis=0)  # (n, K): stacked[c, k] = translate(k, c)
+    mul = np.asarray(space.group.table, dtype=np.intp)
     for a in range(space.n):
         fa = digits[a].astype(np.intp)
         for b in range(space.n):
-            ab = space._act[fa, b]
-            ab = np.asarray(space.group.table, dtype=np.intp)[a][ab]
+            ab = mul[a][space._act[fa, b]]
             lhs = tables[b][tables[a]]
-            rhs = tables_pick(tables, ab, keys)
+            rhs = stacked[ab, keys]
             if not np.array_equal(lhs, rhs):
                 bad = int(np.argwhere(lhs != rhs)[0][0])
                 raise AssertionError(
                     f"translation composition fails at key {bad}, labels ({a},{b})"
                 )
-
-
-def tables_pick(tables: list[np.ndarray], label_per_key: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """tables[label[k]][k] as one array."""
-    stacked = np.stack(tables, axis=0)
-    return stacked[label_per_key, keys]
 
 
 def check_inverse_lemma(space: KeySpace) -> None:
@@ -343,7 +367,7 @@ def check_inverse_lemma(space: KeySpace) -> None:
     A unital-only identity: it is the identity pair of S that lands on that
     element, so it is checked on the unital keys of the space.
     """
-    keys = np.arange(space.size, dtype=np.int64)
+    keys = np.arange(space.size, dtype=KEY_DTYPE)
     digits = space.digits(keys)
     unital = digits[space.group.identity] == 0
     inv = np.array(space.group.inverses, dtype=np.intp)
@@ -384,8 +408,8 @@ def _materialise(group: FiniteGroup, space: KeySpace, named: Mapping[tuple, str]
     size = space.size
     k0 = space.unital_size
 
-    keys = np.arange(size, dtype=np.int64)
-    digit_mat = np.stack(space.digits(keys), axis=1).astype(LABEL_DTYPE)  # (K, n)
+    keys = np.arange(size, dtype=KEY_DTYPE)
+    digit_mat = np.stack(space.digits(keys), axis=1, dtype=LABEL_DTYPE)  # (K, n)
     vertices = tuple(RegularSubset(tuple(int(v) for v in row)) for row in digit_mat)
     if named:
         names = tuple(
@@ -395,7 +419,7 @@ def _materialise(group: FiniteGroup, space: KeySpace, named: Mapping[tuple, str]
     else:
         names = tuple(f"s{k}" if k < k0 else f"r{k - k0}" for k in range(size))
 
-    phi = np.stack(tables, axis=1).astype(VERTEX_DTYPE)  # (K, n)
+    phi = np.stack(tables, axis=1).astype(VERTEX_DTYPE, copy=False)  # (K, n)
     act = space._act
     mul = np.array(group.table, dtype=LABEL_DTYPE)
     fa = act[digit_mat.astype(np.intp)]
@@ -474,7 +498,7 @@ def check_partition_constancy(group: FiniteGroup, config: EnumerationConfig | No
     config = config or EnumerationConfig()
     space = KeySpace(group, unital=False, config=config)
     tables = space.translation_table()
-    keys = np.arange(space.size, dtype=np.int64)
+    keys = np.arange(space.size, dtype=KEY_DTYPE)
     mat = _partition_matrix(space, keys)
     for ta in tables:
         if not (mat == mat[ta]).all():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dynbrace.cli import main
 
 
@@ -250,3 +252,19 @@ def test_missing_file(capsys):
 def test_seed_examples_unknown_group(capsys):
     code, _, err = run(capsys, "enumerate", "--group", "cyclic:5", "--seed-examples")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag,value", [("--cap", "-1"), ("--cap", "0"), ("--workers", "0"), ("--cap", "x")])
+def test_cap_and_workers_need_positive_ints(capsys, flag, value):
+    with pytest.raises(SystemExit) as info:
+        main(["invariants", "--group", "cyclic:3", flag, value])
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert "positive integer" in err and "Traceback" not in err
+
+
+def test_unwritable_out_is_input_error(capsys):
+    code, out, err = run(capsys, "invariants", "--group", "cyclic:3", "--out", "/nonexistent/x.json")
+    assert code == 2
+    assert out == ""
+    assert "cannot write /nonexistent/x.json" in err and "Traceback" not in err

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynbrace.enumeration import (
+    KEY_DTYPE,
     EnumerationConfig,
     KeySpace,
     check_inverse_lemma,
@@ -180,17 +181,20 @@ def test_component_labels_match_union_find():
 
 
 def test_translate_keys_against_scalar_translate():
+    # full spaces take the kernel through a nonzero identity digit
     rng = np.random.default_rng(5)
-    for name in ("cyclic:4", "klein4", "sym:3"):
+    for name in ("cyclic:4", "klein4", "sym:3", "dihedral:4"):
         group = cached_group(name)
-        space = KeySpace(group, unital=True, config=EnumerationConfig())
-        keys = rng.integers(0, space.size, size=min(80, space.size), dtype=np.int64)
-        for a in range(group.order):
-            out = space.translate_keys(keys, a)
-            for key, target in zip(keys.tolist(), out.tolist()):
-                subset = space.subset_of(key)
-                expected = translate(subset, a, group)
-                assert space.assignment_of(target) == expected.assignment
+        for unital in (True, False):
+            space = KeySpace(group, unital=unital, config=EnumerationConfig())
+            keys = rng.integers(0, space.size, size=min(80, space.size), dtype=KEY_DTYPE)
+            for a in range(group.order):
+                out = space.translate_keys(keys, a)
+                assert out.dtype == KEY_DTYPE
+                for key, target in zip(keys.tolist(), out.tolist()):
+                    subset = space.subset_of(key)
+                    expected = translate(subset, a, group)
+                    assert space.assignment_of(target) == expected.assignment
 
 
 def test_translation_composition_vectorised():
@@ -226,6 +230,14 @@ def test_cap_exceeded():
     group = cached_group("quaternion8")
     with pytest.raises(ResourceCapError):
         invariants(group, EnumerationConfig(cap=10**7))
+
+
+def test_int32_key_ceiling_overrides_a_larger_cap():
+    # 24^7 unital keys do not fit int32; refused at construction, before any table
+    with pytest.raises(ResourceCapError) as info:
+        KeySpace(cached_group("quaternion8"), unital=True, config=EnumerationConfig(cap=10**10))
+    assert info.value.required == 24**7
+    assert info.value.cap == 2**31 - 1
 
 
 def test_default_cap_allows_reference_cases():
