@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InputError, ResourceCapError
 from .groups import FiniteGroup
 from .holomorph import DEFAULT_CAP, RegularSubset, holomorph
-from .quivers import ComponentReport, LabelledQuiver
+from .quivers import ComponentReport, LabelledQuiver, component_report, restrict_phi
 from .structures import (
     LABEL_DTYPE,
     VERTEX_DTYPE,
@@ -426,25 +426,8 @@ def _materialise(group: FiniteGroup, space: KeySpace, named: Mapping[tuple, str]
     ops = mul[np.arange(space.n, dtype=np.intp)[None, :, None], fa]
     dsb = make_dsb(group, names, phi, ops)
     quiver = dsb.quiver()
-
-    roots = np.unique(comp)
-    root_index = {int(r): i for i, r in enumerate(roots.tolist())}
-    component_of = tuple(root_index[int(r)] for r in comp.tolist())
-    members_lists: list[list[int]] = [[] for _ in roots]
-    for v, cid in enumerate(component_of):
-        members_lists[cid].append(v)
-    members = tuple(tuple(m) for m in members_lists)
-    degrees = []
-    witnesses = []
-    for m in members:
-        unital_members = [v for v in m if v < k0]
-        if len(unital_members) == len(m):
-            degrees.append(space.n // len(m))
-            witnesses.append(None)
-        else:
-            degrees.append(None)
-            witnesses.append((m[0], m[0]))
-    report = ComponentReport(component_of, members, tuple(degrees), tuple(witnesses))
+    # keys are vertex indices, so the minimal-key labels are minimal-vertex labels
+    report = component_report(dsb.phi, comp)
     unital_flags = tuple(k < k0 for k in range(size))
     return EnumerationResult(
         group=group,
@@ -482,15 +465,9 @@ def enumerate_full(
 
 def component_dsb(result: EnumerationResult, component: int) -> DynamicalSkewBrace:
     """Extract one component as a stand-alone structure, vertices re-indexed."""
-    members = result.components.members[component]
-    index = {v: i for i, v in enumerate(members)}
-    names = tuple(result.vertex_names[v] for v in members)
-    phi = np.array(
-        [[index[int(result.dsb.phi[v, a])] for a in range(result.dsb.label_count)] for v in members],
-        dtype=VERTEX_DTYPE,
-    )
-    ops = result.dsb.ops[np.array(members, dtype=np.intp)]
-    return make_dsb(result.group, names, phi, ops)
+    members = np.array(result.components.members[component], dtype=np.intp)
+    names = [result.vertex_names[v] for v in members]
+    return make_dsb(result.group, names, restrict_phi(result.dsb.phi, members), result.dsb.ops[members])
 
 
 def check_partition_constancy(group: FiniteGroup, config: EnumerationConfig | None = None) -> None:

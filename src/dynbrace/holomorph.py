@@ -132,11 +132,6 @@ def translate(subset: RegularSubset, a: int, group: FiniteGroup) -> RegularSubse
     return RegularSubset(tuple(out))
 
 
-def translation_target(subset: RegularSubset, a: int, group: FiniteGroup) -> RegularSubset:
-    """Alias emphasising the quiver reading: the target of the arrow labelled a."""
-    return translate(subset, a, group)
-
-
 def orbit_closure(
     seed: RegularSubset, group: FiniteGroup, cap: int = DEFAULT_CAP
 ) -> tuple[RegularSubset, ...]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .groups import FiniteGroup, make_group
-from .quivers import connected_components
+from .quivers import labels
 from .structures import (
     LABEL_DTYPE,
     VERTEX_DTYPE,
@@ -39,10 +39,10 @@ def _require_connected_groupoid(bracoid: SkewBracoid) -> None:
     if not bool(bracoid.unital.all()):
         lam = int(np.argwhere(~bracoid.unital)[0][0])
         raise InputError(f"vertex {bracoid.vertex_names[lam]} is initial; need a groupoid")
-    report = connected_components(bracoid.quiver())
-    if report.count > 1:
-        a = bracoid.vertex_names[report.members[0][0]]
-        b = bracoid.vertex_names[report.members[1][0]]
+    lab = labels(bracoid.phi)
+    if lab.any():
+        a = bracoid.vertex_names[0]
+        b = bracoid.vertex_names[int(np.argmax(lab != 0))]
         raise InputError(f"quiver is disconnected: no path between {a} and {b}")
 
 

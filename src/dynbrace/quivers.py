@@ -1,81 +1,154 @@
-"""Labelled quivers in functional form, connectivity analysis, DOT export.
+"""Labelled quivers as one int32 transition array, connectivity, completeness, DOT export.
 
 Every quiver this package produces has one outgoing arrow per (vertex, label)
 pair, i.e. it is the quiver of a transition map; quivers with vertex-dependent
-out-degree are out of scope.
+out-degree are out of scope.  The map is held once, as the read-only int32
+array ``phi`` of shape (vertices, labels): ``phi[v, a]`` is the target of the
+arrow with source v and label a.  The same array is the ``phi`` of the
+dynamical structures and bracoids built on the quiver, and
+:func:`validate_phi` is the one check every constructor and JSON reader
+passes it through (shape, integer cells, range, unique vertex names).
+
+Connected components come from one numpy routine: :func:`labels` propagates
+minimal vertex indices along arrows in both directions, and
+:func:`component_report` numbers the components by their smallest vertex and
+checks completeness: a component of s vertices is complete of degree d = n/s
+exactly when every member's sorted ``phi`` row changes value every d entries.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import InputError
 
-
-class UnionFind:
-    """Array union-find with path compression; single-owner, not thread safe."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.size = [1] * size
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+VERTEX_DTYPE = np.int32
 
 
-@dataclass(frozen=True)
-class LabelledQuiver:
-    """Vertices, labels, and the transition map phi as a vertex-by-label matrix.
+def int_array(data, what: str, shape: tuple[int | None, ...], low: int, high: int, dtype) -> np.ndarray:
+    """``data`` as a read-only ``dtype`` array of ``shape`` (None matches any
+    length) with integer entries in [low, high); anything else is an input error."""
+    try:
+        arr = np.asarray(data)
+    except ValueError:
+        raise InputError(f"{what} is not a rectangular array") from None
+    if arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape)):
+        raise InputError(f"{what} has shape {arr.shape}, expected {shape}")
+    if arr.size:
+        if arr.dtype.kind not in "iu":
+            raise InputError(f"{what} entries must be integers")
+        if arr.min() < low or arr.max() >= high:
+            bad = tuple(int(i) for i in np.argwhere((arr < low) | (arr >= high))[0])
+            cell = "".join(f"[{i}]" for i in bad)
+            raise InputError(f"{what}{cell} = {arr[bad]} is not in [{low}, {high})")
+    out = np.ascontiguousarray(arr, dtype=dtype)
+    out.setflags(write=False)
+    return out
 
-    The arrow with source ``v`` and label ``a`` has target ``phi[v][a]``.
+
+def name_tuple(names, what: str) -> tuple[str, ...]:
+    """A list of names as a tuple of strings, or an input error."""
+    if not isinstance(names, (list, tuple)):
+        raise InputError(f"{what} must be a list of names")
+    return tuple(str(v) for v in names)
+
+
+def validate_phi(vertices, phi, label_count: int | None = None) -> tuple[tuple[str, ...], np.ndarray]:
+    """Unique vertex names and the read-only int32 ``(L, n)`` transition array.
+
+    Rejects, as input errors, an empty or duplicated vertex list, a ragged or
+    non-integer ``phi``, a row count other than L, a column count other than
+    ``label_count`` (when given) and a target outside the vertex set.
+    """
+    names = name_tuple(vertices, "vertices")
+    if not names:
+        raise InputError("a quiver needs at least one vertex")
+    if len(set(names)) != len(names):
+        dup = next(v for v, count in Counter(names).items() if count > 1)
+        raise InputError(f"duplicate vertex name {dup!r}")
+    phi = int_array(phi, "phi", (len(names), label_count), 0, len(names), VERTEX_DTYPE)
+    if phi.shape[1] == 0:
+        raise InputError("a quiver needs at least one label")
+    return names, phi
+
+
+def restrict_phi(phi: np.ndarray, members: Sequence[int]) -> np.ndarray:
+    """The rows of ``members`` with targets re-indexed to positions in ``members``.
+
+    An arrow leaving the member set maps to -1, which :func:`validate_phi`
+    rejects.
+    """
+    members = np.asarray(members, dtype=np.intp)
+    remap = np.full(phi.shape[0], -1, dtype=VERTEX_DTYPE)
+    remap[members] = np.arange(members.size, dtype=VERTEX_DTYPE)
+    return remap[phi[members]]
+
+
+class QuiverBase:
+    """Vertex names and the transition array ``phi``, the part of a quiver that
+    labelled quivers, dynamical structures and bracoids share.
+
+    The name-to-index lookup is built once, on first use.
+    """
+
+    vertex_names: tuple[str, ...]
+    phi: np.ndarray
+
+    @property
+    def vertex_count(self) -> int:
+        return self.phi.shape[0]
+
+    @property
+    def label_count(self) -> int:
+        return self.phi.shape[1]
+
+    @cached_property
+    def _index_of_name(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(self.vertex_names)}
+
+    def vertex_index(self, name: str) -> int:
+        try:
+            return self._index_of_name[name]
+        except KeyError:
+            raise InputError(f"unknown vertex {name!r}") from None
+
+
+@dataclass(frozen=True, eq=False)
+class LabelledQuiver(QuiverBase):
+    """Vertices, labels, and the transition map phi as a vertex-by-label array.
+
+    The arrow with source ``v`` and label ``a`` has target ``phi[v, a]``.
     """
 
     vertices: tuple[str, ...]
     labels: tuple[str, ...]
-    phi: tuple[tuple[int, ...], ...]
+    phi: np.ndarray
 
     @property
-    def vertex_count(self) -> int:
-        return len(self.vertices)
+    def vertex_names(self) -> tuple[str, ...]:
+        return self.vertices
 
-    @property
-    def label_count(self) -> int:
-        return len(self.labels)
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, LabelledQuiver)
+            and (self.vertices, self.labels) == (other.vertices, other.labels)
+            and np.array_equal(self.phi, other.phi)
+        )
 
     @property
     def arrow_count(self) -> int:
-        return len(self.vertices) * len(self.labels)
-
-    def target(self, vertex: int, label: int) -> int:
-        return self.phi[vertex][label]
-
-    def vertex_index(self, name: str) -> int:
-        try:
-            return self.vertices.index(name)
-        except ValueError:
-            raise InputError(f"unknown vertex {name!r}") from None
+        return self.phi.size
 
     def arrow_counts(self) -> dict[tuple[int, int], int]:
         """Number of parallel arrows per ordered (source, target) pair."""
-        counts: dict[tuple[int, int], int] = {}
-        for v, row in enumerate(self.phi):
-            for w in row:
-                counts[(v, w)] = counts.get((v, w), 0) + 1
-        return counts
+        nv = self.vertex_count
+        sources = np.repeat(np.arange(nv, dtype=np.int64), self.label_count)
+        pairs, counts = np.unique(sources * nv + self.phi.ravel(), return_counts=True)
+        return {(p // nv, p % nv): c for p, c in zip(pairs.tolist(), counts.tolist())}
 
 
 @dataclass(frozen=True)
@@ -98,74 +171,80 @@ class ComponentReport:
 def quiver_of_dynamical_set(
     vertices: Sequence[str],
     labels: Sequence[str],
-    phi: Sequence[Sequence[int]],
+    phi,
 ) -> LabelledQuiver:
-    """Wrap a total transition map as a labelled quiver, validating ranges."""
-    nv, nl = len(vertices), len(labels)
-    if nv == 0:
-        raise InputError("a quiver needs at least one vertex")
-    if len(phi) != nv:
-        raise InputError(f"phi has {len(phi)} rows for {nv} vertices")
-    for v, row in enumerate(phi):
-        if len(row) != nl:
-            raise InputError(f"phi row {v} has {len(row)} entries for {nl} labels")
-        for a, w in enumerate(row):
-            if not (0 <= int(w) < nv):
-                raise InputError(f"phi[{v}][{a}] = {w} is not a vertex index")
-    return LabelledQuiver(
-        vertices=tuple(str(v) for v in vertices),
-        labels=tuple(str(a) for a in labels),
-        phi=tuple(tuple(int(w) for w in row) for row in phi),
+    """Wrap a total transition map as a labelled quiver, validated."""
+    labels = name_tuple(labels, "labels")
+    names, phi = validate_phi(vertices, phi, len(labels))
+    return LabelledQuiver(vertices=names, labels=labels, phi=phi)
+
+
+def labels(phi: np.ndarray) -> np.ndarray:
+    """Per-vertex component label: the smallest vertex of its undirected component.
+
+    Each round pulls the minimum over a vertex's targets, pushes each label
+    to the vertex's targets, then shortcuts ``lab = lab[lab]``; it stops when
+    a round changes nothing, which needs every arrow to join equal labels.
+    """
+    lab = np.arange(phi.shape[0], dtype=VERTEX_DTYPE)
+    while True:
+        new = np.minimum(lab, lab[phi].min(axis=1))
+        np.minimum.at(new, phi, new[:, None])
+        new = new[new]
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
+
+
+def component_report(phi: np.ndarray, labels: np.ndarray) -> ComponentReport:
+    """Components of ``phi`` numbered by smallest vertex, with completeness checked.
+
+    ``labels[v]`` must be the smallest vertex of v's component, as
+    :func:`labels` returns.  A component of s vertices has degree d when each
+    member sends exactly d arrows to every member, so d = n/s; otherwise its
+    degree is None and its witness is the first (source, target) pair, in
+    member order, whose arrow count differs from the first member's count of
+    arrows to its label-0 target.
+    """
+    nv, n = phi.shape
+    roots, component_of, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    order = np.argsort(component_of, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+
+    size_of = sizes[component_of]
+    step = np.where(n % size_of == 0, n // size_of, 0)
+    sorted_rows = np.sort(phi, axis=1)
+    changes = sorted_rows[:, 1:] != sorted_rows[:, :-1]
+    expected = np.arange(1, n)[None, :] % np.maximum(step, 1)[:, None] == 0
+    bad_row = (step == 0) | (changes != expected).any(axis=1)
+
+    bad_vertices = np.flatnonzero(bad_row)
+    failing, first = np.unique(component_of[bad_vertices], return_index=True)
+    source = bad_vertices[first]
+    lead = roots[failing]
+    reference = (phi[lead] == phi[lead, :1]).sum(axis=1)
+    # the first deviating member has rank <= n: each earlier rank takes >= 1 arrow
+    rank = np.empty(nv, dtype=np.intp)
+    rank[order] = np.arange(nv) - starts[component_of[order]]
+    per_rank = (rank[phi[source]][:, :, None] == np.arange(n + 1)).sum(axis=1)
+    target = order[starts[failing] + np.argmax(per_rank != reference[:, None], axis=1)]
+    witnesses: list[tuple[int, int] | None] = [None] * roots.size
+    for c, v, w in zip(failing.tolist(), source.tolist(), target.tolist()):
+        witnesses[c] = (v, w)
+
+    flat, bounds = order.tolist(), starts.tolist()
+    members = tuple(tuple(flat[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
+    return ComponentReport(
+        component_of=tuple(component_of.tolist()),
+        members=members,
+        degrees=tuple(None if w else n // s for s, w in zip(sizes.tolist(), witnesses)),
+        witnesses=tuple(witnesses),
     )
 
 
 def connected_components(quiver: LabelledQuiver) -> ComponentReport:
     """Undirected connectivity; components numbered by smallest member vertex."""
-    nv = quiver.vertex_count
-    uf = UnionFind(nv)
-    for v, row in enumerate(quiver.phi):
-        for w in row:
-            uf.union(v, w)
-    roots: dict[int, list[int]] = {}
-    for v in range(nv):
-        roots.setdefault(uf.find(v), []).append(v)
-    members = tuple(tuple(group) for _, group in sorted(roots.items()))
-    component_of = [0] * nv
-    for cid, group in enumerate(members):
-        for v in group:
-            component_of[v] = cid
-    degrees = []
-    witnesses = []
-    for cid in range(len(members)):
-        d, witness = _component_degree(quiver, members[cid])
-        degrees.append(d)
-        witnesses.append(witness)
-    return ComponentReport(
-        component_of=tuple(component_of),
-        members=members,
-        degrees=tuple(degrees),
-        witnesses=tuple(witnesses),
-    )
-
-
-def _component_degree(quiver, members):
-    member_set = set(members)
-    counts = {(v, w): 0 for v in members for w in members}
-    for v in members:
-        for w in quiver.phi[v]:
-            if w not in member_set:
-                return None, (v, w)
-            counts[(v, w)] += 1
-    values = set(counts.values())
-    if len(values) == 1:
-        return values.pop(), None
-    # witness: first ordered pair whose arrow count deviates
-    expected = counts[(members[0], quiver.phi[members[0]][0])]
-    for v in members:
-        for w in members:
-            if counts[(v, w)] != expected:
-                return None, (v, w)
-    return None, (members[0], members[0])
+    return component_report(quiver.phi, labels(quiver.phi))
 
 
 def completeness_degree(
@@ -216,7 +295,7 @@ def export_dot(quiver: LabelledQuiver, collapse_labels: bool = False, name: str 
                 f'  "{quiver.vertices[v]}" -> "{quiver.vertices[w]}" [label="×{k}"];'
             )
     else:
-        for v, row in enumerate(quiver.phi):
+        for v, row in enumerate(quiver.phi.tolist()):
             for a, w in enumerate(row):
                 lines.append(
                     f'  "{quiver.vertices[v]}" -> "{quiver.vertices[w]}" '
@@ -230,7 +309,7 @@ def quiver_to_json(quiver: LabelledQuiver) -> dict:
     return {
         "vertices": list(quiver.vertices),
         "labels": list(quiver.labels),
-        "phi": [list(row) for row in quiver.phi],
+        "phi": quiver.phi.tolist(),
     }
 
 

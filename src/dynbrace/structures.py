@@ -15,10 +15,17 @@ import numpy as np
 from .errors import InputError
 from .groups import FiniteGroup, group_from_json, group_to_json
 from .holomorph import RegularSubset, holomorph, translate
-from .quivers import LabelledQuiver, quiver_of_dynamical_set
+from .quivers import (
+    VERTEX_DTYPE,
+    LabelledQuiver,
+    QuiverBase,
+    int_array,
+    name_tuple,
+    quiver_of_dynamical_set,
+    validate_phi,
+)
 
 LABEL_DTYPE = np.int16
-VERTEX_DTYPE = np.int32
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -89,7 +96,7 @@ def _first_mismatch(ok: np.ndarray):
 
 
 @dataclass(frozen=True, eq=False)
-class DynamicalSkewBrace:
+class DynamicalSkewBrace(QuiverBase):
     """(group, vertex set, transition map, per-vertex left-quasigroup tables).
 
     ``ops[lam, a, b]`` is the product of a and b at vertex lam; ``phi[lam, a]``
@@ -101,24 +108,8 @@ class DynamicalSkewBrace:
     phi: np.ndarray
     ops: np.ndarray
 
-    @property
-    def vertex_count(self) -> int:
-        return self.phi.shape[0]
-
-    @property
-    def label_count(self) -> int:
-        return self.phi.shape[1]
-
     def quiver(self) -> LabelledQuiver:
-        return quiver_of_dynamical_set(
-            self.vertex_names, self.group.names, [[int(v) for v in row] for row in self.phi]
-        )
-
-    def vertex_index(self, name: str) -> int:
-        try:
-            return self.vertex_names.index(name)
-        except ValueError:
-            raise InputError(f"unknown vertex {name!r}") from None
+        return quiver_of_dynamical_set(self.vertex_names, self.group.names, self.phi)
 
     def op_table(self, vertex: int | str) -> np.ndarray:
         lam = vertex if isinstance(vertex, int) else self.vertex_index(vertex)
@@ -126,20 +117,9 @@ class DynamicalSkewBrace:
 
 
 def make_dsb(group, vertex_names, phi, ops) -> DynamicalSkewBrace:
-    phi = _frozen(np.ascontiguousarray(phi, dtype=VERTEX_DTYPE))
-    ops = _frozen(np.ascontiguousarray(ops, dtype=LABEL_DTYPE))
-    names = tuple(str(v) for v in vertex_names)
-    L, n = phi.shape
-    if ops.shape != (L, n, n):
-        raise InputError(f"ops shape {ops.shape} does not match phi shape {phi.shape}")
-    if n != group.order:
-        raise InputError(f"label count {n} does not match group order {group.order}")
-    if len(names) != L:
-        raise InputError(f"{len(names)} vertex names for {L} vertices")
-    if L and (phi.min() < 0 or phi.max() >= L):
-        raise InputError("phi maps outside the vertex set")
-    if L and (ops.min() < 0 or ops.max() >= n):
-        raise InputError("ops entries outside the label set")
+    n = group.order
+    names, phi = validate_phi(vertex_names, phi, n)
+    ops = int_array(ops, "ops", (len(names), n, n), 0, n, LABEL_DTYPE)
     return DynamicalSkewBrace(group, names, phi, ops)
 
 
@@ -333,7 +313,7 @@ def verify_computation_rules(dsb: DynamicalSkewBrace) -> Report:
 
 
 @dataclass(frozen=True, eq=False)
-class SkewBracoid:
+class SkewBracoid(QuiverBase):
     """Partial multiplication on arrows plus a group on every out-star.
 
     ``bullet[lam, a, b]`` is the label (at lam) of the composite of the arrow
@@ -351,53 +331,26 @@ class SkewBracoid:
     unital: np.ndarray
 
     @property
-    def vertex_count(self) -> int:
-        return self.phi.shape[0]
-
-    @property
-    def label_count(self) -> int:
-        return self.phi.shape[1]
-
-    @property
     def is_groupoid(self) -> bool:
         return bool(self.unital.all())
 
     def quiver(self) -> LabelledQuiver:
-        return quiver_of_dynamical_set(
-            self.vertex_names, self.label_names, [[int(v) for v in row] for row in self.phi]
-        )
-
-    def vertex_index(self, name: str) -> int:
-        try:
-            return self.vertex_names.index(name)
-        except ValueError:
-            raise InputError(f"unknown vertex {name!r}") from None
+        return quiver_of_dynamical_set(self.vertex_names, self.label_names, self.phi)
 
 
 def make_bracoid(vertex_names, label_names, phi, bullet, dot, units, unital) -> SkewBracoid:
-    phi = _frozen(np.ascontiguousarray(phi, dtype=VERTEX_DTYPE))
-    bullet = _frozen(np.ascontiguousarray(bullet, dtype=LABEL_DTYPE))
-    dot = _frozen(np.ascontiguousarray(dot, dtype=LABEL_DTYPE))
-    units = _frozen(np.ascontiguousarray(units, dtype=LABEL_DTYPE))
-    unital = _frozen(np.ascontiguousarray(unital, dtype=bool))
+    labels = name_tuple(label_names, "labels")
+    names, phi = validate_phi(vertex_names, phi, len(labels))
     L, n = phi.shape
-    for arr, shape, what in (
-        (bullet, (L, n, n), "bullet"),
-        (dot, (L, n, n), "dot"),
-        (units, (L,), "units"),
-        (unital, (L,), "unital"),
-    ):
-        if arr.shape != shape:
-            raise InputError(f"{what} shape {arr.shape}, expected {shape}")
-    return SkewBracoid(
-        tuple(str(v) for v in vertex_names),
-        tuple(str(a) for a in label_names),
-        phi,
-        bullet,
-        dot,
-        units,
-        unital,
-    )
+    bullet = int_array(bullet, "bullet", (L, n, n), 0, n, LABEL_DTYPE)
+    dot = int_array(dot, "dot", (L, n, n), 0, n, LABEL_DTYPE)
+    units = int_array(units, "units", (L,), -1, n, LABEL_DTYPE)
+    unital = _frozen(np.ascontiguousarray(unital, dtype=bool))
+    if unital.shape != (L,):
+        raise InputError(f"unital shape {unital.shape}, expected {(L,)}")
+    if (units[unital] < 0).any():
+        raise InputError("every unital vertex needs a unit label")
+    return SkewBracoid(names, labels, phi, bullet, dot, units, unital)
 
 
 def semiloopoid_of_dsb(dsb: DynamicalSkewBrace, check: bool = True) -> SkewBracoid:
@@ -855,6 +808,15 @@ def dsb_to_json(dsb: DynamicalSkewBrace) -> dict:
     }
 
 
+def _per_vertex(data: Mapping, key: str, names: Sequence[str]) -> list:
+    """The entries of the name-keyed table ``data[key]``, in vertex order."""
+    table = data[key]
+    missing = [v for v in names if not isinstance(table, Mapping) or v not in table]
+    if missing:
+        raise InputError(f"{key!r} has no entry for vertex {missing[0]!r}")
+    return [table[v] for v in names]
+
+
 def dsb_from_json(data: Mapping) -> DynamicalSkewBrace:
     for key in ("group", "vertices", "phi", "ops"):
         if key not in data:
@@ -862,9 +824,8 @@ def dsb_from_json(data: Mapping) -> DynamicalSkewBrace:
     group = group_from_json(data["group"])
     if group.identity != 0:
         raise InputError("dynamical structure JSON expects the identity at index 0")
-    names = [str(v) for v in data["vertices"]]
-    ops = [data["ops"][name] for name in names]
-    return make_dsb(group, names, data["phi"], ops)
+    names = name_tuple(data["vertices"], "vertices")
+    return make_dsb(group, names, data["phi"], _per_vertex(data, "ops", names))
 
 
 def bracoid_to_json(bracoid: SkewBracoid, group: FiniteGroup | None = None) -> dict:
@@ -895,21 +856,16 @@ def bracoid_from_json(data: Mapping) -> SkewBracoid:
     for key in ("vertices", "phi", "ops", "dot", "units"):
         if key not in data:
             raise InputError(f"bracoid JSON needs a {key!r} key")
-    names = [str(v) for v in data["vertices"]]
-    phi = np.ascontiguousarray(data["phi"], dtype=VERTEX_DTYPE)
-    L = len(names)
-    if phi.shape[0] != L:
-        raise InputError("phi row count does not match the vertex list")
-    n = phi.shape[1]
-    labels = data.get("labels", [str(i) for i in range(n)])
-    bullet = [data["ops"][name] for name in names]
-    dot = [data["dot"][name] for name in names]
-    units = np.full(L, -1, dtype=LABEL_DTYPE)
-    unital = np.zeros(L, dtype=bool)
-    for name, u in data["units"].items():
-        if name not in names:
-            raise InputError(f"units refer to unknown vertex {name!r}")
-        k = names.index(name)
-        units[k] = int(u)
-        unital[k] = True
+    names, phi = validate_phi(data["vertices"], data["phi"])
+    labels = data.get("labels", [str(i) for i in range(phi.shape[1])])
+    unit_of = data["units"]
+    if not isinstance(unit_of, Mapping):
+        raise InputError("'units' must map vertex names to labels")
+    unknown = set(unit_of) - set(names)
+    if unknown:
+        raise InputError(f"units refer to unknown vertex {min(unknown)!r}")
+    unital = [v in unit_of for v in names]
+    units = [unit_of.get(v, -1) for v in names]
+    bullet = _per_vertex(data, "ops", names)
+    dot = _per_vertex(data, "dot", names)
     return make_bracoid(names, labels, phi, bullet, dot, units, unital)

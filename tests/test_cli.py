@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -26,9 +27,13 @@ def test_invariants_klein4_json(capsys):
     assert data["in"] == {"1": 5, "2": 10, "4": 20}
 
 
-def test_invariants_check_flag(capsys):
-    code, _, _ = run(capsys, "invariants", "--group", "cyclic:5", "--check")
-    assert code == 0
+def test_invariants_relation_failure_is_verification_failure(capsys, monkeypatch):
+    from dynbrace.enumeration import InvariantTable
+
+    monkeypatch.setattr(InvariantTable, "check_relations", lambda self: ["sum s*N_s = 0, expected 4"])
+    code, out, err = run(capsys, "invariants", "--group", "cyclic:3")
+    assert code == 1 and out == ""
+    assert "verification failure" in err and "sum s*N_s = 0" in err
 
 
 def test_unknown_group_is_input_error(capsys):
@@ -268,3 +273,70 @@ def test_unwritable_out_is_input_error(capsys):
     assert code == 2
     assert out == ""
     assert "cannot write /nonexistent/x.json" in err and "Traceback" not in err
+
+
+DELETE = object()
+
+# (file kind, path into the JSON document, new value or DELETE); () is the whole document
+MALFORMED = {
+    "dsb-missing-ops-vertex": ("dsb", ("ops", "s1"), DELETE),
+    "bracoid-missing-ops-vertex": ("bracoid", ("ops", "s1"), DELETE),
+    "bracoid-missing-dot-vertex": ("bracoid", ("dot", "s2"), DELETE),
+    "ragged-phi": ("dsb", ("phi", 1), [1, 3]),
+    "scalar-phi-row": ("dsb", ("phi", 1), 1),
+    "string-phi-cell": ("dsb", ("phi", 1, 0), "1"),
+    "float-phi-cell": ("dsb", ("phi", 1, 0), 1.5),
+    "bracoid-float-phi-cell": ("bracoid", ("phi", 1, 0), 1.5),
+    "ragged-ops-table": ("dsb", ("ops", "s1", 1), [0, 1]),
+    "scalar-ops-row": ("bracoid", ("ops", "s1", 1), 0),
+    "string-dot-cell": ("bracoid", ("dot", "s1", 1, 0), "x"),
+    "float-ops-cell": ("dsb", ("ops", "s1", 1, 0), 1.5),
+    "float-unit": ("bracoid", ("units", "s0"), 1.5),
+    "dsb-out-of-range-phi": ("dsb", ("phi", 0, 0), 99),
+    "bracoid-out-of-range-phi": ("bracoid", ("phi", 0, 0), 99),
+    "bracoid-out-of-range-dot": ("bracoid", ("dot", "s1", 0, 0), 99),
+    "dsb-duplicate-vertex": ("dsb", ("vertices", 1), "s0"),
+    "bracoid-duplicate-vertex": ("bracoid", ("vertices", 1), "s0"),
+    "vertices-not-a-list": ("dsb", ("vertices",), 4),
+    "top-level-number": ("dsb", (), 5),
+    "top-level-null": ("bracoid", (), None),
+}
+
+MALFORMED_COMMANDS = {
+    "verify": ("verify", "--input", "{src}"),
+    "export-dot": ("export-dot", "--input", "{src}"),
+    "parallelise": ("parallelise", "--input", "{src}", "--per-component", "--out", "{dst}"),
+}
+
+
+@pytest.fixture(scope="module")
+def cyclic3_documents():
+    from dynbrace.enumeration import EnumerationConfig, enumerate_unital
+    from dynbrace.groups import build_group
+    from dynbrace.structures import bracoid_to_json, dsb_to_json, semiloopoid_of_dsb
+
+    dsb = enumerate_unital(build_group("cyclic:3"), EnumerationConfig()).dsb
+    return {"dsb": dsb_to_json(dsb), "bracoid": bracoid_to_json(semiloopoid_of_dsb(dsb))}
+
+
+@pytest.mark.parametrize("command", sorted(MALFORMED_COMMANDS))
+@pytest.mark.parametrize("mutation", sorted(MALFORMED))
+def test_malformed_input_is_input_error(tmp_path, capsys, cyclic3_documents, mutation, command):
+    kind, path, value = MALFORMED[mutation]
+    data = copy.deepcopy(cyclic3_documents[kind])
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if not path:
+        data = value
+    elif value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(data))
+    argv = [a.format(src=src, dst=tmp_path / "out.json") for a in MALFORMED_COMMANDS[command]]
+    code, out, err = run(capsys, *argv)
+    assert code == 2, err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == "" and not (tmp_path / "out.json").exists()

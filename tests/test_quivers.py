@@ -1,9 +1,11 @@
+from collections import deque
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from dynbrace.errors import InputError
 from dynbrace.quivers import (
-    UnionFind,
     completeness_degree,
     connected_components,
     export_dot,
@@ -76,7 +78,7 @@ def test_not_complete_witness():
     q = quiver_of_dynamical_set(["a", "b"], ["x", "y"], [[0, 1], [1, 1]])
     report = connected_components(q)
     d, witness = completeness_degree(q, report, 0)
-    assert d is None and witness is not None
+    assert d is None and witness == (1, 0)
 
 
 def test_homogeneous_weights():
@@ -134,14 +136,40 @@ def test_quiver_json_round_trip():
     assert quiver_from_json(data) == Z3_QUIVER
 
 
-def test_union_find_components():
-    uf = UnionFind(6)
-    uf.union(0, 3)
-    uf.union(3, 5)
-    uf.union(1, 2)
-    roots = {uf.find(i) for i in range(6)}
-    assert len(roots) == 3
-    assert uf.find(0) == uf.find(5)
+def _reference_components(phi):
+    """Brute force: BFS over arrows in both directions, then arrow counts per pair.
+
+    The witness of an incomplete component is its first (source, target) pair
+    whose count differs from the first member's count of arrows to its
+    label-0 target.
+    """
+    nv = len(phi)
+    neighbours = [set() for _ in range(nv)]
+    for v, row in enumerate(phi):
+        for w in row:
+            neighbours[v].add(w)
+            neighbours[w].add(v)
+    component_of = [-1] * nv
+    members = []
+    for start in range(nv):
+        if component_of[start] >= 0:
+            continue
+        component_of[start] = len(members)
+        found, queue = [start], deque([start])
+        while queue:
+            for w in neighbours[queue.popleft()]:
+                if component_of[w] < 0:
+                    component_of[w] = len(members)
+                    found.append(w)
+                    queue.append(w)
+        members.append(tuple(sorted(found)))
+    degrees, witnesses = [], []
+    for group in members:
+        expected = phi[group[0]].count(phi[group[0]][0])
+        bad = [(v, w) for v in group for w in group if phi[v].count(w) != expected]
+        degrees.append(None if bad else expected)
+        witnesses.append(bad[0] if bad else None)
+    return tuple(component_of), tuple(members), tuple(degrees), tuple(witnesses)
 
 
 @given(
@@ -153,9 +181,55 @@ def test_random_functional_quivers_partition(nv, nl, rng):
     phi = [[rng.randrange(nv) for _ in range(nl)] for _ in range(nv)]
     q = quiver_of_dynamical_set([f"v{i}" for i in range(nv)], [str(a) for a in range(nl)], phi)
     report = connected_components(q)
-    seen = sorted(v for members in report.members for v in members)
-    assert seen == list(range(nv))
-    # arrows never cross components
-    for v in range(nv):
-        for w in q.phi[v]:
-            assert report.component_of[v] == report.component_of[w]
+    component_of, members, degrees, witnesses = _reference_components(phi)
+    assert report.members == members
+    assert report.component_of == component_of
+    assert report.degrees == degrees
+    assert report.witnesses == witnesses
+
+
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4), st.randoms())
+def test_random_complete_quivers_have_degree(s, d, rng):
+    # disjoint complete blocks of s vertices and degree d, vertices shuffled
+    blocks = 3
+    perm = list(range(blocks * s))
+    rng.shuffle(perm)
+    phi = [None] * (blocks * s)
+    for b in range(blocks):
+        for v in range(s):
+            row = [perm[b * s + w] for w in range(s) for _ in range(d)]
+            rng.shuffle(row)
+            phi[perm[b * s + v]] = row
+    q = quiver_of_dynamical_set([str(i) for i in range(blocks * s)], [str(a) for a in range(s * d)], phi)
+    report = connected_components(q)
+    assert report.count == blocks
+    assert report.degrees == (d,) * blocks
+    assert is_homogeneous(q, report).weight == s * d
+
+
+def test_quiver_phi_is_the_read_only_int32_array():
+    assert Z3_QUIVER.phi.dtype == np.int32 and Z3_QUIVER.phi.shape == (4, 3)
+    assert not Z3_QUIVER.phi.flags.writeable
+    assert Z3_QUIVER.vertex_index("s2") == 2
+    with pytest.raises(InputError, match="unknown vertex"):
+        Z3_QUIVER.vertex_index("s9")
+
+
+@pytest.mark.parametrize(
+    "vertices,phi,message",
+    [
+        (["v", "v"], [[0], [1]], "duplicate vertex name 'v'"),
+        ([], [], "at least one vertex"),
+        (["v", "w"], [[0, 1], [1]], "not a rectangular array"),
+        (["v"], [[0.0, 0.0]], "must be integers"),
+        (["v"], [["0", "0"]], "must be integers"),
+        (["v"], [0, 0], "shape"),
+        (["v", "w"], [[0, 0]], "shape"),
+        (["v"], [[0, 0, 0]], "shape"),
+        (["v"], [[-1, 0]], r"phi\[0\]\[0\]"),
+        ("vw", [[0, 0], [1, 1]], "list of names"),
+    ],
+)
+def test_validate_phi_rejects(vertices, phi, message):
+    with pytest.raises(InputError, match=message):
+        quiver_of_dynamical_set(vertices, ["a", "b"], phi)
