@@ -83,7 +83,7 @@ def _load_json(path: str):
 
 
 def _config(args) -> EnumerationConfig:
-    return EnumerationConfig(cap=args.cap, workers=args.workers)
+    return EnumerationConfig(cap=args.cap)
 
 
 def _named(args, group_name: str, full: bool):
@@ -413,8 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--cap", type=_positive_int, default=EnumerationConfig().cap,
                        help="enumeration size cap")
-        p.add_argument("--workers", type=_positive_int, default=1,
-                       help="number of deterministic partitions for the kernels")
 
     p = sub.add_parser("enumerate", help="materialise a maximal family as a quiver")
     common(p)

@@ -3,15 +3,18 @@
 The assignment space is the set of maps (group element -> automorphism index),
 packed big-endian into int32 keys so ascending key order is the canonical
 lexicographic order.  Spaces above 2**31 - 1 keys are refused with a
-resource-cap error whatever the configured cap.  Translation of whole key
-ranges is one gather-and-add kernel over a contribution table built once per
-space: pair b of S lands on a fixed element with a fixed automorphism once f_a
-is known, so its share of the target key is ``C[a, b, f_a, f_b]`` and a
-translate is n table lookups.  Component structure comes from iterated minimum
-propagation along translation images, which converges immediately because
-components of the unital space are complete quivers.  The table of component
-counts is exact and streaming: no per-vertex Python objects are built unless a
-caller materialises the result.
+resource-cap error whatever the configured cap.  Translation is one kernel
+over a two-level contribution table built once per space: pair b of S lands on
+a fixed element with a fixed automorphism once f_a is known, so its share of
+the target key depends only on (a, f_a, f_b).  Summing those shares over the
+low and over the high digits of a key ``h * W + l`` gives tables
+``low[a, f, l]`` and ``high[a, f, h]``, and a translate is
+``high[a, f_a, h] + low[a, f_a, l]``: two lookups and one add.  Component
+structure comes from iterated minimum propagation along translation images,
+which converges in one pass because components of the unital space are complete
+quivers; a second pass checks the fixpoint.  The table of component counts is
+exact: no per-vertex Python objects are built unless a caller materialises the
+result.
 """
 from __future__ import annotations
 
@@ -42,29 +45,35 @@ KEY_LIMIT = int(np.iinfo(KEY_DTYPE).max)
 
 @dataclass(frozen=True)
 class EnumerationConfig:
-    """Tuning knobs shared by the streaming kernels."""
+    """Limits shared by the kernels: the largest space they may enumerate."""
 
     cap: int = DEFAULT_CAP
-    chunk: int = 1 << 20
-    workers: int = 1
 
-    def partitions(self, size: int) -> list[tuple[int, int]]:
-        """Deterministic contiguous ranges covering [0, size)."""
-        parts = max(1, int(self.workers))
-        step = max(1, -(-size // parts))
-        step = min(step, self.chunk)
-        return [(lo, min(lo + step, size)) for lo in range(0, size, step)]
+
+#: Keys handled per block by the streaming loops (:meth:`KeySpace.translation_table`,
+#: :func:`initial_counts`).
+BLOCK_KEYS = 1 << 16
+#: Bound on W, the number of low values of the two-level contribution table.
+LOW_KEYS = 4096
 
 
 class KeySpace:
-    """Packed key arithmetic for the unital or the full assignment space."""
+    """Packed key arithmetic for the unital or the full assignment space.
+
+    A key is split as ``h * W + l``: l holds the last j digits, where W = |Aut|^j
+    is the largest power of |Aut| not above :data:`LOW_KEYS` that uses at most
+    the nonzero-weight digits, and h holds the rest.  For every label a the
+    space keeps ``low[a, f, l]`` and ``high[a, f, h]``, the shares of the low
+    and the high pairs of S in the key of its translate along a when f_a = f,
+    so a translate is two lookups and one add.  Both tables together have
+    n * |Aut| * (W + K/W) entries.
+    """
 
     def __init__(self, group: FiniteGroup, unital: bool, config: EnumerationConfig):
         hol = holomorph(group)
         self.group = group
         self.hol = hol
         self.unital = unital
-        self.config = config
         n = group.order
         radix = len(hol.auts)
         self.n = n
@@ -81,13 +90,32 @@ class KeySpace:
         self._act = np.array([a.images for a in hol.auts], dtype=LABEL_DTYPE)
         self._comp = np.array(hol.comp, dtype=LABEL_DTYPE)
         self._ainv = np.array(hol.ainv, dtype=LABEL_DTYPE)
-        self._contrib = self._contribution_table()
+        # j low digits; bounded by the digit count, since radix 1 never exceeds LOW_KEYS
+        low_digits = 0
+        digit_count = n - 1 if unital else n
+        while low_digits < digit_count and radix ** (low_digits + 1) <= LOW_KEYS:
+            low_digits += 1
+        self.low_size = radix**low_digits
+        self.high_size = self.size // self.low_size
+        self._split = n - low_digits  # positions >= split are low digits
+        self._low, self._high = self._contribution_tables()
 
-    def _contribution_table(self) -> np.ndarray:
-        """``C[a, b, f * radix + d]``: key share of pair (b, d) when f_a = f.
+    def _part_digit(self, part: np.ndarray, c: int) -> np.ndarray:
+        """Digit c of keys, read from the part (low values l or high values h) holding it."""
+        w = int(self.weights[c])
+        if c < self._split:
+            w //= self.low_size
+        if w == 0:
+            return np.zeros(part.shape, dtype=np.intp)
+        return (part // w) % self.radix
 
-        (a, f)^-1 * (b, d) = (f^-1(a^-1 b), f^-1 o d), so the pair contributes
-        digit ``comp[f^-1, d]`` at position ``act[f^-1, a^-1 b]``.
+    def _contribution_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(n, radix, W)`` low and ``(n, radix, K/W)`` high share tables.
+
+        (a, f)^-1 * (b, d) = (f^-1(a^-1 b), f^-1 o d), so pair b contributes
+        digit ``comp[f^-1, d]`` at position ``act[f^-1, a^-1 b]``; pair a itself
+        lands on the identity pair, whose digit is 0.  The identity pair of a
+        unital S has weight 0 and digit 0, so its share sits in every high row.
         """
         n, radix = self.n, self.radix
         fi = self._ainv.astype(np.intp)
@@ -95,8 +123,16 @@ class KeySpace:
         quotient = mul[np.array(self.group.inverses, dtype=np.intp)]  # (a, b) -> a^-1 b
         pos = self._act[fi][:, quotient].transpose(1, 2, 0)  # (a, b, f) -> position
         digit = self._comp[fi].astype(KEY_DTYPE)  # (f, d) -> digit
-        table = self.weights[pos][:, :, :, None] * digit[None, None, :, :]
-        return table.reshape(n, n, radix * radix)
+        share = self.weights[pos][:, :, :, None] * digit[None, None, :, :]  # (a, b, f, d)
+        low = np.zeros((n, radix, self.low_size), dtype=KEY_DTYPE)
+        high = np.zeros((n, radix, self.high_size), dtype=KEY_DTYPE)
+        for b in range(n):
+            target = low if b >= self._split else high
+            d = self._part_digit(np.arange(target.shape[2], dtype=np.intp), b)
+            for a in range(n):
+                if a != b:
+                    target[a] += share[a, b][:, d]
+        return low, high
 
     # -- scalar conversions --------------------------------------------------
 
@@ -124,32 +160,49 @@ class KeySpace:
     def digits(self, keys: np.ndarray) -> list[np.ndarray]:
         return [self.digit(keys, c) for c in range(self.n)]
 
-    def translate_keys(self, keys: np.ndarray, a: int, digits: list[np.ndarray] | None = None) -> np.ndarray:
+    def translate_keys(self, keys: np.ndarray, a: int) -> np.ndarray:
         """Key of the translation target along the arrow labelled ``a``.
 
-        The sum over b of ``C[a, b, f_a, f_b]``.  Pair a itself lands on the
-        identity pair (e, id), whose digit is 0, so it is skipped.
+        ``high[a, f_a, h] + low[a, f_a, l]`` for the key ``h * W + l``, where
+        f_a is read from whichever part holds digit a.
         """
-        if digits is None:
-            digits = self.digits(keys)
-        row = digits[a] * self.radix
-        index = np.empty(keys.shape, dtype=np.intp)
-        out = np.zeros(keys.shape, dtype=KEY_DTYPE)
-        for b in range(self.n):
-            if b == a:
-                continue
-            np.add(row, digits[b], out=index)
-            out += self._contrib[a, b].take(index)
-        return out
+        high, low = np.divmod(np.asarray(keys, dtype=KEY_DTYPE), KEY_DTYPE(self.low_size))
+        f = self._part_digit(low if a >= self._split else high, a)
+        return self._high[a][f, high] + self._low[a][f, low]
 
     def translation_table(self) -> list[np.ndarray]:
-        """All translation-image key arrays, one per label, chunk by chunk."""
-        tables = [np.empty(self.size, dtype=KEY_DTYPE) for _ in range(self.n)]
-        for lo, hi in self.config.partitions(self.size):
-            keys = np.arange(lo, hi, dtype=KEY_DTYPE)
-            digits = self.digits(keys)
-            for a in range(self.n):
-                tables[a][lo:hi] = self.translate_keys(keys, a, digits)
+        """All translation-image key arrays, one per label, over the whole space.
+
+        Each label is filled in aligned blocks of high values.  When digit a is
+        low, every block row is the same gather of high columns by f_a(l) plus
+        one row of low shares; when it is high, each row is one row of low
+        shares plus one high share.
+        """
+        width = self.low_size
+        low = np.arange(width, dtype=np.intp)
+        high = np.arange(self.high_size, dtype=np.intp)
+        step = max(1, BLOCK_KEYS // width)
+        tables = []
+        # every f below is a digit in [0, radix); "wrap" lets take write without a buffer
+        for a in range(self.n):
+            table = np.empty(self.size, dtype=KEY_DTYPE)
+            rows = table.reshape(self.high_size, width)
+            if a >= self._split:
+                f = self._part_digit(low, a)
+                low_row = self._low[a][f, low]
+                high_cols = np.ascontiguousarray(self._high[a].T)  # (K/W, radix)
+                for h0 in range(0, self.high_size, step):
+                    block = rows[h0:h0 + step]
+                    np.take(high_cols[h0:h0 + step], f, axis=1, out=block, mode="wrap")
+                    block += low_row
+            else:
+                f = self._part_digit(high, a)
+                high_col = self._high[a][f, high]
+                for h0 in range(0, self.high_size, step):
+                    block = rows[h0:h0 + step]
+                    np.take(self._low[a], f[h0:h0 + step], axis=0, out=block, mode="wrap")
+                    block += high_col[h0:h0 + step, None]
+            tables.append(table)
         return tables
 
     def subset_of(self, key: int) -> RegularSubset:
@@ -159,20 +212,29 @@ class KeySpace:
 def component_labels(space: KeySpace, tables: list[np.ndarray] | None = None) -> np.ndarray:
     """Per-key component label: the minimal key of the component.
 
-    Iterated minimum propagation along translation images; for unital spaces a
-    single pass is exact because every out-neighbourhood is the whole
-    component, but the loop always runs to a fixpoint.
+    Iterated minimum propagation along translation images.  The labels start
+    as the keys themselves, so the first pass is the minimum over the tables
+    with no gather.  For unital spaces that pass is already exact because every
+    out-neighbourhood is the whole component, but the loop always runs to a
+    fixpoint, which checks it.
     """
     if tables is None:
         tables = space.translation_table()
-    comp = np.arange(space.size, dtype=KEY_DTYPE)
+    if any(ta.min() < 0 or ta.max() >= space.size for ta in tables):
+        raise AssertionError("a translation image lies outside the key space")
+    new = np.arange(space.size, dtype=KEY_DTYPE)
+    for ta in tables:
+        np.minimum(new, ta, out=new)
+    image = np.empty_like(new)
     while True:
+        comp = new
         new = comp.copy()
         for ta in tables:
-            np.minimum(new, comp[ta], out=new)
+            # in range by the check above; "wrap" lets take write without a buffer
+            np.take(comp, ta, out=image, mode="wrap")
+            np.minimum(new, image, out=new)
         if np.array_equal(new, comp):
             return comp
-        comp = new
 
 
 def partition_profile(subset: RegularSubset, group: FiniteGroup) -> tuple[int, ...]:
@@ -301,10 +363,8 @@ def initial_counts(group: FiniteGroup, config: EnumerationConfig | None = None) 
     root_size_arr[unital_roots] = unital_sizes
 
     per_component: dict[int, int] = {int(r): 0 for r in unital_roots}
-    for lo, hi in config.partitions(space.size - k0):
-        initial_keys = np.arange(k0 + lo, k0 + hi, dtype=KEY_DTYPE)
-        if not initial_keys.size:
-            continue
+    for lo in range(k0, space.size, BLOCK_KEYS):
+        initial_keys = np.arange(lo, min(lo + BLOCK_KEYS, space.size), dtype=KEY_DTYPE)
         labels = comp[initial_keys]
         if labels.max(initial=0) >= k0:
             raise AssertionError("an initial vertex is attached to no unital component")
@@ -375,7 +435,7 @@ def check_inverse_lemma(space: KeySpace) -> None:
         fa = digits[a].astype(np.intp)
         fi = space._ainv[fa].astype(np.intp)
         pos = inv[space._act[fi, a].astype(np.intp)]
-        target = space.translate_keys(keys, a, digits)
+        target = space.translate_keys(keys, a)
         w = space.weights[pos]
         observed = np.where(w > 0, (target // np.where(w > 0, w, 1)) % space.radix, 0)
         ok = ~unital | (observed.astype(np.intp) == fi)

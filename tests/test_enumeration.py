@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
+import dynbrace.enumeration as enumeration
 from dynbrace.enumeration import (
     KEY_DTYPE,
     EnumerationConfig,
@@ -17,7 +17,7 @@ from dynbrace.enumeration import (
 )
 from dynbrace.errors import ResourceCapError
 from dynbrace.holomorph import RegularSubset, translate
-from dynbrace.quivers import connected_components, is_homogeneous
+from dynbrace.quivers import connected_components, is_homogeneous, labels
 from dynbrace.structures import is_zero_symmetric, verify_dsb
 
 from tests._golden import Z3_INITIAL_ARROWS
@@ -180,10 +180,42 @@ def test_component_labels_match_union_find():
         assert report.degrees == result.components.degrees
 
 
+def test_component_labels_on_full_families():
+    # initial vertices join their unital component; the loop's checking pass
+    # must agree with the quiver's own labelling
+    for name in ("cyclic:4", "klein4", "sym:3"):
+        result = cached_full(name)
+        space = KeySpace(result.group, unital=False, config=EnumerationConfig())
+        assert np.array_equal(component_labels(space), labels(result.dsb.phi))
+
+
+def test_component_labels_run_to_fixpoint():
+    # arbitrary permutations need many passes, unlike translation tables
+    rng = np.random.default_rng(11)
+    space = KeySpace(cached_group("cyclic:5"), unital=True, config=EnumerationConfig())
+    tables = [rng.permutation(space.size).astype(KEY_DTYPE) for _ in range(2)]
+    assert np.array_equal(component_labels(space, tables), labels(np.stack(tables, axis=1)))
+
+
+def test_component_labels_reject_keys_outside_the_space():
+    space = KeySpace(cached_group("cyclic:4"), unital=True, config=EnumerationConfig())
+    for bad in (-1, space.size):
+        tables = space.translation_table()
+        tables[1][3] = bad
+        with pytest.raises(AssertionError, match="outside the key space"):
+            component_labels(space, tables)
+
+
+# radix 6 (cyclic:7: W = 1296 and 36 high values), radix 8 split 8^4 x 8^3 or
+# 8^4 x 8^4, and radix 1 (trivial, cyclic:2), where the space is one key
+KERNEL_PRESETS = ("trivial", "cyclic:2", "cyclic:4", "klein4", "sym:3", "cyclic:7",
+                  "prod:cyclic:2,cyclic:4", "dihedral:4")
+
+
 def test_translate_keys_against_scalar_translate():
     # full spaces take the kernel through a nonzero identity digit
     rng = np.random.default_rng(5)
-    for name in ("cyclic:4", "klein4", "sym:3", "dihedral:4"):
+    for name in KERNEL_PRESETS:
         group = cached_group(name)
         for unital in (True, False):
             space = KeySpace(group, unital=unital, config=EnumerationConfig())
@@ -195,6 +227,24 @@ def test_translate_keys_against_scalar_translate():
                     subset = space.subset_of(key)
                     expected = translate(subset, a, group)
                     assert space.assignment_of(target) == expected.assignment
+
+
+# every preset of order <= 7
+SMALL_PRESETS = ("trivial", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6", "cyclic:7",
+                 "klein4", "prod:cyclic:2,cyclic:2", "prod:cyclic:2,cyclic:3", "sym:3", "dihedral:3")
+
+
+@pytest.mark.parametrize("name", SMALL_PRESETS)
+def test_translation_table_is_translate_keys(name):
+    group = cached_group(name)
+    for unital in (True, False):
+        space = KeySpace(group, unital=unital, config=EnumerationConfig())
+        keys = np.arange(space.size, dtype=KEY_DTYPE)
+        tables = space.translation_table()
+        assert len(tables) == group.order
+        for a, table in enumerate(tables):
+            assert table.dtype == KEY_DTYPE
+            assert np.array_equal(table, space.translate_keys(keys, a))
 
 
 def test_translation_composition_vectorised():
@@ -267,11 +317,22 @@ def test_partitions_listing_in_invariants():
     assert by_size[4] == [((0, 0, 0, 1), (3, 1))]
 
 
-@given(st.sampled_from(["cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6"]))
-@settings(max_examples=8)
-def test_workers_do_not_change_results(name):
+@pytest.mark.parametrize("name", ["cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6", "sym:3"])
+def test_block_sizes_do_not_change_results(monkeypatch, name):
+    # |Aut| is 2, 4 or 6 here, so no key or high-value count is a multiple of
+    # 7 or 3 and every blocked loop ends on a partial block; LOW_KEYS = 3 makes W 2 or 1
     group = cached_group(name)
-    base = invariants(group, EnumerationConfig(workers=1))
-    split = invariants(group, EnumerationConfig(workers=4, chunk=7))
-    assert dict(base.counts) == dict(split.counts)
-    assert base.partitions == split.partitions
+
+    def run():
+        space = KeySpace(group, unital=False, config=EnumerationConfig())
+        table = invariants(group)
+        results = dict(table.counts), table.partitions, initial_counts(group)
+        return space.low_size, results, space.translation_table()
+
+    width, base, base_tables = run()
+    monkeypatch.setattr(enumeration, "BLOCK_KEYS", 7)
+    monkeypatch.setattr(enumeration, "LOW_KEYS", 3)
+    small_width, small, small_tables = run()
+    assert small_width < width
+    assert small == base
+    assert all(np.array_equal(x, y) for x, y in zip(base_tables, small_tables))
