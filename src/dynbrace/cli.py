@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .enumeration import (
     EnumerationConfig,
     EnumerationResult,
@@ -39,7 +37,6 @@ from .quivers import (
     export_dot,
     is_homogeneous,
     quiver_from_json,
-    restrict_phi,
 )
 from .structures import (
     braiding_of_qtsb,
@@ -47,7 +44,7 @@ from .structures import (
     bracoid_from_json,
     dsb_from_json,
     dsb_to_json,
-    make_bracoid,
+    restrict_bracoid,
     semiloopoid_of_dsb,
     verify_bracoid,
     verify_braiding,
@@ -61,13 +58,29 @@ def _dumps(obj) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
+    _write(out, lambda fh: fh.write(text))
+
+
+def _write(out: str | None, write) -> None:
+    """Call ``write`` on the ``--out`` file, or on stdout when there is none."""
     if out:
         try:
-            Path(out).write_text(text, encoding="utf-8")
+            with open(out, "w", encoding="utf-8") as fh:
+                write(fh)
         except OSError as exc:
             raise InputError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
+
+
+def _write_components(fh, structures) -> None:
+    """``_dumps({"components": [...]})`` of the structures, one component at a time."""
+    fh.write('{\n  "components": [\n')
+    for k, dsb in enumerate(structures):
+        if k:
+            fh.write(",\n")
+        fh.write("    " + json.dumps(dsb_to_json(dsb), indent=2, sort_keys=True).replace("\n", "\n    "))
+    fh.write("\n  ]\n}\n")
 
 
 def _load_json(path: str):
@@ -278,13 +291,8 @@ def _cmd_parallelise(args) -> int:
         raise InputError("input JSON is neither a dynamical structure nor a bracoid")
 
     if args.per_component:
-        report = connected_components(bracoid.quiver())
-        outputs = []
-        for members in report.members:
-            sub = _restrict_bracoid(bracoid, members)
-            _, dsb = parallelise(sub, 0)
-            outputs.append(dsb_to_json(dsb))
-        _emit(_dumps({"components": outputs}), args.out)
+        _, structures = parallelise(bracoid)
+        _write(args.out, lambda fh: _write_components(fh, structures))
         return 0
 
     if args.base is None:
@@ -292,19 +300,6 @@ def _cmd_parallelise(args) -> int:
     _, dsb = parallelise(bracoid, args.base)
     _emit(_dumps(dsb_to_json(dsb)), args.out)
     return 0
-
-
-def _restrict_bracoid(bracoid, members):
-    sel = np.array(members, dtype=np.intp)
-    return make_bracoid(
-        [bracoid.vertex_names[v] for v in members],
-        bracoid.label_names,
-        restrict_phi(bracoid.phi, sel),
-        bracoid.bullet[sel],
-        bracoid.dot[sel],
-        bracoid.units[sel],
-        bracoid.unital[sel],
-    )
 
 
 def _cmd_heap(args) -> int:
@@ -322,7 +317,7 @@ def _cmd_heap(args) -> int:
                 "input is disconnected; pass --point to choose the component to use"
             )
         vertex = bracoid.vertex_index(args.point)
-        bracoid = _restrict_bracoid(bracoid, report.members[report.component_of[vertex]])
+        bracoid = restrict_bracoid(bracoid, report.members[report.component_of[vertex]])
     braiding = braiding_of_qtsb(bracoid)
     heap = ternary_of_braiding(bracoid, braiding)
 

@@ -1,12 +1,16 @@
-"""Turning connected bracoids back into dynamical structures, and the
+"""Turning braided groupoids back into dynamical structures, and the
 degree-one correspondence with ternary tables.
 
 A connected groupoid-with-braiding admits per-vertex out-star labellings whose
 transported vertex group law is the same everywhere; transporting along a
 chosen transversal of arrows out of a base vertex produces such a labelling
-explicitly, with no choice principle needed at finite scale.  Complete quivers
-of degree one correspond to ternary operations; pointing one of those at a
-vertex recovers a group.
+explicitly, with no choice principle needed at finite scale.  Every axiom
+involved is local to a vertex and its component, so a disconnected groupoid
+is parallelised in one vectorised pass: each component is transported from
+its own base, every check runs once over the whole family, and the group and
+the output checks run once per distinct transported group law.  Complete
+quivers of degree one correspond to ternary operations; pointing one of those
+at a vertex recovers a group.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ import numpy as np
 
 from .errors import InputError
 from .groups import FiniteGroup, make_group
-from .quivers import labels
+from .quivers import connected_components, labels, restrict_phi
 from .structures import (
     LABEL_DTYPE,
     VERTEX_DTYPE,
@@ -31,14 +35,19 @@ from .structures import (
     is_zero_symmetric,
     make_bracoid,
     make_dsb,
+    restrict_bracoid,
     verify_dsb,
 )
 
 
-def _require_connected_groupoid(bracoid: SkewBracoid) -> None:
+def _require_groupoid(bracoid: SkewBracoid) -> None:
     if not bool(bracoid.unital.all()):
         lam = int(np.argwhere(~bracoid.unital)[0][0])
         raise InputError(f"vertex {bracoid.vertex_names[lam]} is initial; need a groupoid")
+
+
+def _require_connected_groupoid(bracoid: SkewBracoid) -> None:
+    _require_groupoid(bracoid)
     lab = labels(bracoid.phi)
     if lab.any():
         a = bracoid.vertex_names[0]
@@ -46,106 +55,184 @@ def _require_connected_groupoid(bracoid: SkewBracoid) -> None:
         raise InputError(f"quiver is disconnected: no path between {a} and {b}")
 
 
+def _component_layout(base: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Components as runs of equal ``base``, in increasing order of base.
+
+    Returns ``order`` (the vertices component by component, each component in
+    increasing order), ``starts`` (the C + 1 bounds of the components in
+    ``order``), ``comp`` (each vertex's component) and ``rank`` (each vertex's
+    position in its component).
+    """
+    L = base.size
+    order = np.argsort(base, kind="stable")
+    first = np.ones(L, dtype=bool)
+    first[1:] = base[order][1:] != base[order][:-1]
+    starts = np.append(np.flatnonzero(first), L)
+    comp = np.empty(L, dtype=np.intp)
+    comp[order] = np.cumsum(first) - 1
+    rank = np.empty(L, dtype=np.intp)
+    rank[order] = np.arange(L) - starts[comp[order]]
+    return order, starts, comp, rank
+
+
 @dataclass(frozen=True, eq=False)
 class PairSubgroupoid:
-    """A wide Schurian subgroupoid: exactly one chosen arrow per vertex pair.
+    """A wide Schurian subgroupoid: exactly one chosen arrow per ordered pair of
+    vertices in the same component.
 
-    ``arrow_label[lam, mu]`` is the label at lam of the chosen arrow lam -> mu.
+    ``base[lam]`` is the base vertex of lam's component and ``rank[lam]`` the
+    position of lam among the component's vertices in increasing order;
+    ``arrow_label[lam, rank[mu]]`` is the label at lam of the chosen arrow
+    lam -> mu, and -1 past the size of lam's component.  On a connected
+    bracoid ``rank`` is the identity and ``arrow_label`` the (L, L) table.
     """
 
     vertex_names: tuple[str, ...]
-    base: int
+    base: np.ndarray
+    rank: np.ndarray
     arrow_label: np.ndarray
 
 
-def schurian_transversal(bracoid: SkewBracoid, base: int | str) -> PairSubgroupoid:
-    """One arrow per ordered vertex pair, generated by a transversal at ``base``.
+def schurian_transversal(bracoid: SkewBracoid, base: int | str | None = None) -> PairSubgroupoid:
+    """One arrow per ordered pair of vertices of a component, generated by a
+    transversal at the component's base.
 
-    The arrow chosen from the base to each vertex is the one with the smallest
-    label (the unit loop for the base itself); the arrow lam -> mu is the
-    composite of the inverse of the lam-transversal with the mu-transversal,
-    which is closed under composition and inversion by construction.
+    With ``base`` the bracoid must be a connected groupoid; without one, every
+    component of a groupoid is based at its smallest vertex.  The arrow chosen
+    from the base to each vertex is the one with the smallest label (the unit
+    loop for the base itself); the arrow lam -> mu is the composite of the
+    inverse of the lam-transversal with the mu-transversal, which is closed
+    under composition and inversion by construction.  The closure is checked
+    on one stack of components per component size.
     """
-    _require_connected_groupoid(bracoid)
-    zeta = bracoid.vertex_index(base) if isinstance(base, str) else int(base)
-    phi, B, units = bracoid.phi, bracoid.bullet, bracoid.units
+    phi, B, units, names = bracoid.phi, bracoid.bullet, bracoid.units, bracoid.vertex_names
     L, n = phi.shape
-    if not (0 <= zeta < L):
-        raise InputError(f"base vertex {base!r} out of range")
+    if base is None:
+        _require_groupoid(bracoid)
+        report = connected_components(bracoid.quiver())
+        first = np.array([m[0] for m in report.members], dtype=np.intp)
+        zeta = first[np.array(report.component_of, dtype=np.intp)]
+    else:
+        _require_connected_groupoid(bracoid)
+        z = bracoid.vertex_index(base) if isinstance(base, str) else int(base)
+        if not (0 <= z < L):
+            raise InputError(f"base vertex {base!r} out of range")
+        zeta = np.full(L, z, dtype=np.intp)
+    order, starts, comp, rank = _component_layout(zeta)
 
-    transversal = np.zeros(L, dtype=np.intp)
-    for mu in range(L):
-        if mu == zeta:
-            transversal[mu] = int(units[zeta])
-            continue
-        candidates = np.argwhere(phi[zeta] == mu)
-        transversal[mu] = int(candidates[0][0])
+    lam = np.arange(L, dtype=np.intp)
+    at_base = zeta == lam
+    hit = phi[zeta] == lam[:, None]
+    reached = hit.any(axis=1) | at_base
+    if not reached.all():
+        mu = int(np.argmin(reached))
+        raise InputError(f"no arrow from {names[zeta[mu]]} to {names[mu]}; need a groupoid")
+    transversal = np.where(at_base, units[zeta], np.argmax(hit, axis=1))
 
     # inverse label of each transversal arrow, an arrow target -> base
-    ldiv_row = B[zeta]  # (n, n)
-    inv_label = np.zeros(L, dtype=np.intp)
-    for mu in range(L):
-        inv_label[mu] = int(np.argwhere(ldiv_row[transversal[mu]] == units[zeta])[0][0])
+    back = B[zeta, transversal] == units[zeta][:, None]
+    invertible = back.any(axis=1)
+    if not invertible.all():
+        mu = int(np.argmin(invertible))
+        raise InputError(f"the arrow from {names[zeta[mu]]} to {names[mu]} has no inverse")
+    inv_label = np.argmax(back, axis=1)
 
-    source = phi[zeta].astype(np.intp)[transversal][:, None]  # = lam, per construction
-    arr = B[source, inv_label[:, None], transversal[None, :]]
-    arr = np.ascontiguousarray(arr, dtype=LABEL_DTYPE)
+    sizes = np.diff(starts)
+    width = int(sizes.max())
+    slot = np.arange(width)
+    target = order[np.minimum(starts[comp][:, None] + slot, L - 1)]
+    source = phi[zeta, transversal]  # = lam, per construction
+    arr = B[source[:, None], inv_label[:, None], transversal[target]]
+    arr = np.where(slot < sizes[comp][:, None], arr, -1).astype(LABEL_DTYPE)
 
-    lam2 = np.arange(L, dtype=np.intp)[:, None]
-    if not (phi[lam2, arr] == np.arange(L, dtype=phi.dtype)[None, :]).all():
-        raise AssertionError("transversal composite has the wrong target")
-    lam3 = np.arange(L, dtype=np.intp)[:, None, None]
-    closed = B[lam3, arr[:, :, None], arr[None, :, :]] == arr[:, None, :]
-    if not closed.all():
-        raise AssertionError("pair subgroupoid is not closed under composition")
-    if not (arr[np.arange(L), np.arange(L)] == units).all():
-        raise AssertionError("pair subgroupoid misses a unit")
-    return PairSubgroupoid(bracoid.vertex_names, zeta, arr)
+    for s in sorted(set(sizes.tolist())):
+        members = order[starts[:-1][sizes == s][:, None] + np.arange(s)]  # (C, s)
+        sub = arr[members][:, :, :s]  # sub[c, i, j]: the arrow members[c, i] -> members[c, j]
+        if not (phi[members[:, :, None], sub] == members[:, None, :]).all():
+            raise AssertionError("transversal composite has the wrong target")
+        closed = B[members[:, :, None, None], sub[:, :, :, None], sub[:, None, :, :]] == sub[:, :, None, :]
+        if not closed.all():
+            raise AssertionError("pair subgroupoid is not closed under composition")
+        diagonal = np.arange(s)
+        if not (sub[:, diagonal, diagonal] == units[members]).all():
+            raise AssertionError("pair subgroupoid misses a unit")
+    return PairSubgroupoid(names, zeta, rank, arr)
 
 
 @dataclass(frozen=True, eq=False)
 class ParallelLabelling:
-    """Per-vertex out-star bijections making every vertex group law agree.
+    """Per-vertex out-star bijections making every vertex group law agree with
+    the law at its component's base.
 
     ``maps[lam, old_label]`` is the common label assigned to the arrow
-    [lam|old_label]; ``transversal[lam]`` is the label at the base of the
-    chosen arrow base -> lam.
+    [lam|old_label]; ``base[lam]`` is the base of lam's component and
+    ``transversal[lam]`` the label at that base of the chosen arrow base -> lam.
     """
 
-    base: int
-    label_names: tuple[str, ...]
+    base: np.ndarray
     maps: np.ndarray
     transversal: np.ndarray
 
 
-def default_base_labelling(bracoid: SkewBracoid, zeta: int) -> np.ndarray:
-    """Out-star of the base ordered by (target vertex, label); unit loop -> 0."""
+def default_base_labelling(bracoid: SkewBracoid, zeta) -> np.ndarray:
+    """Out-star of the base ordered by (target vertex, label); unit loop -> 0.
+
+    ``zeta`` may also be an array of bases, with one labelling per entry.
+    """
     n = bracoid.label_count
-    u = int(bracoid.units[zeta])
-    order = sorted(range(n), key=lambda x: (int(bracoid.phi[zeta, x]), x))
-    sequence = [u] + [x for x in order if x != u]
-    out = np.zeros(n, dtype=LABEL_DTYPE)
-    for new, old in enumerate(sequence):
-        out[old] = new
+    zeta = np.asarray(zeta, dtype=np.intp)
+    key = bracoid.phi[zeta].astype(np.intp) * n + np.arange(n)
+    np.put_along_axis(key, bracoid.units[zeta].astype(np.intp)[..., None], -1, axis=-1)
+    out = np.empty(key.shape, dtype=LABEL_DTYPE)
+    np.put_along_axis(out, np.argsort(key, axis=-1), np.arange(n, dtype=LABEL_DTYPE), axis=-1)
     return out
 
 
 def parallelise(
     bracoid: SkewBracoid,
-    base: int | str,
+    base: int | str | None = None,
     base_labelling: Sequence[int] | None = None,
-) -> tuple[ParallelLabelling, DynamicalSkewBrace]:
-    """Relabel a connected zero-symmetric bracoid into a dynamical structure.
+) -> tuple[ParallelLabelling, DynamicalSkewBrace | tuple[DynamicalSkewBrace, ...]]:
+    """Relabel a zero-symmetric groupoid bracoid into dynamical structures.
 
-    The labelling at each vertex is forced by transporting the base labelling
+    With ``base`` the bracoid must be connected, and the result is its
+    labelling and its structure.  Without one, every component is based at
+    its smallest vertex and the second item is the tuple of per-component
+    structures, in component order.  The checks then run once over the whole
+    family and once per distinct group law; when one fails, the components
+    are re-run one at a time, so the error raised is the one the first
+    failing component raises on its own.
+    """
+    if base is not None:
+        labelling, (dsb,) = _parallelise(bracoid, base, base_labelling)
+        return labelling, dsb
+    if base_labelling is not None:
+        raise InputError("a base labelling needs a base vertex")
+    try:
+        return _parallelise(bracoid, None, None)
+    except (InputError, AssertionError):
+        # every check is local to a component, so one of them fails on its own
+        for members in connected_components(bracoid.quiver()).members:
+            parallelise(restrict_bracoid(bracoid, members), 0)
+        raise
+
+
+def _parallelise(
+    bracoid: SkewBracoid,
+    base: int | str | None,
+    base_labelling: Sequence[int] | None,
+) -> tuple[ParallelLabelling, tuple[DynamicalSkewBrace, ...]]:
+    """The transport of every component at once; see :func:`parallelise`.
+
+    The labelling at each vertex is forced by transporting its base labelling
     through the braiding's left component along the transversal arrows.  The
-    transported vertex group laws must all coincide; this is verified
-    exhaustively and a failure raises with a witness, since it signals either
-    a bug or an input that is not a bracoid.
+    transported vertex group laws must coincide on each component; this is
+    verified exhaustively and a failure raises with a witness, since it
+    signals either a bug or an input that is not a bracoid.
     """
     pg = schurian_transversal(bracoid, base)
     zeta = pg.base
-    phi, B, D = bracoid.phi, bracoid.bullet, bracoid.dot
+    phi, B, D, units = bracoid.phi, bracoid.bullet, bracoid.dot, bracoid.units
     L, n = phi.shape
     braiding = braiding_of_qtsb(bracoid)
     SR = braiding.right
@@ -153,57 +240,84 @@ def parallelise(
     if base_labelling is None:
         maps_base = default_base_labelling(bracoid, zeta)
     else:
-        maps_base = np.ascontiguousarray(base_labelling, dtype=LABEL_DTYPE)
-        if maps_base.shape != (n,) or sorted(maps_base.tolist()) != list(range(n)):
+        given = np.ascontiguousarray(base_labelling, dtype=LABEL_DTYPE)
+        if given.shape != (n,) or sorted(given.tolist()) != list(range(n)):
             raise InputError("base labelling must be a permutation of the labels")
+        maps_base = np.broadcast_to(given, (L, n))
 
-    transversal = pg.arrow_label[zeta].astype(np.intp)
-    maps = maps_base[SR[zeta, transversal[:, None], np.arange(n, dtype=np.intp)[None, :]]]
-    maps = np.ascontiguousarray(maps, dtype=LABEL_DTYPE)
+    transversal = pg.arrow_label[zeta, pg.rank].astype(np.intp)
+    maps = np.take_along_axis(maps_base, SR[zeta, transversal].astype(np.intp), axis=1)
 
     inv_maps = np.zeros_like(maps)
     lam2 = np.arange(L, dtype=np.intp)[:, None]
-    inv_maps[lam2, maps.astype(np.intp)] = np.arange(n, dtype=LABEL_DTYPE)[None, :]
+    inv_maps[lam2, maps] = np.arange(n, dtype=LABEL_DTYPE)[None, :]
 
     lam3 = np.arange(L, dtype=np.intp)[:, None, None]
-    old_x = inv_maps[:, :, None].astype(np.intp)
-    old_y = inv_maps[:, None, :].astype(np.intp)
+    old_x = inv_maps[:, :, None]
+    old_y = inv_maps[:, None, :]
     transported = maps[lam3, D[lam3, old_x, old_y]]
-    agree = transported == transported[zeta][None, :, :]
+    agree = transported == transported[zeta]
     if not agree.all():
         lam, x, y = (int(v) for v in np.argwhere(~agree)[0])
         raise AssertionError(
             "transported vertex group laws disagree: "
             f"vertex={bracoid.vertex_names[lam]} labels=({x},{y}) "
-            f"lhs={int(transported[lam, x, y])} rhs={int(transported[zeta, x, y])}"
+            f"lhs={int(transported[lam, x, y])} rhs={int(transported[zeta[lam], x, y])}"
         )
 
-    identity = int(maps[zeta, int(bracoid.units[zeta])])
-    group = make_group(
-        [[int(v) for v in row] for row in transported[zeta]],
-        name="parallelised",
-        identity=identity,
-    )
-
-    phi_new = phi[lam2, inv_maps.astype(np.intp)]
-    mu = phi_new[:, :, None].astype(np.intp)
-    old_b = inv_maps[mu, np.arange(n, dtype=np.intp)[None, None, :]].astype(np.intp)
+    phi_new = phi[lam2, inv_maps]
+    old_b = inv_maps[phi_new[:, :, None], np.arange(n, dtype=np.intp)[None, None, :]]
     ops_new = maps[lam3, B[lam3, old_x, old_b]]
 
-    dsb = make_dsb(group, bracoid.vertex_names, phi_new, ops_new)
-    report = verify_dsb(dsb)
-    if not report.passed or not is_zero_symmetric(dsb):
-        raise AssertionError(
-            "parallelised output is not a zero-symmetric dynamical structure: "
-            + "; ".join(c.line() for c in report.failures())
+    # one group and one structure per distinct (law, identity) of the bases
+    order, starts, comp, _ = _component_layout(zeta)
+    bases = zeta[order[starts[:-1]]]
+    laws = np.concatenate(
+        [transported[bases].reshape(bases.size, n * n), maps[bases, units[bases]][:, None]], axis=1
+    )
+    keys, law_of = np.unique(laws, axis=0, return_inverse=True)
+    law_of = law_of.reshape(-1)
+    vertex_law = law_of[comp]
+    grouped = order[np.argsort(vertex_law[order], kind="stable")]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(vertex_law, minlength=len(keys)))))
+    structures = []
+    for k, key in enumerate(keys):
+        group = make_group(key[:-1].reshape(n, n).tolist(), name="parallelised", identity=int(key[-1]))
+        members = grouped[bounds[k]:bounds[k + 1]]
+        dsb = make_dsb(
+            group,
+            [bracoid.vertex_names[v] for v in members.tolist()],
+            restrict_phi(phi_new, members),
+            ops_new[members],
         )
+        report = verify_dsb(dsb)
+        if not report.passed or not is_zero_symmetric(dsb):
+            raise AssertionError(
+                "parallelised output is not a zero-symmetric dynamical structure: "
+                + "; ".join(c.line() for c in report.failures())
+            )
+        structures.append(dsb)
+
+    position = np.empty(L, dtype=np.intp)
+    position[grouped] = np.arange(L)
+    offset = position[order[starts[:-1]]] - bounds[law_of]
+    components = tuple(
+        _vertex_range(structures[k], lo, lo + s)
+        for k, lo, s in zip(law_of.tolist(), offset.tolist(), np.diff(starts).tolist())
+    )
     labelling = ParallelLabelling(
         base=zeta,
-        label_names=group.names,
         maps=maps,
         transversal=np.ascontiguousarray(transversal, dtype=LABEL_DTYPE),
     )
-    return labelling, dsb
+    return labelling, components
+
+
+def _vertex_range(dsb: DynamicalSkewBrace, lo: int, hi: int) -> DynamicalSkewBrace:
+    """Vertices lo..hi-1 of ``dsb``, a union of whole components, as a structure of its own."""
+    phi = dsb.phi[lo:hi] - lo
+    phi.setflags(write=False)
+    return DynamicalSkewBrace(dsb.group, dsb.vertex_names[lo:hi], phi, dsb.ops[lo:hi])
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .quivers import (
     int_array,
     name_tuple,
     quiver_of_dynamical_set,
+    restrict_phi,
     validate_phi,
 )
 
@@ -424,6 +425,20 @@ def relabel_bracoid(bracoid: SkewBracoid, perms: Sequence[Sequence[int]]) -> Ske
     )
 
 
+def restrict_bracoid(bracoid: SkewBracoid, members: Sequence[int]) -> SkewBracoid:
+    """The sub-bracoid on ``members``, a union of components, re-indexed in that order."""
+    sel = np.array(members, dtype=np.intp)
+    return make_bracoid(
+        [bracoid.vertex_names[v] for v in members],
+        bracoid.label_names,
+        restrict_phi(bracoid.phi, sel),
+        bracoid.bullet[sel],
+        bracoid.dot[sel],
+        bracoid.units[sel],
+        bracoid.unital[sel],
+    )
+
+
 def verify_bracoid(bracoid: SkewBracoid) -> Report:
     """Axioms of the arrow structure, the out-star groups, the compatibility,
     and the two equivalent reformulations through the derived left action."""
@@ -800,11 +815,8 @@ def dsb_to_json(dsb: DynamicalSkewBrace) -> dict:
     return {
         "group": group_to_json(dsb.group),
         "vertices": list(dsb.vertex_names),
-        "phi": [[int(v) for v in row] for row in dsb.phi],
-        "ops": {
-            name: [[int(v) for v in row] for row in dsb.ops[k]]
-            for k, name in enumerate(dsb.vertex_names)
-        },
+        "phi": dsb.phi.tolist(),
+        "ops": dict(zip(dsb.vertex_names, dsb.ops.tolist())),
     }
 
 
@@ -832,19 +844,15 @@ def bracoid_to_json(bracoid: SkewBracoid, group: FiniteGroup | None = None) -> d
     out = {
         "vertices": list(bracoid.vertex_names),
         "labels": list(bracoid.label_names),
-        "phi": [[int(v) for v in row] for row in bracoid.phi],
-        "ops": {
-            name: [[int(v) for v in row] for row in bracoid.bullet[k]]
-            for k, name in enumerate(bracoid.vertex_names)
-        },
-        "dot": {
-            name: [[int(v) for v in row] for row in bracoid.dot[k]]
-            for k, name in enumerate(bracoid.vertex_names)
-        },
+        "phi": bracoid.phi.tolist(),
+        "ops": dict(zip(bracoid.vertex_names, bracoid.bullet.tolist())),
+        "dot": dict(zip(bracoid.vertex_names, bracoid.dot.tolist())),
         "units": {
-            name: int(bracoid.units[k])
-            for k, name in enumerate(bracoid.vertex_names)
-            if bool(bracoid.unital[k])
+            name: unit
+            for name, unit, unital in zip(
+                bracoid.vertex_names, bracoid.units.tolist(), bracoid.unital.tolist()
+            )
+            if unital
         },
     }
     if group is not None:

@@ -1,14 +1,18 @@
-"""The benchmark's tracer finds the census kernel under the names it wraps.
+"""The benchmark's tracer finds the census kernel and the transport layers under the names it wraps.
 
 ``perfbench/tracer.py`` wraps ``KeySpace.translation_table`` by name and counts
 translated keys from the arrays it returns; a traced census run without
 ``enumeration.translation_table`` or ``enumeration.component_labels`` spans is
-marked incorrect.  A kernel rewrite that breaks that contract fails here.
+marked incorrect, and so is a traced transport pass without calls to
+``parallelise.parallelise``, ``parallelise.schurian_transversal``,
+``groups.make_group`` or ``quivers.connected_components``.  A rewrite that
+breaks either contract fails here.
 """
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,3 +33,36 @@ def test_tracer_sees_the_census_kernel(tmp_path):
     assert {"enumeration.translation_table", "enumeration.component_labels"} <= names
     # 4 labels over the 6^3 = 216 unital keys
     assert record["counts"]["enumeration.keys_translated"] == 4 * 216
+
+
+def test_tracer_sees_the_transport_layers(tmp_path):
+    # ``perfbench/run.py`` marks a traced transport pass incorrect unless it
+    # records calls to these functions; the per-component pass must keep
+    # calling them by the names the tracer wraps.
+    family = tmp_path / "family.json"
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-m", "dynbrace.cli", "enumerate", "--group", "cyclic:4", "--json",
+         "--out", str(family)],
+        cwd=ROOT, env=env, check=True, timeout=120,
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans_path),
+         "--", "parallelise", "--input", str(family), "--per-component",
+         "--out", str(tmp_path / "parallelised.json")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(spans_path.read_text(encoding="utf-8"))
+    names = Counter(span["name"] for span in record["spans"])
+    assert {"parallelise.parallelise", "parallelise.schurian_transversal", "groups.make_group",
+            "quivers.connected_components", "cli.json_encode"} <= set(names)
+    # Four components with two distinct group laws.  The input's group and its
+    # structure check come first; then one bracoid check for the whole family,
+    # and one group and one output check per law.
+    assert names["parallelise.parallelise"] == 1
+    assert names["groups.make_group"] == 1 + 2
+    assert names["cli.json_encode"] == 4
+    assert record["counts"]["structures.verify.calls"] == 1 + 1 + 2
