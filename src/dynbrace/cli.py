@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .enumeration import (
@@ -53,8 +55,75 @@ from .structures import (
 )
 
 
+# repr of a list of ints, or of a list of int lists
+_INT_LIST_TEXT = re.compile(r"[-0-9\[\], ]*")
+_COMPACT = json.JSONEncoder()
+_STEP = "  "
+
+
+class _IndentedEncoder(json.JSONEncoder):
+    """The bytes of ``json.dumps(obj, indent=2, sort_keys=True)``, at C speed.
+
+    The stdlib encodes every indented document in pure Python, one generator
+    step per token.  Here dicts and mixed lists are laid out in Python, while
+    a list of numbers, bools and nulls is one compact C encoding, and a list
+    of non-empty int lists (the int tables) is one ``repr``; their ``", "``
+    separators then become indented line breaks.  Keys must be strings.
+    Passing it as ``cls`` keeps one ``json.dumps`` call per document, the
+    call perfbench's tracer times as JSON output.
+    """
+
+    def encode(self, o) -> str:
+        return _layout(o, "\n")
+
+
+def _layout(o, newline: str) -> str:
+    """The indented text of ``o``, whose first line starts after ``newline``."""
+    inner = newline + _STEP
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(k) + ": " + _layout(v, inner) for k, v in sorted(o.items())
+        ) + newline + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        text = _table_text(o, newline)
+        if text is None:
+            text = "[" + inner + ("," + inner).join(_layout(v, inner) for v in o) + newline + "]"
+        return text
+    if type(o) is int:
+        return repr(o)
+    return _COMPACT.encode(o)
+
+
+def _table_text(o, newline: str) -> str | None:
+    """Indented text of a non-empty list of numbers, bools and nulls, or of a
+    list of non-empty int lists; None for any other list."""
+    inner = newline + _STEP
+    first = o[0]
+    if type(first) is list and first and type(first[0]) is int:
+        text = repr(o)
+        # every row is a list holding one "[" of its own, so no row nests further
+        if not (_INT_LIST_TEXT.fullmatch(text) and "[]" not in text
+                and text.count("[") == len(o) + 1 and all(type(row) is list for row in o)):
+            return None
+        deeper = inner + _STEP
+        rows = text[2:-2].replace("], [", inner + "]," + inner + "[" + deeper).replace(", ", "," + deeper)
+        return "[" + inner + "[" + deeper + rows + inner + "]" + newline + "]"
+    if isinstance(first, (str, dict, list, tuple)):
+        return None
+    text = _COMPACT.encode(o)
+    if '"' in text or "{" in text or text.find("[", 1) >= 0:
+        return None
+    return "[" + inner + text[1:-1].replace(", ", "," + inner) + newline + "]"
+
+
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, cls=_IndentedEncoder) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -79,7 +148,7 @@ def _write_components(fh, structures) -> None:
     for k, dsb in enumerate(structures):
         if k:
             fh.write(",\n")
-        fh.write("    " + json.dumps(dsb_to_json(dsb), indent=2, sort_keys=True).replace("\n", "\n    "))
+        fh.write("    " + json.dumps(dsb_to_json(dsb), cls=_IndentedEncoder).replace("\n", "\n    "))
     fh.write("\n  ]\n}\n")
 
 

@@ -51,10 +51,13 @@ def int_array(data, what: str, shape: tuple[int | None, ...], low: int, high: in
 
 
 def name_tuple(names, what: str) -> tuple[str, ...]:
-    """A list of names as a tuple of strings, or an input error."""
+    """A list of string names as a tuple, or an input error."""
     if not isinstance(names, (list, tuple)):
         raise InputError(f"{what} must be a list of names")
-    return tuple(str(v) for v in names)
+    for k, v in enumerate(names):
+        if not isinstance(v, str):
+            raise InputError(f"{what}[{k}] = {v!r} is not a string")
+    return tuple(names)
 
 
 def validate_phi(vertices, phi, label_count: int | None = None) -> tuple[tuple[str, ...], np.ndarray]:

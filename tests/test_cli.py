@@ -1,5 +1,9 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +87,26 @@ def test_verify_group_directly(capsys):
     code, out, _ = run(capsys, "verify", "--group", "cyclic:3", "--full")
     assert code == 0
     assert "ok ybe" in out
+
+
+def test_verify_does_not_import_numpy_ma(tmp_path, capsys):
+    # numpy.ma takes about 13 ms to import; a plain np.unique loads it, the
+    # sort-based injectivity test of right non-degeneracy does not
+    path = tmp_path / "cyclic4.json"
+    run(capsys, "enumerate", "--group", "cyclic:4", "--json", "--out", str(path))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from dynbrace.cli import main\n"
+        f"code = main(['verify', '--input', {str(path)!r}])\n"
+        "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "ok right_nondegenerate" in proc.stdout
+    assert proc.stderr == "0 False\n"
 
 
 def test_verify_tampered_structure(tmp_path, capsys):
@@ -300,6 +324,12 @@ MALFORMED = {
     "vertices-not-a-list": ("dsb", ("vertices",), 4),
     "top-level-number": ("dsb", (), 5),
     "top-level-null": ("bracoid", (), None),
+    "null-vertex-name": ("dsb", ("vertices", 1), None),
+    "bool-vertex-name": ("bracoid", ("vertices", 0), True),
+    "float-label-name": ("bracoid", ("labels", 1), 1.5),
+    "list-label-name": ("bracoid", ("labels", 0), ["0"]),
+    "null-label-name": ("bracoid", ("labels", 2), None),
+    "bool-label-name": ("bracoid", ("labels", 2), False),
 }
 
 MALFORMED_COMMANDS = {

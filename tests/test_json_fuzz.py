@@ -3,9 +3,10 @@
 Each example mutates one valid cyclic:3 file once and runs ``verify``,
 ``export-dot`` and ``parallelise --per-component`` on it.  The files are the
 one written by ``enumerate --group cyclic:3 --json`` and the bracoid of the same
-family.  A mutation of what the loaders read is malformed input; a mutation of
-free text (group and label names), of a key no loader reads, or the removal of
-one bracoid unit leaves the input well-formed.
+family.  A mutation of what the loaders read is malformed input, and so is a
+vertex or label name that is not a string; a mutation of free text (group
+names, label names that stay strings), of a key no loader reads, or the
+removal of one bracoid unit leaves the input well-formed.
 """
 import contextlib
 import copy
@@ -47,7 +48,8 @@ def _at(doc, path):
 
 
 def _retyped(value):
-    return [str(value) + "?", (value + 0.5) if isinstance(value, int) else 1.5, [value], None]
+    retypes = [str(value) + "?", (value + 0.5) if isinstance(value, int) else 1.5, [value], None]
+    return retypes + [True] if isinstance(value, str) else retypes
 
 
 @st.composite
@@ -79,8 +81,9 @@ def mutants(draw, doc):
     return list(doc.values()), kind, ()
 
 
-def _verdict(document, command, kind, path) -> str:
-    """"malformed", "unread" (output unchanged), "non-unital" or "well-formed"."""
+def _verdict(document, command, kind, path, value) -> str:
+    """"malformed", "unread" (output unchanged), "non-unital" or "well-formed";
+    ``value`` is what a retype left at ``path``."""
     if document == "bracoid" and command == "export-dot" and path == ("ops",):
         return "well-formed"  # labels and no ops: read as a plain quiver
     if not path or path[0] in READ_KEYS:
@@ -89,7 +92,9 @@ def _verdict(document, command, kind, path) -> str:
         return "malformed" if len(path) == 1 or path[1] == "table" else "well-formed"
     if path[0] == "units":
         return "non-unital" if kind == "drop" and len(path) == 2 else "malformed"
-    return "well-formed" if path[0] == "labels" else "unread"
+    if path[0] == "labels":
+        return "malformed" if kind == "retype" and not isinstance(value, str) else "well-formed"
+    return "unread"
 
 
 def _outputs(tmp, doc):
@@ -130,8 +135,9 @@ def test_fuzz_base_document_passes(workdirs, document):
 def test_mutated_json(workdirs, document, data):
     tmp, doc, base = workdirs[document]
     mutant, kind, path = data.draw(mutants(doc))
+    value = _at(mutant, path) if kind == "retype" else None
     for name, (code, out, err, written) in _outputs(tmp, mutant).items():
-        verdict = _verdict(document, name, kind, path)
+        verdict = _verdict(document, name, kind, path, value)
         assert "Traceback" not in err, (name, path, err)
         if verdict == "malformed":
             assert code == 2 and err.startswith("error:"), (name, path, code, err)
