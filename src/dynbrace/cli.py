@@ -180,8 +180,8 @@ def _named(args, group_name: str, full: bool):
 def _enumeration_json(result: EnumerationResult) -> dict:
     data = dsb_to_json(result.dsb)
     data["aut"] = [list(a.images) for a in automorphism_group(result.group)]
-    data["assignments"] = [list(v.assignment) for v in result.vertices]
-    data["unital"] = [bool(u) for u in result.unital_flags]
+    data["assignments"] = result.assignments.tolist()
+    data["unital"] = result.unital_flags.tolist()
     data["components"] = {
         "members": [list(m) for m in result.components.members],
         "degrees": [d for d in result.components.degrees],

@@ -10,16 +10,18 @@ the target key depends only on (a, f_a, f_b).  Summing those shares over the
 low and over the high digits of a key ``h * W + l`` gives tables
 ``low[a, f, l]`` and ``high[a, f, h]``, and a translate is
 ``high[a, f_a, h] + low[a, f_a, l]``: two lookups and one add.  Component
-structure comes from iterated minimum propagation along translation images,
-which converges in one pass because components of the unital space are complete
-quivers; a second pass checks the fixpoint.  The table of component counts is
-exact: no per-vertex Python objects are built unless a caller materialises the
-result.
+structure comes from minimum propagation along translation images in one int32
+label array: a gather-free first pass, exact on unital spaces because their
+components are complete quivers, then a fixpoint pass lowered in place block by
+block.  The table of component counts is exact.  Materialising a family builds
+arrays only (the ``(K, n)`` digits, ``phi``, the ``(K, n, n)`` ops filled per
+key block, a bool unital flag per vertex); a regular subset is built when a
+caller reads one from :attr:`EnumerationResult.vertices`.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -51,7 +53,7 @@ class EnumerationConfig:
 
 
 #: Keys handled per block by the streaming loops (:meth:`KeySpace.translation_table`,
-#: :func:`initial_counts`).
+#: :func:`component_labels`, :func:`initial_counts`, materialisation).
 BLOCK_KEYS = 1 << 16
 #: Bound on W, the number of low values of the two-level contribution table.
 LOW_KEYS = 4096
@@ -212,29 +214,41 @@ class KeySpace:
 def component_labels(space: KeySpace, tables: list[np.ndarray] | None = None) -> np.ndarray:
     """Per-key component label: the minimal key of the component.
 
-    Iterated minimum propagation along translation images.  The labels start
-    as the keys themselves, so the first pass is the minimum over the tables
-    with no gather.  For unital spaces that pass is already exact because every
-    out-neighbourhood is the whole component, but the loop always runs to a
-    fixpoint, which checks it.
+    One int32 label array, lowered in place.  The labels start as the keys
+    themselves, so the first pass is the minimum over the tables with no
+    gather.  The fixpoint pass then walks :data:`BLOCK_KEYS` blocks, gathers
+    the labels of each block's targets into a block-sized buffer, and writes
+    the block's minimum back; it repeats until a whole pass changes nothing.
+    Labels only decrease and always name a key reachable from their vertex, and
+    a pass without change leaves every label at most the labels of its
+    targets, so each label is the minimum over the forward-reachable set.  For
+    unital spaces the first pass is already exact because every
+    out-neighbourhood is the whole component; the fixpoint pass checks it.
     """
     if tables is None:
         tables = space.translation_table()
     if any(ta.min() < 0 or ta.max() >= space.size for ta in tables):
         raise AssertionError("a translation image lies outside the key space")
-    new = np.arange(space.size, dtype=KEY_DTYPE)
+    comp = np.arange(space.size, dtype=KEY_DTYPE)
     for ta in tables:
-        np.minimum(new, ta, out=new)
-    image = np.empty_like(new)
-    while True:
-        comp = new
-        new = comp.copy()
-        for ta in tables:
-            # in range by the check above; "wrap" lets take write without a buffer
-            np.take(comp, ta, out=image, mode="wrap")
-            np.minimum(new, image, out=new)
-        if np.array_equal(new, comp):
-            return comp
+        np.minimum(comp, ta, out=comp)
+    gather_buf = np.empty(min(BLOCK_KEYS, space.size), dtype=KEY_DTYPE)
+    least_buf = np.empty_like(gather_buf)
+    changed = True
+    while changed:
+        changed = False
+        for lo in range(0, space.size, BLOCK_KEYS):
+            block = comp[lo:lo + BLOCK_KEYS]
+            least, gathered = least_buf[:block.size], gather_buf[:block.size]
+            np.copyto(least, block)
+            for ta in tables:
+                # in range by the check above; "wrap" lets take write without a buffer
+                np.take(comp, ta[lo:lo + block.size], out=gathered, mode="wrap")
+                np.minimum(least, gathered, out=least)
+            if not np.array_equal(least, block):
+                np.copyto(block, least)
+                changed = True
+    return comp
 
 
 def partition_profile(subset: RegularSubset, group: FiniteGroup) -> tuple[int, ...]:
@@ -444,58 +458,86 @@ def check_inverse_lemma(space: KeySpace) -> None:
             raise AssertionError(f"inverse identity fails at key {bad}, label {a}")
 
 
+class SubsetView(Sequence):
+    """The rows of a ``(K, n)`` assignment array as regular subsets, each
+    built when it is read."""
+
+    def __init__(self, assignments: np.ndarray):
+        self._rows = assignments
+
+    def __len__(self) -> int:
+        return self._rows.shape[0]
+
+    def __getitem__(self, k: int) -> RegularSubset:
+        return RegularSubset(tuple(self._rows[k].tolist()))
+
+
 @dataclass(frozen=True, eq=False)
 class EnumerationResult:
-    """Materialised family: vertices, quiver, component data, attached structure."""
+    """Materialised family: the ``(K, n)`` assignment digits, a bool ``unital``
+    flag per vertex, the quiver, component data and attached structure."""
 
     group: FiniteGroup
-    vertices: tuple[RegularSubset, ...]
+    assignments: np.ndarray
     vertex_names: tuple[str, ...]
     quiver: LabelledQuiver
     components: ComponentReport
-    unital_flags: tuple[bool, ...]
+    unital_flags: np.ndarray
     dsb: DynamicalSkewBrace
     full: bool
 
     @property
+    def vertices(self) -> SubsetView:
+        return SubsetView(self.assignments)
+
+    @property
     def vertex_count(self) -> int:
-        return len(self.vertices)
+        return self.assignments.shape[0]
 
 
 def _materialise(group: FiniteGroup, space: KeySpace, named: Mapping[tuple, str] | None) -> EnumerationResult:
     tables = space.translation_table()
     comp = component_labels(space, tables)
-    size = space.size
+    phi = np.stack(tables, axis=1).astype(VERTEX_DTYPE, copy=False)  # (K, n)
+    del tables  # phi holds the same keys; free the n tables before ops is built
+    size, n = space.size, space.n
     k0 = space.unital_size
 
-    keys = np.arange(size, dtype=KEY_DTYPE)
-    digit_mat = np.stack(space.digits(keys), axis=1, dtype=LABEL_DTYPE)  # (K, n)
-    vertices = tuple(RegularSubset(tuple(int(v) for v in row)) for row in digit_mat)
+    # digits and ops per key block, straight into their final dtype
+    digits = np.empty((size, n), dtype=LABEL_DTYPE)
+    ops = np.empty((size, n, n), dtype=LABEL_DTYPE)
+    mul = np.array(group.table, dtype=LABEL_DTYPE)
+    rows = np.arange(n, dtype=np.intp)[:, None]
+    for lo in range(0, size, BLOCK_KEYS):
+        keys = np.arange(lo, min(lo + BLOCK_KEYS, size), dtype=KEY_DTYPE)
+        block = digits[lo:lo + keys.size]
+        for c in range(n):
+            block[:, c] = space.digit(keys, c)
+        # ops[k, a, b] = a * f_a(b)
+        ops[lo:lo + keys.size] = mul[rows, space._act[block]]
+    digits.setflags(write=False)
+
     if named:
         names = tuple(
-            named.get(v.assignment, f"s{k}" if k < k0 else f"r{k - k0}")
-            for k, v in enumerate(vertices)
+            named.get(tuple(row), f"s{k}" if k < k0 else f"r{k - k0}")
+            for k, row in enumerate(digits.tolist())
         )
     else:
         names = tuple(f"s{k}" if k < k0 else f"r{k - k0}" for k in range(size))
 
-    phi = np.stack(tables, axis=1).astype(VERTEX_DTYPE, copy=False)  # (K, n)
-    act = space._act
-    mul = np.array(group.table, dtype=LABEL_DTYPE)
-    fa = act[digit_mat.astype(np.intp)]
-    ops = mul[np.arange(space.n, dtype=np.intp)[None, :, None], fa]
     dsb = make_dsb(group, names, phi, ops)
     quiver = dsb.quiver()
     # keys are vertex indices, so the minimal-key labels are minimal-vertex labels
     report = component_report(dsb.phi, comp)
-    unital_flags = tuple(k < k0 for k in range(size))
+    unital = np.arange(size) < k0
+    unital.setflags(write=False)
     return EnumerationResult(
         group=group,
-        vertices=vertices,
+        assignments=digits,
         vertex_names=names,
         quiver=quiver,
         components=report,
-        unital_flags=unital_flags,
+        unital_flags=unital,
         dsb=dsb,
         full=not space.unital,
     )

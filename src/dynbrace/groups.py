@@ -89,7 +89,7 @@ def validate_table(table: Sequence[Sequence[int]], identity: int | None = None) 
         if len(row) != n:
             raise InputError(f"row {i} has length {len(row)}, expected {n}")
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not (0 <= v < n):
+            if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < n):
                 raise InputError(f"cell [{i}][{j}] = {v!r} out of range [0,{n})")
     for i in range(n):
         seen_row: dict[int, int] = {}

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,15 +32,19 @@ VERTEX_DTYPE = np.int32
 
 def int_array(data, what: str, shape: tuple[int | None, ...], low: int, high: int, dtype) -> np.ndarray:
     """``data`` as a read-only ``dtype`` array of ``shape`` (None matches any
-    length) with integer entries in [low, high); anything else is an input error."""
-    try:
-        arr = np.asarray(data)
-    except ValueError:
-        raise InputError(f"{what} is not a rectangular array") from None
+    length) with integer entries in [low, high); anything else, a bool cell
+    included, is an input error."""
+    arr = data if isinstance(data, np.ndarray) else _int_nest(data, len(shape), dtype)
+    exact = arr is not None
+    if not exact:
+        try:
+            arr = np.asarray(data)
+        except ValueError:
+            raise InputError(f"{what} is not a rectangular array") from None
     if arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape)):
         raise InputError(f"{what} has shape {arr.shape}, expected {shape}")
     if arr.size:
-        if arr.dtype.kind not in "iu":
+        if arr.dtype.kind not in "iu" or not exact and _holds_bool(data, arr.ndim):
             raise InputError(f"{what} entries must be integers")
         if arr.min() < low or arr.max() >= high:
             bad = tuple(int(i) for i in np.argwhere((arr < low) | (arr >= high))[0])
@@ -50,13 +55,45 @@ def int_array(data, what: str, shape: tuple[int | None, ...], low: int, high: in
     return out
 
 
+def _int_nest(data, depth: int, dtype) -> np.ndarray | None:
+    """The non-empty rectangular nest of lists ``data``, ``depth`` deep with
+    exact int cells that fit ``dtype``, as a ``dtype`` array; None for any
+    other input.
+
+    Each level is one pass at C speed, about as fast as ``np.asarray``, which
+    would also fold JSON ``true``/``false`` cells into an int array and build
+    an int64 temporary.
+    """
+    shape, cells = [], [data]
+    for _ in range(depth):
+        lengths = set(map(len, cells)) if set(map(type, cells)) == {list} else ()
+        if len(lengths) != 1 or 0 in lengths:
+            return None
+        shape.append(lengths.pop())
+        cells = list(chain.from_iterable(cells))
+    if set(map(type, cells)) != {int}:
+        return None
+    try:
+        return np.fromiter(cells, dtype, len(cells)).reshape(shape)
+    except OverflowError:
+        return None
+
+
+def _holds_bool(data, depth: int) -> bool:
+    """Whether the nested sequences ``data`` hold a bool cell."""
+    cells = data
+    for _ in range(depth - 1):
+        cells = chain.from_iterable(cells)
+    return bool in set(map(type, cells))
+
+
 def name_tuple(names, what: str) -> tuple[str, ...]:
     """A list of string names as a tuple, or an input error."""
     if not isinstance(names, (list, tuple)):
         raise InputError(f"{what} must be a list of names")
-    for k, v in enumerate(names):
-        if not isinstance(v, str):
-            raise InputError(f"{what}[{k}] = {v!r} is not a string")
+    if not all(map(isinstance, names, repeat(str))):
+        k, v = next((k, v) for k, v in enumerate(names) if not isinstance(v, str))
+        raise InputError(f"{what}[{k}] = {v!r} is not a string")
     return tuple(names)
 
 

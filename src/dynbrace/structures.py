@@ -799,7 +799,9 @@ def dsb_to_json(dsb: DynamicalSkewBrace) -> dict:
 def _per_vertex(data: Mapping, key: str, names: Sequence[str]) -> list:
     """The entries of the name-keyed table ``data[key]``, in vertex order."""
     table = data[key]
-    missing = [v for v in names if not isinstance(table, Mapping) or v not in table]
+    if not isinstance(table, Mapping):
+        table = {}
+    missing = [v for v in names if v not in table]
     if missing:
         raise InputError(f"{key!r} has no entry for vertex {missing[0]!r}")
     return [table[v] for v in names]

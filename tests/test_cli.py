@@ -316,6 +316,14 @@ MALFORMED = {
     "string-dot-cell": ("bracoid", ("dot", "s1", 1, 0), "x"),
     "float-ops-cell": ("dsb", ("ops", "s1", 1, 0), 1.5),
     "float-unit": ("bracoid", ("units", "s0"), 1.5),
+    # numpy would fold JSON true/false into an int table
+    "bool-phi-cell": ("dsb", ("phi", 1, 0), True),
+    "bracoid-bool-phi-cell": ("bracoid", ("phi", 2, 1), False),
+    "bool-ops-cell": ("dsb", ("ops", "s1", 1, 0), True),
+    "bracoid-bool-ops-cell": ("bracoid", ("ops", "s2", 0, 0), False),
+    "bool-dot-cell": ("bracoid", ("dot", "s1", 0, 1), True),
+    "bool-unit": ("bracoid", ("units", "s0"), False),
+    "bool-group-cell": ("dsb", ("group", "table", 0, 1), True),
     "dsb-out-of-range-phi": ("dsb", ("phi", 0, 0), 99),
     "bracoid-out-of-range-phi": ("bracoid", ("phi", 0, 0), 99),
     "bracoid-out-of-range-dot": ("bracoid", ("dot", "s1", 0, 0), 99),

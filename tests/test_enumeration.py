@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,58 @@ def test_component_labels_run_to_fixpoint():
     space = KeySpace(cached_group("cyclic:5"), unital=True, config=EnumerationConfig())
     tables = [rng.permutation(space.size).astype(KEY_DTYPE) for _ in range(2)]
     assert np.array_equal(component_labels(space, tables), labels(np.stack(tables, axis=1)))
+
+
+def _least_reachable(tables: list[np.ndarray]) -> np.ndarray:
+    """Brute force: the least key of each key's forward-reachable set."""
+    size = tables[0].size
+    out = np.empty(size, dtype=KEY_DTYPE)
+    for key in range(size):
+        seen, stack = {key}, [key]
+        while stack:
+            vertex = stack.pop()
+            for ta in tables:
+                target = int(ta[vertex])
+                if target not in seen:
+                    seen.add(target)
+                    stack.append(target)
+        out[key] = min(seen)
+    return out
+
+
+def test_component_labels_fixpoint_in_place_by_blocks(monkeypatch):
+    # functional, non-bijective tables: minima travel backwards along chains,
+    # so the fixpoint needs several passes and updates crossing 7-key blocks
+    monkeypatch.setattr(enumeration, "BLOCK_KEYS", 7)
+    rng = np.random.default_rng(23)
+    space = KeySpace(cached_group("cyclic:5"), unital=True, config=EnumerationConfig())
+    for count in (1, 2, 3):
+        tables = [rng.integers(0, space.size, space.size).astype(KEY_DTYPE) for _ in range(count)]
+        first_pass = np.minimum.reduce([np.arange(space.size, dtype=KEY_DTYPE), *tables])
+        expected = _least_reachable(tables)
+        assert not np.array_equal(first_pass, expected)
+        got = component_labels(space, tables)
+        assert got.dtype == KEY_DTYPE and np.array_equal(got, expected)
+
+
+def test_component_labels_hold_one_label_array(monkeypatch):
+    # cyclic:8 unital: 16,384 keys; with the tables passed in, the kernel keeps
+    # one int32 label array plus block-sized buffers
+    block = 256
+    monkeypatch.setattr(enumeration, "BLOCK_KEYS", block)
+    space = KeySpace(cached_group("cyclic:8"), unital=True, config=EnumerationConfig())
+    assert space.size == 16384
+    tables = space.translation_table()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        comp = component_labels(space, tables)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert comp.nbytes == 4 * space.size
+    assert peak < comp.nbytes + 32 * block
+    assert np.array_equal(comp, labels(np.stack(tables, axis=1)))
 
 
 def test_component_labels_reject_keys_outside_the_space():

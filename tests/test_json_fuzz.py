@@ -6,7 +6,8 @@ one written by ``enumerate --group cyclic:3 --json`` and the bracoid of the same
 family.  A mutation of what the loaders read is malformed input, and so is a
 vertex or label name that is not a string; a mutation of free text (group
 names, label names that stay strings), of a key no loader reads, or the
-removal of one bracoid unit leaves the input well-formed.
+removal of one bracoid unit leaves the input well-formed.  Integer cells are
+also retyped to ``true``/``false``, which numpy would read as 1 and 0.
 """
 import contextlib
 import copy
@@ -49,7 +50,10 @@ def _at(doc, path):
 
 def _retyped(value):
     retypes = [str(value) + "?", (value + 0.5) if isinstance(value, int) else 1.5, [value], None]
-    return retypes + [True] if isinstance(value, str) else retypes
+    if isinstance(value, str):
+        return retypes + [True]
+    # a bool is an int to Python and to numpy, but never an integer cell
+    return retypes + [True, False] if type(value) is int else retypes
 
 
 @st.composite
