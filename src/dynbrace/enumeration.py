@@ -9,14 +9,18 @@ a fixed element with a fixed automorphism once f_a is known, so its share of
 the target key depends only on (a, f_a, f_b).  Summing those shares over the
 low and over the high digits of a key ``h * W + l`` gives tables
 ``low[a, f, l]`` and ``high[a, f, h]``, and a translate is
-``high[a, f_a, h] + low[a, f_a, l]``: two lookups and one add.  Component
-structure comes from minimum propagation along translation images in one int32
-label array: a gather-free first pass, exact on unital spaces because their
-components are complete quivers, then a fixpoint pass lowered in place block by
-block.  The table of component counts is exact.  Materialising a family builds
-arrays only (the ``(K, n)`` digits, ``phi``, the ``(K, n, n)`` ops filled per
-key block, a bool unital flag per vertex); a regular subset is built when a
-caller reads one from :attr:`EnumerationResult.vertices`.
+``high[a, f_a, h] + low[a, f_a, l]``: two lookups and one add.  The kernel,
+:meth:`KeySpace.translation_table`, fills the translates of any key range, and
+every streaming loop asks it for one block at a time, so the census never holds
+a whole-space table.  Component structure comes from minimum propagation along
+translation images in one int32 label array: a gather-free first pass, exact on
+unital spaces because their components are complete quivers, then a fixpoint
+pass lowered in place block by block.  The component sizes are the run lengths
+of the label array sorted in place, and the table of component counts is
+exact.  Materialising a family builds arrays only (the ``(K, n)`` digits,
+``phi``, the ``(K, n, n)`` ops filled per key block, a bool unital flag per
+vertex); a regular subset is built when a caller reads one from
+:attr:`EnumerationResult.vertices`.
 """
 from __future__ import annotations
 
@@ -52,8 +56,9 @@ class EnumerationConfig:
     cap: int = DEFAULT_CAP
 
 
-#: Keys handled per block by the streaming loops (:meth:`KeySpace.translation_table`,
-#: :func:`component_labels`, :func:`initial_counts`, materialisation).
+#: Keys handled per block by the streaming loops (:func:`component_labels`,
+#: :func:`initial_counts`, materialisation), each asking
+#: :meth:`KeySpace.translation_table` for one block at a time.
 BLOCK_KEYS = 1 << 16
 #: Bound on W, the number of low values of the two-level contribution table.
 LOW_KEYS = 4096
@@ -101,6 +106,15 @@ class KeySpace:
         self.high_size = self.size // self.low_size
         self._split = n - low_digits  # positions >= split are low digits
         self._low, self._high = self._contribution_tables()
+        # per label a: f_a over the part (low values l or high values h) holding
+        # digit a, and the own share of that part, low[a, f_a(l), l] or high[a, f_a(h), h]
+        self._own_digit, self._own_share = [], []
+        for a in range(n):
+            shares = self._low[a] if a >= self._split else self._high[a]
+            values = np.arange(shares.shape[1], dtype=np.intp)
+            f = self._part_digit(values, a)
+            self._own_digit.append(f)
+            self._own_share.append(shares[f, values])
 
     def _part_digit(self, part: np.ndarray, c: int) -> np.ndarray:
         """Digit c of keys, read from the part (low values l or high values h) holding it."""
@@ -172,66 +186,102 @@ class KeySpace:
         f = self._part_digit(low if a >= self._split else high, a)
         return self._high[a][f, high] + self._low[a][f, low]
 
-    def translation_table(self) -> list[np.ndarray]:
-        """All translation-image key arrays, one per label, over the whole space.
+    def translation_table(
+        self, lo: int = 0, hi: int | None = None, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Translation images of the keys ``[lo, hi)``, one row per label.
 
-        Each label is filled in aligned blocks of high values.  When digit a is
-        low, every block row is the same gather of high columns by f_a(l) plus
-        one row of low shares; when it is high, each row is one row of low
-        shares plus one high share.
+        Returns an ``(n, hi - lo)`` array, row a holding the translates along
+        a; with no range that is the whole-space table.  ``out``, an ``(n, m)``
+        buffer with m >= hi - lo, is filled and its leading columns returned.
+        The range is cut into at most three rectangles of high rows by low
+        columns (a partial first row, whole rows, a partial last row).  When
+        digit a is low, every row of a rectangle is the same gather of high
+        columns by f_a(l) plus a row of the own shares ``low[a, f_a(l), l]``;
+        when it is high, each row is one row of low shares plus the own share
+        ``high[a, f_a(h), h]``.
         """
+        hi = self.size if hi is None else hi
+        if out is None:
+            out = np.empty((self.n, hi - lo), dtype=KEY_DTYPE)
+        else:
+            out = out[:, :hi - lo]
         width = self.low_size
-        low = np.arange(width, dtype=np.intp)
-        high = np.arange(self.high_size, dtype=np.intp)
-        step = max(1, BLOCK_KEYS // width)
-        tables = []
+        rectangles = []
+        start = lo
+        while start < hi:
+            h, l = divmod(start, width)
+            if l or hi - start < width:
+                stop = min(hi, (h + 1) * width)
+                rectangles.append((start - lo, h, h + 1, l, stop - h * width))
+            else:
+                stop = start + (hi - start) // width * width
+                rectangles.append((start - lo, h, stop // width, 0, width))
+            start = stop
         # every f below is a digit in [0, radix); "wrap" lets take write without a buffer
         for a in range(self.n):
-            table = np.empty(self.size, dtype=KEY_DTYPE)
-            rows = table.reshape(self.high_size, width)
-            if a >= self._split:
-                f = self._part_digit(low, a)
-                low_row = self._low[a][f, low]
-                high_cols = np.ascontiguousarray(self._high[a].T)  # (K/W, radix)
-                for h0 in range(0, self.high_size, step):
-                    block = rows[h0:h0 + step]
-                    np.take(high_cols[h0:h0 + step], f, axis=1, out=block, mode="wrap")
-                    block += low_row
-            else:
-                f = self._part_digit(high, a)
-                high_col = self._high[a][f, high]
-                for h0 in range(0, self.high_size, step):
-                    block = rows[h0:h0 + step]
-                    np.take(self._low[a], f[h0:h0 + step], axis=0, out=block, mode="wrap")
-                    block += high_col[h0:h0 + step, None]
-            tables.append(table)
-        return tables
+            f, own = self._own_digit[a], self._own_share[a]
+            for at, h0, h1, l0, l1 in rectangles:
+                block = out[a, at:at + (h1 - h0) * (l1 - l0)].reshape(h1 - h0, l1 - l0)
+                if a >= self._split:
+                    np.take(self._high[a, :, h0:h1].T, f[l0:l1], axis=1, out=block, mode="wrap")
+                    block += own[l0:l1]
+                else:
+                    np.take(self._low[a, :, l0:l1], f[h0:h1], axis=0, out=block, mode="wrap")
+                    block += own[h0:h1, None]
+        return out
+
+    def translates_in_range(self) -> bool:
+        """Whether every translate the share tables can form lies in ``[0, K)``.
+
+        A translate is ``high[a, f, h] + low[a, f, l]``, so bounding, for each
+        (a, f), the least and the greatest high share plus the least and the
+        greatest low share bounds every translate of the space at once.
+        """
+        wide = np.int64  # the sums of two int32 shares may overflow int32
+        least = self._high.min(axis=2).astype(wide) + self._low.min(axis=2)
+        most = self._high.max(axis=2).astype(wide) + self._low.max(axis=2)
+        return bool(least.min() >= 0 and most.max() < self.size)
 
     def subset_of(self, key: int) -> RegularSubset:
         return RegularSubset(self.assignment_of(int(key)))
 
 
-def component_labels(space: KeySpace, tables: list[np.ndarray] | None = None) -> np.ndarray:
+def component_labels(space: KeySpace, tables: Sequence[np.ndarray] | None = None) -> np.ndarray:
     """Per-key component label: the minimal key of the component.
 
-    One int32 label array, lowered in place.  The labels start as the keys
-    themselves, so the first pass is the minimum over the tables with no
-    gather.  The fixpoint pass then walks :data:`BLOCK_KEYS` blocks, gathers
-    the labels of each block's targets into a block-sized buffer, and writes
-    the block's minimum back; it repeats until a whole pass changes nothing.
-    Labels only decrease and always name a key reachable from their vertex, and
-    a pass without change leaves every label at most the labels of its
-    targets, so each label is the minimum over the forward-reachable set.  For
-    unital spaces the first pass is already exact because every
-    out-neighbourhood is the whole component; the fixpoint pass checks it.
+    One int32 label array, lowered in place.  Both passes walk
+    :data:`BLOCK_KEYS` blocks; without ``tables`` each block's translates come
+    from :meth:`KeySpace.translation_table` into one reused ``(n, block)``
+    buffer, so no whole-space table is built.  The labels start as the keys
+    themselves, so the first pass is the minimum over each block's translates
+    with no gather.  The fixpoint pass gathers the labels of each block's
+    targets into a block-sized buffer and writes the block's minimum back; it
+    repeats until a whole pass changes nothing.  Labels only decrease and
+    always name a key reachable from their vertex, and a pass without change
+    leaves every label at most the labels of its targets, so each label is the
+    minimum over the forward-reachable set.  For unital spaces the first pass
+    is already exact because every out-neighbourhood is the whole component;
+    the fixpoint pass checks it.
     """
     if tables is None:
-        tables = space.translation_table()
-    if any(ta.min() < 0 or ta.max() >= space.size for ta in tables):
+        in_range = space.translates_in_range()
+        buf = np.empty((space.n, min(BLOCK_KEYS, space.size)), dtype=KEY_DTYPE)
+
+        def translates(lo: int, hi: int) -> np.ndarray:
+            return space.translation_table(lo, hi, out=buf)
+    else:
+        in_range = not any(ta.min() < 0 or ta.max() >= space.size for ta in tables)
+
+        def translates(lo: int, hi: int) -> list[np.ndarray]:
+            return [ta[lo:hi] for ta in tables]
+    if not in_range:
         raise AssertionError("a translation image lies outside the key space")
     comp = np.arange(space.size, dtype=KEY_DTYPE)
-    for ta in tables:
-        np.minimum(comp, ta, out=comp)
+    for lo in range(0, space.size, BLOCK_KEYS):
+        block = comp[lo:lo + BLOCK_KEYS]
+        for ta in translates(lo, lo + block.size):
+            np.minimum(block, ta, out=block)
     gather_buf = np.empty(min(BLOCK_KEYS, space.size), dtype=KEY_DTYPE)
     least_buf = np.empty_like(gather_buf)
     changed = True
@@ -241,9 +291,9 @@ def component_labels(space: KeySpace, tables: list[np.ndarray] | None = None) ->
             block = comp[lo:lo + BLOCK_KEYS]
             least, gathered = least_buf[:block.size], gather_buf[:block.size]
             np.copyto(least, block)
-            for ta in tables:
+            for ta in translates(lo, lo + block.size):
                 # in range by the check above; "wrap" lets take write without a buffer
-                np.take(comp, ta[lo:lo + block.size], out=gathered, mode="wrap")
+                np.take(comp, ta, out=gathered, mode="wrap")
                 np.minimum(least, gathered, out=least)
             if not np.array_equal(least, block):
                 np.copyto(block, least)
@@ -311,17 +361,22 @@ class InvariantTable:
 def invariants(group: FiniteGroup, config: EnumerationConfig | None = None) -> InvariantTable:
     """Component-size counts of the maximal unital family, streaming.
 
-    The relation sum(s * N_s) = |Aut|^(|A|-1) and the divisibility constraint
+    The labels of :func:`component_labels` are sorted in place; each
+    component is then one run, and the run starts and lengths give the roots
+    in ascending order and their sizes with no per-key count array.  The
+    relation sum(s * N_s) = |Aut|^(|A|-1) and the divisibility constraint
     are asserted; initial-vertex counts use the closed form s*(|Aut|-1), which
     :func:`initial_counts` verifies independently against the full family.
     """
     config = config or EnumerationConfig()
     space = KeySpace(group, unital=True, config=config)
-    size_of_root = np.bincount(component_labels(space))
-    roots = np.flatnonzero(size_of_root)
-    sizes = size_of_root[roots]
-    histogram = np.bincount(sizes)
-    counts = {int(s): int(histogram[s]) for s in np.flatnonzero(histogram)}
+    comp = component_labels(space)
+    comp.sort()  # in place: each component becomes one run, roots ascending
+    starts = np.flatnonzero(comp[1:] != comp[:-1]) + 1
+    roots = comp[np.concatenate(([0], starts))]
+    sizes = np.diff(starts, prepend=0, append=comp.size)
+    size_values, size_counts = np.unique(sizes, return_counts=True)
+    counts = {int(s): int(c) for s, c in zip(size_values, size_counts)}
     table = InvariantTable(
         group_name=group.name,
         order=group.order,
@@ -365,8 +420,7 @@ def initial_counts(group: FiniteGroup, config: EnumerationConfig | None = None) 
     """
     config = config or EnumerationConfig()
     space = KeySpace(group, unital=False, config=config)
-    tables = space.translation_table()
-    comp = component_labels(space, tables)
+    comp = component_labels(space)
     k0 = space.unital_size
     radix = space.radix
     n = space.n
@@ -377,29 +431,29 @@ def initial_counts(group: FiniteGroup, config: EnumerationConfig | None = None) 
     root_size_arr[unital_roots] = unital_sizes
 
     per_component: dict[int, int] = {int(r): 0 for r in unital_roots}
+    buf = np.empty((n, min(BLOCK_KEYS, space.size - k0)), dtype=KEY_DTYPE)
     for lo in range(k0, space.size, BLOCK_KEYS):
-        initial_keys = np.arange(lo, min(lo + BLOCK_KEYS, space.size), dtype=KEY_DTYPE)
-        labels = comp[initial_keys]
+        hi = min(lo + BLOCK_KEYS, space.size)
+        labels = comp[lo:hi]
         if labels.max(initial=0) >= k0:
             raise AssertionError("an initial vertex is attached to no unital component")
         roots, counts = np.unique(labels, return_counts=True)
         for r, c in zip(roots.tolist(), counts.tolist()):
             per_component[r] += int(c)
+        targets = space.translation_table(lo, hi, out=buf)  # (n, block)
         # every arrow of an initial vertex stays in its component
-        for ta in tables:
-            if not np.array_equal(comp[ta[initial_keys]], labels):
+        for ta in targets:
+            if not np.array_equal(comp[ta], labels):
                 raise AssertionError("an initial vertex has arrows into two components")
         # equidistribution: |A|/s arrows onto each unital vertex of the component
-        targets = np.stack([ta[initial_keys] for ta in tables], axis=1)
-        targets.sort(axis=1)
-        s_arr = root_size_arr[labels]
-        rep_arr = n // s_arr
-        changed = targets[:, 1:] != targets[:, :-1]
-        expected = (np.arange(1, n, dtype=np.int64)[None, :] % rep_arr[:, None]) == 0
+        targets.sort(axis=0)
+        rep_arr = n // root_size_arr[labels]
+        changed = targets[1:] != targets[:-1]
+        expected = (np.arange(1, n, dtype=np.int64)[:, None] % rep_arr[None, :]) == 0
         if not (changed == expected).all():
-            bad = int(np.argwhere((changed != expected).any(axis=1))[0][0])
+            bad = int(np.flatnonzero((changed != expected).any(axis=0))[0])
             raise AssertionError(
-                f"initial vertex {int(initial_keys[bad])} is not equidistributed over its component"
+                f"initial vertex {lo + bad} is not equidistributed over its component"
             )
 
     by_size: dict[int, int] = {}
@@ -416,18 +470,20 @@ def initial_counts(group: FiniteGroup, config: EnumerationConfig | None = None) 
     return InitialCountsResult(tuple(out), dict(sorted(by_size.items())))
 
 
-def check_translation_composition(space: KeySpace, tables: list[np.ndarray]) -> None:
-    """translate(translate(S,a),b) == translate(S, a *_S b) on the whole space."""
+def check_translation_composition(space: KeySpace, tables: np.ndarray) -> None:
+    """translate(translate(S,a),b) == translate(S, a *_S b) on the whole space.
+
+    ``tables`` is the whole-space ``(n, K)`` :meth:`KeySpace.translation_table`.
+    """
     keys = np.arange(space.size, dtype=KEY_DTYPE)
     digits = space.digits(keys)
-    stacked = np.stack(tables, axis=0)  # (n, K): stacked[c, k] = translate(k, c)
     mul = np.asarray(space.group.table, dtype=np.intp)
     for a in range(space.n):
         fa = digits[a].astype(np.intp)
         for b in range(space.n):
             ab = mul[a][space._act[fa, b]]
             lhs = tables[b][tables[a]]
-            rhs = stacked[ab, keys]
+            rhs = tables[ab, keys]
             if not np.array_equal(lhs, rhs):
                 bad = int(np.argwhere(lhs != rhs)[0][0])
                 raise AssertionError(
@@ -496,25 +552,26 @@ class EnumerationResult:
 
 
 def _materialise(group: FiniteGroup, space: KeySpace, named: Mapping[tuple, str] | None) -> EnumerationResult:
-    tables = space.translation_table()
-    comp = component_labels(space, tables)
-    phi = np.stack(tables, axis=1).astype(VERTEX_DTYPE, copy=False)  # (K, n)
-    del tables  # phi holds the same keys; free the n tables before ops is built
+    comp = component_labels(space)
     size, n = space.size, space.n
     k0 = space.unital_size
 
-    # digits and ops per key block, straight into their final dtype
+    # phi, digits and ops per key block, straight into their final dtype
+    phi = np.empty((size, n), dtype=VERTEX_DTYPE)
+    buf = np.empty((n, min(BLOCK_KEYS, size)), dtype=KEY_DTYPE)
     digits = np.empty((size, n), dtype=LABEL_DTYPE)
     ops = np.empty((size, n, n), dtype=LABEL_DTYPE)
     mul = np.array(group.table, dtype=LABEL_DTYPE)
     rows = np.arange(n, dtype=np.intp)[:, None]
     for lo in range(0, size, BLOCK_KEYS):
         keys = np.arange(lo, min(lo + BLOCK_KEYS, size), dtype=KEY_DTYPE)
+        phi[lo:lo + keys.size] = space.translation_table(lo, lo + keys.size, out=buf).T
         block = digits[lo:lo + keys.size]
         for c in range(n):
             block[:, c] = space.digit(keys, c)
         # ops[k, a, b] = a * f_a(b)
         ops[lo:lo + keys.size] = mul[rows, space._act[block]]
+    del buf  # the peak comes later, in the component report
     digits.setflags(write=False)
 
     if named:

@@ -1,7 +1,7 @@
 """The benchmark's tracer finds the census kernel and the transport layers under the names it wraps.
 
 ``perfbench/tracer.py`` wraps ``KeySpace.translation_table`` by name and counts
-translated keys from the arrays it returns; a traced census run without
+translated keys from the arrays it returns, on every call; a traced census run without
 ``enumeration.translation_table`` or ``enumeration.component_labels`` spans is
 marked incorrect, and so is a traced transport pass without calls to
 ``parallelise.parallelise``, ``parallelise.schurian_transversal``,
@@ -31,8 +31,11 @@ def test_tracer_sees_the_census_kernel(tmp_path):
     record = json.loads(spans_path.read_text(encoding="utf-8"))
     names = {span["name"] for span in record["spans"]}
     assert {"enumeration.translation_table", "enumeration.component_labels"} <= names
-    # 4 labels over the 6^3 = 216 unital keys
-    assert record["counts"]["enumeration.keys_translated"] == 4 * 216
+    # The census streams the kernel: each pass calls it once per key block and
+    # the tracer counts every call.  The 6^3 = 216 unital keys are one block,
+    # and a unital census makes two passes (the gather-free first pass and the
+    # fixpoint pass that confirms it), each translating 216 keys along 4 labels.
+    assert record["counts"]["enumeration.keys_translated"] == 2 * 4 * 216
 
 
 def test_tracer_sees_the_transport_layers(tmp_path):

@@ -109,6 +109,30 @@ def test_verify_does_not_import_numpy_ma(tmp_path, capsys):
     assert proc.stderr == "0 False\n"
 
 
+def test_census_memory_stays_near_one_label_array():
+    # dihedral:4 has 8^7 unital keys: the label array is 8 MB.  The streamed
+    # census adds about 17 MB to a bare import; whole-space tables (64 MB)
+    # or a bincount over the labels would break the bound.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    wrapper = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+
+    def child_maxrss_kb(*argv):
+        proc = subprocess.run([sys.executable, "-c", wrapper, sys.executable, *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
+
+    bare = child_maxrss_kb("-c", "import dynbrace.cli")
+    census = child_maxrss_kb("-m", "dynbrace.cli", "invariants", "--group", "dihedral:4")
+    assert census - bare < 32 * 1024
+
+
 def test_verify_tampered_structure(tmp_path, capsys):
     path = tmp_path / "z3.json"
     run(capsys, "enumerate", "--group", "cyclic:3", "--seed-examples", "--json", "--out", str(path))

@@ -251,6 +251,26 @@ def test_component_labels_hold_one_label_array(monkeypatch):
     assert np.array_equal(comp, labels(np.stack(tables, axis=1)))
 
 
+def test_streamed_component_labels_hold_one_label_array(monkeypatch):
+    # cyclic:8 unital: 16,384 keys and W = 4096, so with 256-key blocks every
+    # block lies inside one high row; with no tables passed the labelling
+    # keeps one int32 label array plus buffers of O(n * BLOCK_KEYS) bytes
+    block = 256
+    monkeypatch.setattr(enumeration, "BLOCK_KEYS", block)
+    space = KeySpace(cached_group("cyclic:8"), unital=True, config=EnumerationConfig())
+    assert space.size == 16384 and space.low_size == 4096
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        comp = component_labels(space)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert comp.nbytes == 4 * space.size
+    assert peak < comp.nbytes + 16 * space.n * block
+    assert np.array_equal(comp, labels(np.stack(space.translation_table(), axis=1)))
+
+
 def test_component_labels_reject_keys_outside_the_space():
     space = KeySpace(cached_group("cyclic:4"), unital=True, config=EnumerationConfig())
     for bad in (-1, space.size):
@@ -258,6 +278,21 @@ def test_component_labels_reject_keys_outside_the_space():
         tables[1][3] = bad
         with pytest.raises(AssertionError, match="outside the key space"):
             component_labels(space, tables)
+
+
+@pytest.mark.parametrize("unital", [True, False])
+@pytest.mark.parametrize("where", [(0, 1, 0), (0, 1, 1), (1, 2, 0), (7, 3, 3)])
+def test_streamed_labels_reject_corrupt_share_tables(unital, where):
+    # one share entry pushed past either end of the key space: the streamed
+    # path bounds every translate from the share tables before its first take
+    a, f, index = where
+    for table in ("_high", "_low"):
+        for below in (True, False):
+            space = KeySpace(cached_group("cyclic:8"), unital=unital, config=EnumerationConfig())
+            assert space.translates_in_range()
+            getattr(space, table)[a, f, index] = -space.size if below else space.size
+            with pytest.raises(AssertionError, match="outside the key space"):
+                component_labels(space)
 
 
 # radix 6 (cyclic:7: W = 1296 and 36 high values), radix 8 split 8^4 x 8^3 or
@@ -299,6 +334,59 @@ def test_translation_table_is_translate_keys(name):
         for a, table in enumerate(tables):
             assert table.dtype == KEY_DTYPE
             assert np.array_equal(table, space.translate_keys(keys, a))
+
+
+def _kernel_ranges(space: KeySpace) -> list[tuple[int, int]]:
+    """Aligned, unaligned, in-row, final partial and k0-crossing key ranges."""
+    size, width = space.size, space.low_size
+    ranges = [(0, size), (0, min(size, width)), (size - 1, size), (size // 3, size - size // 5)]
+    if space.high_size > 2:
+        ranges += [(width, 3 * width), (width + 1, 3 * width - 1), (width - 1, 2 * width + 1)]
+    if width > 8:
+        ranges += [(width + 2, width + 9), (size - width + 3, size - 2)]
+    if not space.unital:
+        k0 = space.unital_size
+        ranges += [(k0 - 1, k0 + 1), (max(0, k0 - width - 5), min(size, k0 + 2 * width + 3))]
+    return [(lo, hi) for lo, hi in ranges if 0 <= lo < hi <= size]
+
+
+@pytest.mark.parametrize("name", ["trivial", "cyclic:2", "cyclic:7", "prod:cyclic:2,cyclic:4"])
+@pytest.mark.parametrize("unital", [True, False])
+def test_translation_table_ranges_are_slices(name, unital):
+    space = KeySpace(cached_group(name), unital=unital, config=EnumerationConfig())
+    # the full C2 x C4 space has 8^8 keys; its reference comes from translate_keys
+    whole = space.translation_table() if space.size <= 1 << 21 else None
+    buf = np.empty((space.n, space.size), dtype=KEY_DTYPE) if space.size <= 1 << 16 else None
+    for lo, hi in _kernel_ranges(space):
+        if whole is not None:
+            expected = whole[:, lo:hi]
+        else:
+            keys = np.arange(lo, hi, dtype=KEY_DTYPE)
+            expected = np.stack([space.translate_keys(keys, a) for a in range(space.n)])
+        got = space.translation_table(lo, hi)
+        assert got.dtype == KEY_DTYPE and got.shape == (space.n, hi - lo)
+        assert np.array_equal(got, expected), (lo, hi)
+        if buf is not None:
+            # into a wider reused buffer: only its leading columns are written
+            buf.fill(-1)
+            into = space.translation_table(lo, hi, out=buf)
+            assert np.shares_memory(into, buf) and np.array_equal(into, expected)
+            assert (buf[:, hi - lo:] == -1).all()
+
+
+@pytest.mark.parametrize("name", ["cyclic:2", "cyclic:7", "klein4", "sym:3"])
+def test_streamed_labels_with_blocks_inside_one_high_row(monkeypatch, name):
+    # cyclic:7 and sym:3 have W = 1296; 100-key blocks start mid-row and end
+    # mid-row, and the last block is partial
+    group = cached_group(name)
+    expected = {}
+    for unital in (True, False):
+        space = KeySpace(group, unital=unital, config=EnumerationConfig())
+        expected[unital] = labels(np.stack(space.translation_table(), axis=1))
+    monkeypatch.setattr(enumeration, "BLOCK_KEYS", 100)
+    for unital in (True, False):
+        space = KeySpace(group, unital=unital, config=EnumerationConfig())
+        assert np.array_equal(component_labels(space), expected[unital])
 
 
 def test_translation_composition_vectorised():
