@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import time
 
-from dynbrace.enumeration import EnumerationConfig, invariants
+from dynbrace.enumeration import invariants
 from dynbrace.errors import ResourceCapError
 from dynbrace.groups import automorphism_group, build_group
+from dynbrace.holomorph import DEFAULT_CAP
 
 DEFAULT_GROUPS = [
     "trivial",
@@ -30,7 +31,7 @@ def main() -> int:
     parser.add_argument("--groups", nargs="*", default=DEFAULT_GROUPS)
     parser.add_argument("--max-space", type=int, default=10**7,
                         help="skip groups whose unital space exceeds this")
-    parser.add_argument("--cap", type=int, default=EnumerationConfig().cap)
+    parser.add_argument("--cap", type=int, default=DEFAULT_CAP)
     args = parser.parse_args()
 
     print(f"{'group':<24} {'|A|':>4} {'|Aut|':>6} {'space':>10} {'N_s':<28} {'time':>8}")
@@ -43,7 +44,7 @@ def main() -> int:
             continue
         start = time.perf_counter()
         try:
-            table = invariants(group, EnumerationConfig(cap=args.cap))
+            table = invariants(group, cap=args.cap)
         except ResourceCapError as exc:
             print(f"{name:<24} {group.order:>4} {radix:>6} {space:>10}  {exc}")
             continue

@@ -12,7 +12,7 @@ import argparse
 
 import numpy as np
 
-from dynbrace.enumeration import EnumerationConfig, component_dsb, enumerate_unital
+from dynbrace.enumeration import component_dsb, enumerate_unital
 from dynbrace.families import seeded_names
 from dynbrace.groups import build_group, preset_isomorphism_report
 from dynbrace.parallelise import group_from_pointed_heap, ternary_of_braiding
@@ -21,7 +21,7 @@ from dynbrace.structures import braiding_of_qtsb, semiloopoid_of_dsb
 
 def show_family(name: str) -> None:
     group = build_group(name)
-    result = enumerate_unital(group, EnumerationConfig(), seeded_names(name, False))
+    result = enumerate_unital(group, seeded_names(name, False))
     print(f"== {name}: {result.vertex_count} vertices, {result.components.count} components ==")
     for cid, members in enumerate(result.components.members):
         labels = " ".join(result.vertex_names[v] for v in members)
@@ -45,7 +45,7 @@ def show_family(name: str) -> None:
 
 def show_degree_one_component(name: str) -> None:
     group = build_group(name)
-    result = enumerate_unital(group, EnumerationConfig(), seeded_names(name, False))
+    result = enumerate_unital(group, seeded_names(name, False))
     for cid, members in enumerate(result.components.members):
         if result.components.degrees[cid] != 1 or len(members) < 2:
             continue

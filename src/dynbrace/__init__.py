@@ -23,7 +23,6 @@ from .holomorph import (
 from .quivers import (
     ComponentReport,
     LabelledQuiver,
-    completeness_degree,
     connected_components,
     export_dot,
     is_homogeneous,
@@ -43,7 +42,6 @@ from .structures import (
     verify_dsb,
 )
 from .enumeration import (
-    EnumerationConfig,
     EnumerationResult,
     InvariantTable,
     enumerate_full,

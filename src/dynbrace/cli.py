@@ -15,7 +15,6 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .enumeration import (
-    EnumerationConfig,
     EnumerationResult,
     enumerate_full,
     enumerate_unital,
@@ -29,6 +28,7 @@ from .groups import (
     build_group,
     preset_isomorphism_report,
 )
+from .holomorph import DEFAULT_CAP
 from .parallelise import (
     group_from_pointed_heap,
     parallelise,
@@ -164,10 +164,6 @@ def _load_json(path: str):
     return data
 
 
-def _config(args) -> EnumerationConfig:
-    return EnumerationConfig(cap=args.cap)
-
-
 def _named(args, group_name: str, full: bool):
     if getattr(args, "seed_examples", False):
         names = seeded_names(group_name, full)
@@ -183,7 +179,7 @@ def _enumeration_json(result: EnumerationResult) -> dict:
     data["assignments"] = result.assignments.tolist()
     data["unital"] = result.unital_flags.tolist()
     data["components"] = {
-        "members": [list(m) for m in result.components.members],
+        "members": [m.tolist() for m in result.components.members],
         "degrees": [d for d in result.components.degrees],
     }
     return data
@@ -191,10 +187,9 @@ def _enumeration_json(result: EnumerationResult) -> dict:
 
 def _cmd_enumerate(args) -> int:
     group = build_group(args.group)
-    config = _config(args)
     named = _named(args, group.name, args.full)
-    result = (enumerate_full if args.full else enumerate_unital)(group, config, named)
-    in_result = initial_counts(group, config) if args.full else None
+    result = (enumerate_full if args.full else enumerate_unital)(group, named, cap=args.cap)
+    in_result = initial_counts(group, cap=args.cap) if args.full else None
 
     if args.json:
         data = _enumeration_json(result)
@@ -229,8 +224,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_invariants(args) -> int:
     group = build_group(args.group)
-    config = _config(args)
-    table = invariants(group, config)
+    table = invariants(group, cap=args.cap)
 
     if args.json:
         data = {
@@ -284,42 +278,33 @@ def _report_lines(kind: str, report) -> list[str]:
 
 
 def _cmd_verify(args) -> int:
-    reports = []
-    bracoid = None
-    braiding = None
+    dsb = bracoid = braiding = None
     if args.input:
         data = _load_json(args.input)
         if "dot" in data:
             bracoid = bracoid_from_json(data)
-            reports.append(("bracoid", verify_bracoid(bracoid)))
-            if reports[-1][1].passed:
-                braiding = braiding_of_qtsb(bracoid, check=False)
-                reports.append(("braiding", verify_braiding(bracoid, braiding)))
         elif "ops" in data:
             dsb = dsb_from_json(data)
-            reports.append(("structure", verify_dsb(dsb)))
-            if reports[-1][1].passed:
-                reports.append(("computation_rules", verify_computation_rules(dsb)))
-                bracoid = semiloopoid_of_dsb(dsb, check=False)
-                reports.append(("bracoid", verify_bracoid(bracoid)))
-                if reports[-1][1].passed:
-                    braiding = braiding_of_qtsb(bracoid, check=False)
-                    reports.append(("braiding", verify_braiding(bracoid, braiding)))
         else:
             raise InputError("input JSON is neither a dynamical structure nor a bracoid")
     elif args.group:
         group = build_group(args.group)
-        config = _config(args)
-        result = (enumerate_full if args.full else enumerate_unital)(group, config, None)
-        dsb = result.dsb
-        reports.append(("structure", verify_dsb(dsb)))
-        reports.append(("computation_rules", verify_computation_rules(dsb)))
-        bracoid = semiloopoid_of_dsb(dsb, check=False)
-        reports.append(("bracoid", verify_bracoid(bracoid)))
-        braiding = braiding_of_qtsb(bracoid, check=False)
-        reports.append(("braiding", verify_braiding(bracoid, braiding)))
+        dsb = (enumerate_full if args.full else enumerate_unital)(group, cap=args.cap).dsb
     else:
         raise InputError("verify needs --input or --group")
+
+    # each stage runs only when the one before it passed
+    reports = []
+    if dsb is not None:
+        reports.append(("structure", verify_dsb(dsb)))
+        if reports[-1][1].passed:
+            reports.append(("computation_rules", verify_computation_rules(dsb)))
+            bracoid = semiloopoid_of_dsb(dsb, check=False)
+    if bracoid is not None:
+        reports.append(("bracoid", verify_bracoid(bracoid)))
+        if reports[-1][1].passed:
+            braiding = braiding_of_qtsb(bracoid, check=False)
+            reports.append(("braiding", verify_braiding(bracoid, braiding)))
 
     failed = False
     for kind, report in reports:
@@ -350,15 +335,18 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_parallelise(args) -> int:
-    data = _load_json(args.input)
+def _load_bracoid(path: str):
+    """The bracoid of a bracoid file, or the semiloopoid of a structure file."""
+    data = _load_json(path)
     if "dot" in data:
-        bracoid = bracoid_from_json(data)
-    elif "ops" in data:
-        bracoid = semiloopoid_of_dsb(dsb_from_json(data))
-    else:
-        raise InputError("input JSON is neither a dynamical structure nor a bracoid")
+        return bracoid_from_json(data)
+    if "ops" in data:
+        return semiloopoid_of_dsb(dsb_from_json(data))
+    raise InputError("input JSON is neither a dynamical structure nor a bracoid")
 
+
+def _cmd_parallelise(args) -> int:
+    bracoid = _load_bracoid(args.input)
     if args.per_component:
         _, structures = parallelise(bracoid)
         _write(args.out, lambda fh: _write_components(fh, structures))
@@ -372,13 +360,7 @@ def _cmd_parallelise(args) -> int:
 
 
 def _cmd_heap(args) -> int:
-    data = _load_json(args.input)
-    if "dot" in data:
-        bracoid = bracoid_from_json(data)
-    elif "ops" in data:
-        bracoid = semiloopoid_of_dsb(dsb_from_json(data))
-    else:
-        raise InputError("input JSON is neither a dynamical structure nor a bracoid")
+    bracoid = _load_bracoid(args.input)
     report = connected_components(bracoid.quiver())
     if report.count > 1:
         if args.point is None:
@@ -442,9 +424,8 @@ def _cmd_export_dot(args) -> int:
             raise InputError("input JSON does not describe a quiver")
     elif args.group:
         group = build_group(args.group)
-        config = _config(args)
         named = _named(args, group.name, args.full)
-        result = (enumerate_full if args.full else enumerate_unital)(group, config, named)
+        result = (enumerate_full if args.full else enumerate_unital)(group, named, cap=args.cap)
         quiver = result.quiver
     else:
         raise InputError("export-dot needs --input or --group")
@@ -475,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         if input_opt:
             p.add_argument("--input", help="input JSON path")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--cap", type=_positive_int, default=EnumerationConfig().cap,
+        p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
                        help="enumeration size cap")
 
     p = sub.add_parser("enumerate", help="materialise a maximal family as a quiver")

@@ -49,13 +49,6 @@ KEY_DTYPE = np.int32
 KEY_LIMIT = int(np.iinfo(KEY_DTYPE).max)
 
 
-@dataclass(frozen=True)
-class EnumerationConfig:
-    """Limits shared by the kernels: the largest space they may enumerate."""
-
-    cap: int = DEFAULT_CAP
-
-
 #: Keys handled per block by the streaming loops (:func:`component_labels`,
 #: :func:`initial_counts`, materialisation), each asking
 #: :meth:`KeySpace.translation_table` for one block at a time.
@@ -76,7 +69,7 @@ class KeySpace:
     n * |Aut| * (W + K/W) entries.
     """
 
-    def __init__(self, group: FiniteGroup, unital: bool, config: EnumerationConfig):
+    def __init__(self, group: FiniteGroup, unital: bool, *, cap: int = DEFAULT_CAP):
         hol = holomorph(group)
         self.group = group
         self.hol = hol
@@ -86,7 +79,7 @@ class KeySpace:
         self.n = n
         self.radix = radix
         self.size = radix ** (n - 1) if unital else radix**n
-        cap = min(config.cap, KEY_LIMIT)
+        cap = min(cap, KEY_LIMIT)
         if self.size > cap:
             raise ResourceCapError(self.size, cap, "regular subsets")
         weights = [radix ** (n - 1 - c) for c in range(n)]
@@ -247,13 +240,13 @@ class KeySpace:
         return RegularSubset(self.assignment_of(int(key)))
 
 
-def component_labels(space: KeySpace, tables: Sequence[np.ndarray] | None = None) -> np.ndarray:
+def component_labels(space: KeySpace) -> np.ndarray:
     """Per-key component label: the minimal key of the component.
 
     One int32 label array, lowered in place.  Both passes walk
-    :data:`BLOCK_KEYS` blocks; without ``tables`` each block's translates come
-    from :meth:`KeySpace.translation_table` into one reused ``(n, block)``
-    buffer, so no whole-space table is built.  The labels start as the keys
+    :data:`BLOCK_KEYS` blocks; each block's translates come from
+    :meth:`KeySpace.translation_table` into one reused ``(n, block)`` buffer,
+    so no whole-space table is built.  The labels start as the keys
     themselves, so the first pass is the minimum over each block's translates
     with no gather.  The fixpoint pass gathers the labels of each block's
     targets into a block-sized buffer and writes the block's minimum back; it
@@ -264,23 +257,13 @@ def component_labels(space: KeySpace, tables: Sequence[np.ndarray] | None = None
     is already exact because every out-neighbourhood is the whole component;
     the fixpoint pass checks it.
     """
-    if tables is None:
-        in_range = space.translates_in_range()
-        buf = np.empty((space.n, min(BLOCK_KEYS, space.size)), dtype=KEY_DTYPE)
-
-        def translates(lo: int, hi: int) -> np.ndarray:
-            return space.translation_table(lo, hi, out=buf)
-    else:
-        in_range = not any(ta.min() < 0 or ta.max() >= space.size for ta in tables)
-
-        def translates(lo: int, hi: int) -> list[np.ndarray]:
-            return [ta[lo:hi] for ta in tables]
-    if not in_range:
+    if not space.translates_in_range():
         raise AssertionError("a translation image lies outside the key space")
+    buf = np.empty((space.n, min(BLOCK_KEYS, space.size)), dtype=KEY_DTYPE)
     comp = np.arange(space.size, dtype=KEY_DTYPE)
     for lo in range(0, space.size, BLOCK_KEYS):
         block = comp[lo:lo + BLOCK_KEYS]
-        for ta in translates(lo, lo + block.size):
+        for ta in space.translation_table(lo, lo + block.size, out=buf):
             np.minimum(block, ta, out=block)
     gather_buf = np.empty(min(BLOCK_KEYS, space.size), dtype=KEY_DTYPE)
     least_buf = np.empty_like(gather_buf)
@@ -291,7 +274,7 @@ def component_labels(space: KeySpace, tables: Sequence[np.ndarray] | None = None
             block = comp[lo:lo + BLOCK_KEYS]
             least, gathered = least_buf[:block.size], gather_buf[:block.size]
             np.copyto(least, block)
-            for ta in translates(lo, lo + block.size):
+            for ta in space.translation_table(lo, lo + block.size, out=buf):
                 # in range by the check above; "wrap" lets take write without a buffer
                 np.take(comp, ta, out=gathered, mode="wrap")
                 np.minimum(least, gathered, out=least)
@@ -358,7 +341,7 @@ class InvariantTable:
         return problems
 
 
-def invariants(group: FiniteGroup, config: EnumerationConfig | None = None) -> InvariantTable:
+def invariants(group: FiniteGroup, *, cap: int = DEFAULT_CAP) -> InvariantTable:
     """Component-size counts of the maximal unital family, streaming.
 
     The labels of :func:`component_labels` are sorted in place; each
@@ -368,8 +351,7 @@ def invariants(group: FiniteGroup, config: EnumerationConfig | None = None) -> I
     are asserted; initial-vertex counts use the closed form s*(|Aut|-1), which
     :func:`initial_counts` verifies independently against the full family.
     """
-    config = config or EnumerationConfig()
-    space = KeySpace(group, unital=True, config=config)
+    space = KeySpace(group, unital=True, cap=cap)
     comp = component_labels(space)
     comp.sort()  # in place: each component becomes one run, roots ascending
     starts = np.flatnonzero(comp[1:] != comp[:-1]) + 1
@@ -411,15 +393,14 @@ class InitialCountsResult:
     by_size: Mapping[int, int]
 
 
-def initial_counts(group: FiniteGroup, config: EnumerationConfig | None = None) -> InitialCountsResult:
+def initial_counts(group: FiniteGroup, *, cap: int = DEFAULT_CAP) -> InitialCountsResult:
     """Initial-vertex counts per component of the full family, verified.
 
     Checks in_K = s * (|Aut| - 1) for every component, that all arrows of an
     initial vertex land in a single component, and that they are equidistributed
     with |A|/s parallel arrows onto each unital vertex of that component.
     """
-    config = config or EnumerationConfig()
-    space = KeySpace(group, unital=False, config=config)
+    space = KeySpace(group, unital=False, cap=cap)
     comp = component_labels(space)
     k0 = space.unital_size
     radix = space.radix
@@ -602,37 +583,34 @@ def _materialise(group: FiniteGroup, space: KeySpace, named: Mapping[tuple, str]
 
 def enumerate_unital(
     group: FiniteGroup,
-    config: EnumerationConfig | None = None,
     named: Mapping[tuple, str] | None = None,
+    *,
+    cap: int = DEFAULT_CAP,
 ) -> EnumerationResult:
     """Materialise the maximal unital family as one quiver with its structure."""
-    config = config or EnumerationConfig()
-    space = KeySpace(group, unital=True, config=config)
-    return _materialise(group, space, named)
+    return _materialise(group, KeySpace(group, unital=True, cap=cap), named)
 
 
 def enumerate_full(
     group: FiniteGroup,
-    config: EnumerationConfig | None = None,
     named: Mapping[tuple, str] | None = None,
+    *,
+    cap: int = DEFAULT_CAP,
 ) -> EnumerationResult:
     """Materialise the maximal family including initial vertices."""
-    config = config or EnumerationConfig()
-    space = KeySpace(group, unital=False, config=config)
-    return _materialise(group, space, named)
+    return _materialise(group, KeySpace(group, unital=False, cap=cap), named)
 
 
 def component_dsb(result: EnumerationResult, component: int) -> DynamicalSkewBrace:
     """Extract one component as a stand-alone structure, vertices re-indexed."""
-    members = np.array(result.components.members[component], dtype=np.intp)
-    names = [result.vertex_names[v] for v in members]
+    members = result.components.members[component]
+    names = [result.vertex_names[v] for v in members.tolist()]
     return make_dsb(result.group, names, restrict_phi(result.dsb.phi, members), result.dsb.ops[members])
 
 
-def check_partition_constancy(group: FiniteGroup, config: EnumerationConfig | None = None) -> None:
+def check_partition_constancy(group: FiniteGroup, *, cap: int = DEFAULT_CAP) -> None:
     """part(S) is constant on every component of the full family."""
-    config = config or EnumerationConfig()
-    space = KeySpace(group, unital=False, config=config)
+    space = KeySpace(group, unital=False, cap=cap)
     tables = space.translation_table()
     keys = np.arange(space.size, dtype=KEY_DTYPE)
     mat = _partition_matrix(space, keys)

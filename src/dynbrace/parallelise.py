@@ -8,9 +8,11 @@ explicitly, with no choice principle needed at finite scale.  Every axiom
 involved is local to a vertex and its component, so a disconnected groupoid
 is parallelised in one vectorised pass: each component is transported from
 its own base, every check runs once over the whole family, and the group and
-the output checks run once per distinct transported group law.  Complete
-quivers of degree one correspond to ternary operations; pointing one of those
-at a vertex recovers a group.
+the output checks run once per distinct transported group law.  The
+components are laid out once, by one ``connected_components`` call, and the
+transversal and the transport both read that layout.  Complete quivers of
+degree one correspond to ternary operations; pointing one of those at a
+vertex recovers a group.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import InputError
 from .groups import FiniteGroup, make_group
-from .quivers import connected_components, labels, restrict_phi
+from .quivers import ComponentReport, connected_components, restrict_phi
 from .structures import (
     LABEL_DTYPE,
     VERTEX_DTYPE,
@@ -46,50 +48,21 @@ def _require_groupoid(bracoid: SkewBracoid) -> None:
         raise InputError(f"vertex {bracoid.vertex_names[lam]} is initial; need a groupoid")
 
 
-def _require_connected_groupoid(bracoid: SkewBracoid) -> None:
-    _require_groupoid(bracoid)
-    lab = labels(bracoid.phi)
-    if lab.any():
-        a = bracoid.vertex_names[0]
-        b = bracoid.vertex_names[int(np.argmax(lab != 0))]
-        raise InputError(f"quiver is disconnected: no path between {a} and {b}")
-
-
-def _component_layout(base: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Components as runs of equal ``base``, in increasing order of base.
-
-    Returns ``order`` (the vertices component by component, each component in
-    increasing order), ``starts`` (the C + 1 bounds of the components in
-    ``order``), ``comp`` (each vertex's component) and ``rank`` (each vertex's
-    position in its component).
-    """
-    L = base.size
-    order = np.argsort(base, kind="stable")
-    first = np.ones(L, dtype=bool)
-    first[1:] = base[order][1:] != base[order][:-1]
-    starts = np.append(np.flatnonzero(first), L)
-    comp = np.empty(L, dtype=np.intp)
-    comp[order] = np.cumsum(first) - 1
-    rank = np.empty(L, dtype=np.intp)
-    rank[order] = np.arange(L) - starts[comp[order]]
-    return order, starts, comp, rank
-
-
 @dataclass(frozen=True, eq=False)
 class PairSubgroupoid:
     """A wide Schurian subgroupoid: exactly one chosen arrow per ordered pair of
     vertices in the same component.
 
-    ``base[lam]`` is the base vertex of lam's component and ``rank[lam]`` the
-    position of lam among the component's vertices in increasing order;
-    ``arrow_label[lam, rank[mu]]`` is the label at lam of the chosen arrow
-    lam -> mu, and -1 past the size of lam's component.  On a connected
-    bracoid ``rank`` is the identity and ``arrow_label`` the (L, L) table.
+    ``components`` is the bracoid's component layout and ``base[lam]`` the
+    base vertex of lam's component; ``arrow_label[lam, components.rank[mu]]``
+    is the label at lam of the chosen arrow lam -> mu, and -1 past the size of
+    lam's component.  On a connected bracoid the rank is the identity and
+    ``arrow_label`` the (L, L) table.
     """
 
     vertex_names: tuple[str, ...]
+    components: ComponentReport
     base: np.ndarray
-    rank: np.ndarray
     arrow_label: np.ndarray
 
 
@@ -107,18 +80,20 @@ def schurian_transversal(bracoid: SkewBracoid, base: int | str | None = None) ->
     """
     phi, B, units, names = bracoid.phi, bracoid.bullet, bracoid.units, bracoid.vertex_names
     L, n = phi.shape
+    _require_groupoid(bracoid)
+    report = connected_components(bracoid.quiver())
+    order, starts, comp = report.order, report.starts, report.component_of
     if base is None:
-        _require_groupoid(bracoid)
-        report = connected_components(bracoid.quiver())
-        first = np.array([m[0] for m in report.members], dtype=np.intp)
-        zeta = first[np.array(report.component_of, dtype=np.intp)]
+        zeta = order[starts[comp]]
     else:
-        _require_connected_groupoid(bracoid)
+        if report.count > 1:
+            raise InputError(
+                f"quiver is disconnected: no path between {names[0]} and {names[order[starts[1]]]}"
+            )
         z = bracoid.vertex_index(base) if isinstance(base, str) else int(base)
         if not (0 <= z < L):
             raise InputError(f"base vertex {base!r} out of range")
         zeta = np.full(L, z, dtype=np.intp)
-    order, starts, comp, rank = _component_layout(zeta)
 
     lam = np.arange(L, dtype=np.intp)
     at_base = zeta == lam
@@ -156,7 +131,7 @@ def schurian_transversal(bracoid: SkewBracoid, base: int | str | None = None) ->
         diagonal = np.arange(s)
         if not (sub[:, diagonal, diagonal] == units[members]).all():
             raise AssertionError("pair subgroupoid misses a unit")
-    return PairSubgroupoid(names, zeta, rank, arr)
+    return PairSubgroupoid(names, report, zeta, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,7 +220,7 @@ def _parallelise(
             raise InputError("base labelling must be a permutation of the labels")
         maps_base = np.broadcast_to(given, (L, n))
 
-    transversal = pg.arrow_label[zeta, pg.rank].astype(np.intp)
+    transversal = pg.arrow_label[zeta, pg.components.rank].astype(np.intp)
     maps = np.take_along_axis(maps_base, SR[zeta, transversal].astype(np.intp), axis=1)
 
     inv_maps = np.zeros_like(maps)
@@ -270,7 +245,7 @@ def _parallelise(
     ops_new = maps[lam3, B[lam3, old_x, old_b]]
 
     # one group and one structure per distinct (law, identity) of the bases
-    order, starts, comp, _ = _component_layout(zeta)
+    order, starts, comp = pg.components.order, pg.components.starts, pg.components.component_of
     bases = zeta[order[starts[:-1]]]
     laws = np.concatenate(
         [transported[bases].reshape(bases.size, n * n), maps[bases, units[bases]][:, None]], axis=1
@@ -559,9 +534,9 @@ def find_braiding_isomorphism(
     Lb, nb = bracoid_b.phi.shape
     if (La, n) != (Lb, nb):
         return None
-    _require_connected_groupoid(bracoid_a)
-    _require_connected_groupoid(bracoid_b)
+    # each transversal requires its bracoid to be a connected groupoid
     pg = schurian_transversal(bracoid_a, 0)
+    schurian_transversal(bracoid_b, 0)
     trans = pg.arrow_label[0].astype(np.intp)
     phiA, phiB = bracoid_a.phi, bracoid_b.phi
     SRa, SLa = braiding_a.right, braiding_a.left

@@ -14,6 +14,9 @@ minimal vertex indices along arrows in both directions, and
 :func:`component_report` numbers the components by their smallest vertex and
 checks completeness: a component of s vertices is complete of degree d = n/s
 exactly when every member's sorted ``phi`` row changes value every d entries.
+The :class:`ComponentReport` is the one layout of components every caller
+reads: numpy arrays of the vertices in component order, the component starts,
+and each vertex's component and rank, with no per-vertex Python object.
 """
 from __future__ import annotations
 
@@ -191,21 +194,35 @@ class LabelledQuiver(QuiverBase):
         return {(p // nv, p % nv): c for p, c in zip(pairs.tolist(), counts.tolist())}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentReport:
-    """Undirected-connectivity partition with per-component completeness data."""
+    """Undirected-connectivity partition with per-component completeness data.
 
-    component_of: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
+    ``order`` lists the vertices component by component, each component in
+    increasing order, and component c is ``order[starts[c]:starts[c + 1]]``;
+    ``component_of[v]`` is v's component and ``rank[v]`` its position there.
+    The four are read-only intp arrays; ``degrees`` and ``witnesses`` hold one
+    entry per component.
+    """
+
+    component_of: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+    rank: np.ndarray
     degrees: tuple[int | None, ...]
     witnesses: tuple[tuple[int, int] | None, ...]
 
     @property
     def count(self) -> int:
-        return len(self.members)
+        return self.starts.size - 1
 
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(m) for m in self.members)
+        return tuple(np.diff(self.starts).tolist())
+
+    @cached_property
+    def members(self) -> list[np.ndarray]:
+        """Each component's vertices, as views of ``order``."""
+        return np.split(self.order, self.starts[1:-1])
 
 
 def quiver_of_dynamical_set(
@@ -250,6 +267,8 @@ def component_report(phi: np.ndarray, labels: np.ndarray) -> ComponentReport:
     roots, component_of, sizes = np.unique(labels, return_inverse=True, return_counts=True)
     order = np.argsort(component_of, kind="stable")
     starts = np.concatenate(([0], np.cumsum(sizes)))
+    rank = np.empty(nv, dtype=np.intp)
+    rank[order] = np.arange(nv) - starts[component_of[order]]
 
     size_of = sizes[component_of]
     step = np.where(n % size_of == 0, n // size_of, 0)
@@ -264,19 +283,19 @@ def component_report(phi: np.ndarray, labels: np.ndarray) -> ComponentReport:
     lead = roots[failing]
     reference = (phi[lead] == phi[lead, :1]).sum(axis=1)
     # the first deviating member has rank <= n: each earlier rank takes >= 1 arrow
-    rank = np.empty(nv, dtype=np.intp)
-    rank[order] = np.arange(nv) - starts[component_of[order]]
     per_rank = (rank[phi[source]][:, :, None] == np.arange(n + 1)).sum(axis=1)
     target = order[starts[failing] + np.argmax(per_rank != reference[:, None], axis=1)]
     witnesses: list[tuple[int, int] | None] = [None] * roots.size
     for c, v, w in zip(failing.tolist(), source.tolist(), target.tolist()):
         witnesses[c] = (v, w)
 
-    flat, bounds = order.tolist(), starts.tolist()
-    members = tuple(tuple(flat[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
+    for arr in (component_of, order, starts, rank):
+        arr.setflags(write=False)
     return ComponentReport(
-        component_of=tuple(component_of.tolist()),
-        members=members,
+        component_of=component_of,
+        order=order,
+        starts=starts,
+        rank=rank,
         degrees=tuple(None if w else n // s for s, w in zip(sizes.tolist(), witnesses)),
         witnesses=tuple(witnesses),
     )
@@ -285,15 +304,6 @@ def component_report(phi: np.ndarray, labels: np.ndarray) -> ComponentReport:
 def connected_components(quiver: LabelledQuiver) -> ComponentReport:
     """Undirected connectivity; components numbered by smallest member vertex."""
     return component_report(quiver.phi, labels(quiver.phi))
-
-
-def completeness_degree(
-    quiver: LabelledQuiver, report: ComponentReport, component: int
-) -> tuple[int | None, tuple[int, int] | None]:
-    """Degree d of a complete component, or (None, witness pair)."""
-    if not (0 <= component < report.count):
-        raise InputError(f"component {component} out of range")
-    return report.degrees[component], report.witnesses[component]
 
 
 @dataclass(frozen=True)
@@ -311,11 +321,10 @@ def is_homogeneous(quiver: LabelledQuiver, report: ComponentReport | None = None
     if report is None:
         report = connected_components(quiver)
     weight = None
-    for cid in range(report.count):
-        d = report.degrees[cid]
+    for cid, (d, size) in enumerate(zip(report.degrees, report.sizes())):
         if d is None:
             return HomogeneityResult(None, cid)
-        w = d * len(report.members[cid])
+        w = d * size
         if weight is None:
             weight = w
         elif w != weight:

@@ -21,7 +21,6 @@ from .quivers import (
     QuiverBase,
     int_array,
     name_tuple,
-    quiver_of_dynamical_set,
     restrict_phi,
     validate_phi,
 )
@@ -182,7 +181,7 @@ class DynamicalSkewBrace(QuiverBase):
     ops: np.ndarray
 
     def quiver(self) -> LabelledQuiver:
-        return quiver_of_dynamical_set(self.vertex_names, self.group.names, self.phi)
+        return LabelledQuiver(self.vertex_names, self.group.names, self.phi)
 
     def op_table(self, vertex: int | str) -> np.ndarray:
         lam = vertex if isinstance(vertex, int) else self.vertex_index(vertex)
@@ -351,7 +350,7 @@ class SkewBracoid(QuiverBase):
         return bool(self.unital.all())
 
     def quiver(self) -> LabelledQuiver:
-        return quiver_of_dynamical_set(self.vertex_names, self.label_names, self.phi)
+        return LabelledQuiver(self.vertex_names, self.label_names, self.phi)
 
 
 def make_bracoid(vertex_names, label_names, phi, bullet, dot, units, unital) -> SkewBracoid:

@@ -6,11 +6,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import settings
 
-from dynbrace.enumeration import (
-    EnumerationConfig,
-    enumerate_full,
-    enumerate_unital,
-)
+from dynbrace.enumeration import enumerate_full, enumerate_unital
 from dynbrace.groups import build_group
 
 settings.register_profile("suite", deadline=None, max_examples=25)
@@ -24,12 +20,12 @@ def cached_group(name: str):
 
 @lru_cache(maxsize=None)
 def cached_unital(name: str):
-    return enumerate_unital(cached_group(name), EnumerationConfig())
+    return enumerate_unital(cached_group(name))
 
 
 @lru_cache(maxsize=None)
 def cached_full(name: str):
-    return enumerate_full(cached_group(name), EnumerationConfig())
+    return enumerate_full(cached_group(name))
 
 
 @pytest.fixture

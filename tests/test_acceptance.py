@@ -9,7 +9,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from dynbrace.enumeration import (
-    EnumerationConfig,
     KeySpace,
     check_inverse_lemma,
     check_partition_constancy,
@@ -68,7 +67,7 @@ def criterion(number: int, label: str, budget: float | None = None):
 
 def seeded_unital(name):
     group = cached_group(name)
-    return group, enumerate_unital(group, EnumerationConfig(), seeded_names(name, False))
+    return group, enumerate_unital(group, seeded_names(name, False))
 
 
 def test_criterion_01_invariants_cyclic3():
@@ -140,7 +139,7 @@ def test_criterion_05_relation_sweep():
 def test_criterion_06_full_cyclic3():
     with criterion(6, "full cyclic:3 family: initial vertices and their counts"):
         group = build_group("cyclic:3")
-        result = enumerate_full(group, EnumerationConfig(), seeded_names("cyclic:3", True))
+        result = enumerate_full(group, seeded_names("cyclic:3", True))
         initial = [n for n, u in zip(result.vertex_names, result.unital_flags) if not u]
         assert sorted(initial) == ["r0", "r1", "r2", "r3"]
         index = {n: i for i, n in enumerate(result.vertex_names)}
@@ -193,12 +192,11 @@ PROPERTY_PRESETS = [
 
 def test_criterion_09_property_suite():
     with criterion(9, "exhaustive axiom suite over all enumerations at order <= 6", budget=120.0):
-        config = EnumerationConfig()
         for name in PROPERTY_PRESETS:
             group = build_group(name)
             assert group.order <= 6
             for full in (False, True):
-                result = (enumerate_full if full else enumerate_unital)(group, config)
+                result = (enumerate_full if full else enumerate_unital)(group)
                 dsb = result.dsb
                 assert verify_dsb(dsb).passed, (name, full)
                 assert verify_computation_rules(dsb).passed, (name, full)
@@ -211,7 +209,7 @@ def test_criterion_09_property_suite():
                     assert report.check(check_name).passed, (name, full, check_name)
                 if not full:
                     assert report.check("right_nondegenerate").passed, name
-                space = KeySpace(group, unital=not full, config=config)
+                space = KeySpace(group, unital=not full)
                 check_inverse_lemma(space)
                 check_translation_composition(space, space.translation_table())
 

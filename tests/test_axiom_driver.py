@@ -15,7 +15,7 @@ import pytest
 
 from dynbrace import structures
 from dynbrace.cli import main
-from dynbrace.enumeration import EnumerationConfig, enumerate_full
+from dynbrace.enumeration import enumerate_full
 from dynbrace.groups import build_group
 from dynbrace.quivers import connected_components
 from dynbrace.structures import (
@@ -151,7 +151,7 @@ def _traced_peak(fn) -> int:
 def test_verifier_memory_follows_the_block_budget(monkeypatch):
     # cyclic:7 full: 279,936 vertices, 96M (vertex, a, b, c) tuples; one int8
     # (L, n, n, n) tensor alone would take 96 MB.  Not cached: it is large.
-    dsb = enumerate_full(build_group("cyclic:7"), EnumerationConfig()).dsb
+    dsb = enumerate_full(build_group("cyclic:7")).dsb
     bracoid = semiloopoid_of_dsb(dsb, check=False)
     L, n = dsb.phi.shape
     budget = 1 << 16

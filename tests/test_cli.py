@@ -275,12 +275,12 @@ def test_export_dot_seeded_names(capsys):
 
 def test_parallelise_single_component_with_base(tmp_path, capsys):
     from dynbrace.structures import bracoid_to_json, semiloopoid_of_dsb
-    from dynbrace.enumeration import EnumerationConfig, component_dsb, enumerate_unital
+    from dynbrace.enumeration import component_dsb, enumerate_unital
     from dynbrace.families import seeded_names
     from dynbrace.groups import build_group
 
     group = build_group("cyclic:4")
-    result = enumerate_unital(group, EnumerationConfig(), seeded_names("cyclic:4", False))
+    result = enumerate_unital(group, seeded_names("cyclic:4", False))
     cid = next(
         i for i, m in enumerate(result.components.members)
         if {result.vertex_names[v] for v in m} == {"s4", "s5", "s6", "s7"}
@@ -373,11 +373,11 @@ MALFORMED_COMMANDS = {
 
 @pytest.fixture(scope="module")
 def cyclic3_documents():
-    from dynbrace.enumeration import EnumerationConfig, enumerate_unital
+    from dynbrace.enumeration import enumerate_unital
     from dynbrace.groups import build_group
     from dynbrace.structures import bracoid_to_json, dsb_to_json, semiloopoid_of_dsb
 
-    dsb = enumerate_unital(build_group("cyclic:3"), EnumerationConfig()).dsb
+    dsb = enumerate_unital(build_group("cyclic:3")).dsb
     return {"dsb": dsb_to_json(dsb), "bracoid": bracoid_to_json(semiloopoid_of_dsb(dsb))}
 
 

@@ -53,11 +53,11 @@ _NAMED_CACHE = {}
 
 def _named_enumeration(group_name):
     if group_name not in _NAMED_CACHE:
-        from dynbrace.enumeration import EnumerationConfig, enumerate_unital
+        from dynbrace.enumeration import enumerate_unital
         from dynbrace.families import seeded_names
 
         _NAMED_CACHE[group_name] = enumerate_unital(
-            cached_group(group_name), EnumerationConfig(), seeded_names(group_name, False)
+            cached_group(group_name), seeded_names(group_name, False)
         )
     return _NAMED_CACHE[group_name]
 

@@ -195,6 +195,26 @@ def test_checks_run_once_per_family_and_group_law(monkeypatch):
                      "make_group": len(laws), "verify_dsb": len(laws)}
 
 
+def test_one_component_layout_per_call(monkeypatch):
+    # schurian_transversal lays the components out once and _parallelise
+    # reads the same report, with or without a base
+    calls = []
+
+    def counted(quiver):
+        calls.append(quiver)
+        return connected_components(quiver)
+
+    monkeypatch.setattr(par, "connected_components", counted)
+    result = cached_unital("cyclic:4")
+    family = semiloopoid_of_dsb(result.dsb)
+    _, structures = par.parallelise(family)
+    assert len(structures) == result.components.count > 1
+    assert len(calls) == 1
+    members = next(m for m in result.components.members if len(m) == 4)
+    par.parallelise(restrict_bracoid(family, members), 0)
+    assert len(calls) == 2
+
+
 def test_base_labelling_needs_a_base():
     bracoid = semiloopoid_of_dsb(cached_unital("cyclic:3").dsb)
     with pytest.raises(InputError, match="base labelling needs a base"):

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -6,14 +7,17 @@ from hypothesis import given, strategies as st
 
 from dynbrace.errors import InputError
 from dynbrace.quivers import (
-    completeness_degree,
+    component_report,
     connected_components,
     export_dot,
     is_homogeneous,
+    labels,
     quiver_from_json,
     quiver_of_dynamical_set,
     quiver_to_json,
 )
+
+from tests.conftest import cached_unital
 
 # the worked unital family over the order-3 cyclic group:
 # s0 isolated with three loops, s1/s2/s3 a complete degree-1 triangle
@@ -44,14 +48,14 @@ def test_phi_out_of_range_rejected():
 
 def test_components_of_worked_family():
     report = connected_components(Z3_QUIVER)
-    assert report.members == ((0,), (1, 2, 3))
-    assert report.component_of == (0, 1, 1, 1)
+    assert [m.tolist() for m in report.members] == [[0], [1, 2, 3]]
+    assert report.component_of.tolist() == [0, 1, 1, 1]
 
 
 def test_component_numbering_by_smallest_vertex():
     q = quiver_of_dynamical_set(["a", "b", "c"], ["x"], [[2], [1], [0]])
     report = connected_components(q)
-    assert report.members == ((0, 2), (1,))
+    assert [m.tolist() for m in report.members] == [[0, 2], [1]]
 
 
 def test_two_loop_bundles_are_two_components():
@@ -61,8 +65,8 @@ def test_two_loop_bundles_are_two_components():
 
 def test_completeness_degrees():
     report = connected_components(Z3_QUIVER)
-    assert completeness_degree(Z3_QUIVER, report, 0) == (3, None)
-    assert completeness_degree(Z3_QUIVER, report, 1) == (1, None)
+    assert report.degrees == (3, 1)
+    assert report.witnesses == (None, None)
 
 
 def test_degree_two_component():
@@ -71,14 +75,13 @@ def test_degree_two_component():
         ["s2", "s3"], ["0", "1", "2", "3"], [[0, 1, 1, 0], [1, 0, 0, 1]]
     )
     report = connected_components(q)
-    assert completeness_degree(q, report, 0) == (2, None)
+    assert (report.degrees, report.witnesses) == ((2,), (None,))
 
 
 def test_not_complete_witness():
     q = quiver_of_dynamical_set(["a", "b"], ["x", "y"], [[0, 1], [1, 1]])
     report = connected_components(q)
-    d, witness = completeness_degree(q, report, 0)
-    assert d is None and witness == (1, 0)
+    assert (report.degrees, report.witnesses) == ((None,), ((1, 0),))
 
 
 def test_homogeneous_weights():
@@ -182,8 +185,9 @@ def test_random_functional_quivers_partition(nv, nl, rng):
     q = quiver_of_dynamical_set([f"v{i}" for i in range(nv)], [str(a) for a in range(nl)], phi)
     report = connected_components(q)
     component_of, members, degrees, witnesses = _reference_components(phi)
-    assert report.members == members
-    assert report.component_of == component_of
+    assert [m.tolist() for m in report.members] == list(map(list, members))
+    assert report.component_of.tolist() == list(component_of)
+    assert report.rank.tolist() == [members[c].index(v) for v, c in enumerate(component_of)]
     assert report.degrees == degrees
     assert report.witnesses == witnesses
 
@@ -205,6 +209,27 @@ def test_random_complete_quivers_have_degree(s, d, rng):
     assert report.count == blocks
     assert report.degrees == (d,) * blocks
     assert is_homogeneous(q, report).weight == s * d
+
+
+def test_component_report_holds_no_per_vertex_objects():
+    # cyclic:8 unital: 16,384 vertices in 2,093 components; the report keeps
+    # its intp component_of, order and rank arrays, the starts and one
+    # degree and witness per component, within five int arrays of length nv
+    phi = cached_unital("cyclic:8").dsb.phi
+    lab = labels(phi)
+    nv = phi.shape[0]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = component_report(phi, lab)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert report.count == 2093
+    assert retained < 5 * 8 * nv
+    for arr in (report.component_of, report.order, report.starts, report.rank):
+        assert arr.dtype == np.intp and not arr.flags.writeable
+    assert np.array_equal(np.concatenate(report.members), report.order)
 
 
 def test_quiver_phi_is_the_read_only_int32_array():
