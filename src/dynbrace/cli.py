@@ -1,18 +1,29 @@
 """Command-line surface: enumerate, invariants, verify, parallelise, heap, export-dot.
 
 Exit codes: 0 success, 1 verification or assertion failure (witness on stderr),
-2 input error, 3 resource-cap error.  Identical inputs produce byte-identical
-outputs: JSON is emitted with sorted keys and fixed formatting, tables carry no
-timestamps or addresses.
+2 input error, 3 resource-cap error (running out of memory included).
+Identical inputs produce byte-identical outputs: JSON is emitted with sorted
+keys and fixed formatting, tables carry no timestamps or addresses.
+
+A JSON document has the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``
+of its plain-list form, but its tables are laid out straight from the numpy
+arrays by one primitive (:func:`_array_items`): numbers come from a bounded
+table of decimal strings and each level is grouped by C-level joins.  A
+document larger than one block is written key by key and its long tables
+block by block, so neither the whole text nor a list copy of a table is ever
+built.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
-import re
+import math
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+
+import numpy as np
 
 from .enumeration import (
     EnumerationResult,
@@ -26,6 +37,7 @@ from .families import seeded_names
 from .groups import (
     automorphism_group,
     build_group,
+    group_to_json,
     preset_isomorphism_report,
 )
 from .holomorph import DEFAULT_CAP
@@ -45,7 +57,6 @@ from .structures import (
     braiding_quadruples,
     bracoid_from_json,
     dsb_from_json,
-    dsb_to_json,
     restrict_bracoid,
     semiloopoid_of_dsb,
     verify_bracoid,
@@ -55,26 +66,36 @@ from .structures import (
 )
 
 
-# repr of a list of ints, or of a list of int lists
-_INT_LIST_TEXT = re.compile(r"[-0-9\[\], ]*")
 _COMPACT = json.JSONEncoder()
 _STEP = "  "
+# Sequences of more cells than this are written in blocks of about this many.
+_BLOCK_CELLS = 1 << 14
+# Decimal strings are cached for 0 .. _LUT_CAP - 1 at most; larger and
+# negative numbers are converted one by one.
+_LUT_CAP = 1 << 16
+_decimal_lut = np.empty(0, dtype=object)
+_LITERALS = np.array(["false", "true"], dtype=object)
 
 
 class _IndentedEncoder(json.JSONEncoder):
     """The bytes of ``json.dumps(obj, indent=2, sort_keys=True)``, at C speed.
 
     The stdlib encodes every indented document in pure Python, one generator
-    step per token.  Here dicts and mixed lists are laid out in Python, while
-    a list of numbers, bools and nulls is one compact C encoding, and a list
-    of non-empty int lists (the int tables) is one ``repr``; their ``", "``
-    separators then become indented line breaks.  Keys must be strings.
-    Passing it as ``cls`` keeps one ``json.dumps`` call per document, the
-    call perfbench's tracer times as JSON output.
+    step per token.  Here dicts and mixed lists are laid out in Python, a list
+    of numbers, bools and nulls is one compact C encoding, and int and bool
+    arrays (plus the table types below) are laid out from the arrays by
+    :func:`_array_items`.  Keys must be strings.  ``newline`` starts the line
+    the value begins on, so a piece of a larger document can be encoded on
+    its own.  Passing the class as ``cls`` keeps one ``json.dumps`` call per
+    document or block, the call perfbench's tracer times as JSON output.
     """
 
+    def __init__(self, *, newline: str = "\n", **kw):
+        super().__init__(**kw)
+        self.newline = newline
+
     def encode(self, o) -> str:
-        return _layout(o, "\n")
+        return _layout(o, self.newline)
 
 
 def _layout(o, newline: str) -> str:
@@ -83,73 +104,316 @@ def _layout(o, newline: str) -> str:
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if isinstance(o, dict):
-        if not o:
-            return "{}"
-        return "{" + inner + ("," + inner).join(
-            encode_basestring_ascii(k) + ": " + _layout(v, inner) for k, v in sorted(o.items())
-        ) + newline + "}"
+        return _dict_text(((k, _layout(v, inner)) for k, v in sorted(o.items())), newline)
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        text = _table_text(o, newline)
+        text = _scalars_text(o, newline)
         if text is None:
             text = "[" + inner + ("," + inner).join(_layout(v, inner) for v in o) + newline + "]"
         return text
+    if isinstance(o, np.ndarray):
+        return _list_text(*_array_items(_decimals(o), o.shape, newline), newline)
+    if isinstance(o, (_Keyed, _Ragged, _Braiding, _Components)):
+        return o.text(newline)
     if type(o) is int:
         return repr(o)
     return _COMPACT.encode(o)
 
 
-def _table_text(o, newline: str) -> str | None:
-    """Indented text of a non-empty list of numbers, bools and nulls, or of a
-    list of non-empty int lists; None for any other list."""
+def _scalars_text(o, newline: str) -> str | None:
+    """Indented text of a non-empty list of strings, or of numbers, bools and
+    nulls; None for any other list."""
     inner = newline + _STEP
     first = o[0]
-    if type(first) is list and first and type(first[0]) is int:
-        text = repr(o)
-        # every row is a list holding one "[" of its own, so no row nests further
-        if not (_INT_LIST_TEXT.fullmatch(text) and "[]" not in text
-                and text.count("[") == len(o) + 1 and all(type(row) is list for row in o)):
+    if isinstance(first, str):
+        if set(map(type, o)) != {str}:
             return None
-        deeper = inner + _STEP
-        rows = text[2:-2].replace("], [", inner + "]," + inner + "[" + deeper).replace(", ", "," + deeper)
-        return "[" + inner + "[" + deeper + rows + inner + "]" + newline + "]"
-    if isinstance(first, (str, dict, list, tuple)):
+        return "[" + inner + ("," + inner).join(map(encode_basestring_ascii, o)) + newline + "]"
+    if isinstance(first, (dict, list, tuple)):
         return None
-    text = _COMPACT.encode(o)
+    try:
+        text = _COMPACT.encode(o)
+    except TypeError:  # an item the compact encoder does not know, such as an array
+        return None
     if '"' in text or "{" in text or text.find("[", 1) >= 0:
         return None
     return "[" + inner + text[1:-1].replace(", ", "," + inner) + newline + "]"
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, cls=_IndentedEncoder) + "\n"
+def _dict_text(items, newline: str) -> str:
+    """A JSON object from its ``(key, value text)`` pairs, in order."""
+    inner = newline + _STEP
+    body = ("," + inner).join(encode_basestring_ascii(k) + ": " + v for k, v in items)
+    return "{" + inner + body + newline + "}" if body else "{}"
+
+
+def _list_text(head: str, bodies, tail: str, newline: str) -> str:
+    """A JSON list whose item i is ``head + bodies[i] + tail``."""
+    inner = newline + _STEP
+    body = (tail + "," + inner + head).join(bodies)
+    return "[" + inner + head + body + tail + newline + "]" if body else "[]"
+
+
+def _keyed_text(keys, head: str, bodies, tail: str, newline: str) -> str:
+    """A JSON object whose value at ``keys[i]`` (encoded) is ``head + bodies[i] + tail``."""
+    inner = newline + _STEP
+    body = (tail + "," + inner).join(map((": " + head).join, zip(keys, bodies)))
+    return "{" + inner + body + tail + newline + "}" if body else "{}"
+
+
+def _decimals(a: np.ndarray) -> np.ndarray:
+    """The JSON text of every entry of the int or bool array ``a``: a flat
+    object array of strings, in C order."""
+    global _decimal_lut
+    flat = a.ravel()
+    if flat.dtype == np.bool_:
+        return _LITERALS[flat.view(np.uint8)]
+    if not flat.size:
+        return np.empty(0, dtype=object)
+    lo, hi = int(flat.min()), int(flat.max())
+    if _decimal_lut.size <= hi and _decimal_lut.size < _LUT_CAP:
+        size = min(_LUT_CAP, 1 << hi.bit_length())
+        _decimal_lut = np.arange(size).astype(str).astype(object)
+    lut = _decimal_lut
+    if lo >= 0 and hi < lut.size:
+        return lut[flat]
+    far = (flat < 0) | (flat >= lut.size)
+    texts = lut[np.where(far, 0, flat)] if lut.size else np.empty(flat.size, dtype=object)
+    texts[far] = flat[far].astype(str)
+    return texts
+
+
+def _array_items(texts: np.ndarray, shape: tuple, newline: str):
+    """An array of ``shape`` with entry texts ``texts`` (flat, C order) as the
+    items of a list that opens after ``newline``.
+
+    Returns ``(head, bodies, tail)``: item i is ``head + bodies[i] + tail``,
+    and only the bodies differ.  Each level is grouped by C-level joins,
+    innermost first; the separator of a level closes the levels inside it and
+    opens them again, so no item is ever wrapped on its own.
+    """
+    if 0 in shape[1:]:
+        return "", itertools.repeat(_empty_text(shape[1:], newline + _STEP), shape[0]), ""
+    bodies = iter(texts.tolist())
+    head = tail = ""
+    for d in range(len(shape) - 1, 0, -1):
+        inner = newline + _STEP * (d + 1)
+        bodies = map((tail + "," + inner + head).join, zip(*[bodies] * shape[d]))
+        head = "[" + inner + head
+        tail = tail + inner[:-len(_STEP)] + "]"
+    return head, bodies, tail
+
+
+def _empty_text(shape: tuple, newline: str) -> str:
+    """The text of an array of ``shape`` with a zero-length axis."""
+    if not shape[0]:
+        return "[]"
+    inner = newline + _STEP
+    return "[" + inner + ("," + inner).join([_empty_text(shape[1:], inner)] * shape[0]) + newline + "]"
+
+
+class _Keyed:
+    """The JSON object ``{names[i]: table[i]}`` of a name-keyed int table,
+    laid out from the array in sorted name order; ``order`` selects rows."""
+
+    def __init__(self, names, table: np.ndarray, order: np.ndarray | None = None):
+        self.names = np.asarray(names, dtype=object)
+        self.table = table
+        self.order = np.argsort(self.names, kind="stable") if order is None else order
+        self.size = self.order.size * math.prod(table.shape[1:])
+
+    def __len__(self) -> int:
+        return self.order.size
+
+    def __getitem__(self, rows: slice) -> "_Keyed":
+        return _Keyed(self.names, self.table, self.order[rows])
+
+    def text(self, newline: str) -> str:
+        rows = self.table[self.order]
+        keys = map(encode_basestring_ascii, self.names[self.order].tolist())
+        return _keyed_text(keys, *_array_items(_decimals(rows), rows.shape, newline), newline)
+
+
+class _Ragged:
+    """The JSON list of the non-empty int rows ``flat[starts[i]:starts[i + 1]]``."""
+
+    def __init__(self, flat: np.ndarray, starts: np.ndarray):
+        self.flat, self.starts = flat, starts
+        self.size = int(starts[-1] - starts[0])
+
+    def __len__(self) -> int:
+        return self.starts.size - 1
+
+    def __getitem__(self, rows: slice) -> "_Ragged":
+        lo, hi, _ = rows.indices(len(self))
+        return _Ragged(self.flat, self.starts[lo:hi + 1])
+
+    def text(self, newline: str) -> str:
+        lo = self.starts[0]
+        texts = _decimals(self.flat[lo:self.starts[-1]]).tolist()
+        bounds = (self.starts - lo).tolist()
+        inner = newline + _STEP
+        bodies = map(("," + inner + _STEP).join, map(texts.__getitem__, map(slice, bounds[:-1], bounds[1:])))
+        return _list_text("[" + inner + _STEP, bodies, inner + "]", newline)
+
+
+class _Braiding:
+    """``verify``'s braiding, the quadruples of :func:`braiding_quadruples`
+    with each arrow laid out as ``[vertex name, label]``; built per block of
+    source vertices ``lo .. hi - 1``."""
+
+    def __init__(self, bracoid, braiding, lo: int = 0, hi: int | None = None, names=None):
+        self.bracoid, self.braiding = bracoid, braiding
+        self.lo, self.hi = lo, bracoid.vertex_count if hi is None else hi
+        if names is None:
+            names = np.array(list(map(encode_basestring_ascii, bracoid.vertex_names)), dtype=object)
+        self.names = names
+        self.size = (self.hi - self.lo) * bracoid.label_count ** 2 * 8
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def __getitem__(self, rows: slice) -> "_Braiding":
+        lo, hi, _ = rows.indices(len(self))
+        return _Braiding(self.bracoid, self.braiding, self.lo + lo, self.lo + hi, self.names)
+
+    def text(self, newline: str) -> str:
+        codes = braiding_quadruples(self.bracoid, self.braiding, self.lo, self.hi)
+        texts = np.empty(codes.size, dtype=object)
+        texts[0::2] = self.names[codes[..., 0].ravel()]
+        texts[1::2] = _decimals(codes[..., 1])
+        return _list_text(*_array_items(texts, codes.shape, newline), newline)
+
+
+class _Components:
+    """``parallelise --per-component``'s list of structure documents (the
+    text of :func:`_dsb_json` of each).  Components that share a group law
+    are laid out together, one array pass per law, and sliced per component."""
+
+    def __init__(self, structures):
+        self.structures = structures
+        self.size = sum(dsb.phi.size + dsb.ops.size for dsb in structures)
+
+    def __len__(self) -> int:
+        return len(self.structures)
+
+    def __getitem__(self, rows: slice) -> "_Components":
+        return _Components(self.structures[rows])
+
+    def text(self, newline: str) -> str:
+        at = newline + _STEP * 2  # where a component's keys start
+        texts = [""] * len(self.structures)
+        laws: dict[int, list[int]] = {}
+        for i, dsb in enumerate(self.structures):
+            laws.setdefault(id(dsb.group), []).append(i)
+        for law in laws.values():
+            group = _layout(_group_json(self.structures[law[0]].group), at)
+            phi = np.concatenate([self.structures[i].phi for i in law])
+            ops = np.concatenate([self.structures[i].ops for i in law])
+            phi_head, phi_bodies, phi_tail = _array_items(_decimals(phi), phi.shape, at)
+            ops_head, ops_bodies, ops_tail = _array_items(_decimals(ops), ops.shape, at)
+            phi_bodies, ops_bodies = list(phi_bodies), list(ops_bodies)
+            start = 0
+            for i in law:
+                names = self.structures[i].vertex_names
+                stop = start + len(names)
+                order = sorted(range(len(names)), key=names.__getitem__)
+                fields = {
+                    "group": group,
+                    "ops": _keyed_text(map(encode_basestring_ascii, [names[v] for v in order]), ops_head,
+                                       [ops_bodies[start + v] for v in order], ops_tail, at),
+                    "phi": _list_text(phi_head, phi_bodies[start:stop], phi_tail, at),
+                    "vertices": _layout(names, at),
+                }
+                texts[i] = _dict_text(sorted(fields.items()), newline + _STEP)
+                start = stop
+        return _list_text("", texts, "", newline)
+
+
+def _cells(value) -> int:
+    """How many entries ``value`` holds, counting each item of a plain list once."""
+    if isinstance(value, dict):
+        return sum(map(_cells, value.values()))
+    if isinstance(value, (list, tuple)):
+        return len(value)
+    return getattr(value, "size", 1)
+
+
+def _write_json(fh, obj, newline: str = "\n") -> None:
+    """Write the text of ``obj`` laid out after ``newline`` to ``fh``.
+
+    The bytes are those of ``json.dumps(obj, indent=2, sort_keys=True)`` for
+    the lists the arrays and tables stand for.  A dict holding more than
+    :data:`_BLOCK_CELLS` cells is written key by key, a longer list, array or
+    table in blocks of rows of about that many cells, anything else whole; each
+    piece is one ``json.dumps`` call, so the whole document never exists at
+    once.  A block is a non-empty value of the same kind, so its text less
+    its brackets is a run of the whole's items.
+    """
+    cells = _cells(obj)
+    if cells <= _BLOCK_CELLS:
+        fh.write(json.dumps(obj, cls=_IndentedEncoder, newline=newline))
+        return
+    inner = newline + _STEP
+    if isinstance(obj, dict):
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            fh.write(("," if i else "{") + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(fh, value, inner)
+        fh.write(newline + "}")
+        return
+    rows = max(1, _BLOCK_CELLS * len(obj) // cells)
+    for lo in range(0, len(obj), rows):
+        text = json.dumps(obj[lo:lo + rows], cls=_IndentedEncoder, newline=newline)
+        fh.write(text[:-len(newline) - 1] if lo == 0 else "," + inner + text[len(inner) + 1:-len(newline) - 1])
+    fh.write(newline + text[-1])
 
 
 def _emit(text: str, out: str | None) -> None:
     _write(out, lambda fh: fh.write(text))
 
 
+def _emit_json(obj, out: str | None) -> None:
+    def write(fh):
+        _write_json(fh, obj)
+        fh.write("\n")
+
+    _write(out, write)
+
+
 def _write(out: str | None, write) -> None:
-    """Call ``write`` on the ``--out`` file, or on stdout when there is none."""
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                write(fh)
-        except OSError as exc:
-            raise InputError(f"cannot write {out}: {exc.strerror or exc}") from None
-    else:
+    """Call ``write`` on the ``--out`` file, or on stdout when there is none.
+
+    Writers stream, so a failure can come after the first bytes; the file is
+    then removed rather than left truncated.
+    """
+    if not out:
         write(sys.stdout)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            try:
+                write(fh)
+            except BaseException:
+                fh.close()
+                Path(out).unlink(missing_ok=True)
+                raise
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
-def _write_components(fh, structures) -> None:
-    """``_dumps({"components": [...]})`` of the structures, one component at a time."""
-    fh.write('{\n  "components": [\n')
-    for k, dsb in enumerate(structures):
-        if k:
-            fh.write(",\n")
-        fh.write("    " + json.dumps(dsb_to_json(dsb), cls=_IndentedEncoder).replace("\n", "\n    "))
-    fh.write("\n  ]\n}\n")
+def _group_json(group) -> dict:
+    return dict(group_to_json(group), table=np.asarray(group.table))
+
+
+def _dsb_json(dsb) -> dict:
+    """:func:`dsb_to_json` with its tables as arrays."""
+    return {
+        "group": _group_json(dsb.group),
+        "vertices": dsb.vertex_names,
+        "phi": dsb.phi,
+        "ops": _Keyed(dsb.vertex_names, dsb.ops),
+    }
 
 
 def _load_json(path: str):
@@ -174,13 +438,13 @@ def _named(args, group_name: str, full: bool):
 
 
 def _enumeration_json(result: EnumerationResult) -> dict:
-    data = dsb_to_json(result.dsb)
-    data["aut"] = [list(a.images) for a in automorphism_group(result.group)]
-    data["assignments"] = result.assignments.tolist()
-    data["unital"] = result.unital_flags.tolist()
+    data = _dsb_json(result.dsb)
+    data["aut"] = np.array([a.images for a in automorphism_group(result.group)])
+    data["assignments"] = result.assignments
+    data["unital"] = result.unital_flags
     data["components"] = {
-        "members": [m.tolist() for m in result.components.members],
-        "degrees": [d for d in result.components.degrees],
+        "members": _Ragged(result.components.order, result.components.starts),
+        "degrees": list(result.components.degrees),
     }
     return data
 
@@ -195,7 +459,7 @@ def _cmd_enumerate(args) -> int:
         data = _enumeration_json(result)
         if in_result is not None:
             data["initial_counts"] = {str(s): c for s, c in in_result.by_size.items()}
-        _emit(_dumps(data), args.out)
+        _emit_json(data, args.out)
         return 0
 
     lines = [
@@ -237,12 +501,13 @@ def _cmd_invariants(args) -> int:
         }
         if table.partitions is not None:
             data["partitions"] = [
-                {"size": s, "representative": list(rep), "partition": list(profile)}
+                {"size": s, "representative": np.array(rep, dtype=np.int64),
+                 "partition": np.array(profile, dtype=np.int64)}
                 for s, rep, profile in table.partitions
             ]
         else:
             data["partitions_omitted"] = table.partitions_omitted
-        _emit(_dumps(data), args.out)
+        _emit_json(data, args.out)
         return 0
 
     lines = [
@@ -324,8 +589,8 @@ def _cmd_verify(args) -> int:
             },
         }
         if braiding is not None and not failed:
-            payload["braiding"] = braiding_quadruples(bracoid, braiding)
-        _emit(_dumps(payload), args.out)
+            payload["braiding"] = _Braiding(bracoid, braiding)
+        _emit_json(payload, args.out)
         return 1 if failed else 0
 
     out_lines = []
@@ -349,13 +614,13 @@ def _cmd_parallelise(args) -> int:
     bracoid = _load_bracoid(args.input)
     if args.per_component:
         _, structures = parallelise(bracoid)
-        _write(args.out, lambda fh: _write_components(fh, structures))
+        _emit_json({"components": _Components(structures)}, args.out)
         return 0
 
     if args.base is None:
         raise InputError("parallelise needs --base (or --per-component)")
     _, dsb = parallelise(bracoid, args.base)
-    _emit(_dumps(dsb_to_json(dsb)), args.out)
+    _emit_json(_dsb_json(dsb), args.out)
     return 0
 
 
@@ -378,18 +643,18 @@ def _cmd_heap(args) -> int:
         pointed = {
             "base": args.point,
             "identity": group.identity,
-            "table": [list(row) for row in group.table],
+            "table": np.asarray(group.table),
             "isomorphic_to": preset_isomorphism_report(group),
         }
 
     if args.json:
         payload = {
             "elements": list(heap.names),
-            "table": [[list(map(int, row)) for row in plane] for plane in heap.table],
+            "table": heap.table,
         }
         if pointed is not None:
             payload["pointed"] = pointed
-        _emit(_dumps(payload), args.out)
+        _emit_json(payload, args.out)
         return 0
 
     m = heap.size
@@ -512,6 +777,9 @@ def main(argv=None) -> int:
         return 2
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("resource cap exceeded: out of memory", file=sys.stderr)
         return 3
     except AssertionError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

@@ -274,8 +274,10 @@ def component_report(phi: np.ndarray, labels: np.ndarray) -> ComponentReport:
     step = np.where(n % size_of == 0, n // size_of, 0)
     sorted_rows = np.sort(phi, axis=1)
     changes = sorted_rows[:, 1:] != sorted_rows[:, :-1]
-    expected = np.arange(1, n)[None, :] % np.maximum(step, 1)[:, None] == 0
-    bad_row = (step == 0) | (changes != expected).any(axis=1)
+    # divides[d, j]: whether d divides j + 1 (row 0, for rows with no step, is row 1)
+    divides = np.arange(1, n) % np.maximum(np.arange(n + 1), 1)[:, None] == 0
+    changes ^= divides[step]
+    bad_row = (step == 0) | changes.any(axis=1)
 
     bad_vertices = np.flatnonzero(bad_row)
     failing, first = np.unique(component_of[bad_vertices], return_index=True)

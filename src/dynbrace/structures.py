@@ -763,23 +763,27 @@ def verify_braiding(bracoid: SkewBracoid, braiding: QuiverBraiding) -> Report:
     return Report(tuple(checks))
 
 
-def braiding_quadruples(bracoid: SkewBracoid, braiding: QuiverBraiding) -> list[list]:
-    """The braiding as a sorted list of [x, y, x->y, x<-y] with arrows as
-    [vertex name, label] pairs."""
-    out = []
-    names = bracoid.vertex_names
-    L, n = bracoid.phi.shape
-    for lam in range(L):
-        for a in range(n):
-            mu = int(bracoid.phi[lam, a])
-            for b in range(n):
-                r = int(braiding.right[lam, a, b])
-                l = int(braiding.left[lam, a, b])
-                w = int(bracoid.phi[lam, r])
-                out.append(
-                    [[names[lam], a], [names[mu], b], [names[lam], r], [names[w], l]]
-                )
-    return out
+def braiding_quadruples(
+    bracoid: SkewBracoid, braiding: QuiverBraiding, lo: int = 0, hi: int | None = None
+) -> np.ndarray:
+    """The braiding on the composable pairs whose first arrow leaves a vertex
+    in ``lo .. hi - 1``, as an ``(m, 4, 2)`` intp array of quadruples
+    [x, y, x->y, x<-y], each arrow a (vertex, label) pair, ordered by source
+    vertex and the labels of x and y."""
+    phi = bracoid.phi
+    hi = phi.shape[0] if hi is None else hi
+    n = phi.shape[1]
+    m = hi - lo
+    right, left = braiding.right[lo:hi], braiding.left[lo:hi]
+    out = np.empty((m, n, n, 4, 2), dtype=np.intp)
+    out[..., 0, 0] = out[..., 2, 0] = np.arange(lo, hi)[:, None, None]
+    out[..., 0, 1] = np.arange(n)[:, None]
+    out[..., 1, 0] = phi[lo:hi, :, None]
+    out[..., 1, 1] = np.arange(n)
+    out[..., 2, 1] = right
+    out[..., 3, 0] = np.take_along_axis(phi[lo:hi], right.reshape(m, n * n), axis=1).reshape(m, n, n)
+    out[..., 3, 1] = left
+    return out.reshape(m * n * n, 4, 2)
 
 
 # ---------------------------------------------------------------------------

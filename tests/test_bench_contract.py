@@ -64,8 +64,31 @@ def test_tracer_sees_the_transport_layers(tmp_path):
             "quivers.connected_components", "cli.json_encode"} <= set(names)
     # Four components with two distinct group laws.  The input's group and its
     # structure check come first; then one bracoid check for the whole family,
-    # and one group and one output check per law.
+    # and one group and one output check per law.  The output document is
+    # smaller than one writer block, so it is encoded by one call.
     assert names["parallelise.parallelise"] == 1
     assert names["groups.make_group"] == 1 + 2
-    assert names["cli.json_encode"] == 4
+    assert names["cli.json_encode"] == 1
     assert record["counts"]["structures.verify.calls"] == 1 + 1 + 2
+
+
+def test_tracer_sees_the_json_writer(tmp_path):
+    # JSON output is timed as ``cli.json_encode``: the streamed enumerate
+    # writer still encodes through ``json.dumps`` on ``cli.json``, once per
+    # key or block, and those calls produce nearly every byte of the file.
+    spans_path = tmp_path / "spans.json"
+    out = tmp_path / "d3.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans_path),
+         "--", "enumerate", "--group", "dihedral:3", "--json", "--out", str(out)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(spans_path.read_text(encoding="utf-8"))
+    names = Counter(span["name"] for span in record["spans"])
+    size = out.stat().st_size
+    # ops (7,776 tables of 36 labels) alone is more than one block
+    assert names["cli.json_encode"] > 2
+    assert 0.99 * size < record["counts"]["cli.json_encode.bytes"] < size

@@ -52,6 +52,51 @@ def test_cap_exceeded_is_resource_error(capsys):
     assert "cap" in err
 
 
+def test_memory_error_is_resource_error(tmp_path, capsys, monkeypatch):
+    import dynbrace.cli
+
+    def fail(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(dynbrace.cli, "enumerate_unital", fail)
+    code, out, err = run(capsys, "enumerate", "--group", "cyclic:3", "--json")
+    assert (code, out, err) == (3, "", "resource cap exceeded: out of memory\n")
+
+    # a streamed --out file that fails part way is removed, not left truncated
+    def fail_after_the_first_key(fh, obj, newline="\n"):
+        fh.write("{")
+        raise MemoryError
+
+    monkeypatch.undo()
+    monkeypatch.setattr(dynbrace.cli, "_write_json", fail_after_the_first_key)
+    path = tmp_path / "z3.json"
+    code, out, err = run(capsys, "enumerate", "--group", "cyclic:3", "--json", "--out", str(path))
+    assert (code, out, err) == (3, "", "resource cap exceeded: out of memory\n")
+    assert not path.exists()
+
+
+def test_out_of_memory_child_exits_3_without_a_traceback(tmp_path):
+    # Only the child runs under a 400 MB address-space limit (about 105 MB is
+    # the interpreter with numpy): the (2^21, 8, 8) int16 ops table of the
+    # prod:cyclic:2,cyclic:4 family (256 MiB) cannot be allocated next to the
+    # enumeration's other arrays.
+    import resource
+
+    limit = 400 * 1024 * 1024
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    path = tmp_path / "c2c4.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dynbrace.cli", "enumerate", "--group", "prod:cyclic:2,cyclic:4",
+         "--json", "--out", str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "resource cap exceeded: out of memory\n")
+    assert not path.exists()
+
+
 def test_enumerate_text(capsys):
     code, out, _ = run(capsys, "enumerate", "--group", "cyclic:3")
     assert code == 0

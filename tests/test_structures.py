@@ -388,9 +388,15 @@ def test_braiding_quadruples_shape(z3):
     bracoid = semiloopoid_of_dsb(dsb)
     braiding = braiding_of_qtsb(bracoid)
     quads = braiding_quadruples(bracoid, braiding)
-    assert len(quads) == dsb.vertex_count * 9
-    x, y, r, l = quads[0]
-    assert x[0] in dsb.vertex_names and isinstance(x[1], int)
+    assert quads.shape == (dsb.vertex_count * 9, 4, 2)
+    # one quadruple per composable pair, by source vertex and the two labels
+    for k, (x, y, r, l) in enumerate(quads.tolist()):
+        lam, a, b = k // 9, k // 3 % 3, k % 3
+        assert x == [lam, a] and y == [int(bracoid.phi[lam, a]), b]
+        assert (x[0], r[1], l[0], l[1]) == braiding.apply(bracoid, lam, a, b)
+        assert r[0] == lam
+    # a range of source vertices is that slice of the whole
+    assert np.array_equal(braiding_quadruples(bracoid, braiding, 1, 2), quads[9:18])
 
 
 @given(st.sampled_from(["cyclic:3", "cyclic:4", "cyclic:5", "klein4"]), st.randoms())
