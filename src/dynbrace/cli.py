@@ -421,6 +421,10 @@ def _load_json(path: str):
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"{path} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(data, dict):
@@ -721,8 +725,9 @@ def build_parser() -> argparse.ArgumentParser:
         if input_opt:
             p.add_argument("--input", help="input JSON path")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
-                       help="enumeration size cap")
+        if group_opt:  # only the commands that enumerate read a cap
+            p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
+                           help="enumeration size cap")
 
     p = sub.add_parser("enumerate", help="materialise a maximal family as a quiver")
     common(p)

@@ -10,9 +10,10 @@ the target key depends only on (a, f_a, f_b).  Summing those shares over the
 low and over the high digits of a key ``h * W + l`` gives tables
 ``low[a, f, l]`` and ``high[a, f, h]``, and a translate is
 ``high[a, f_a, h] + low[a, f_a, l]``: two lookups and one add.  The kernel,
-:meth:`KeySpace.translation_table`, fills the translates of any key range, and
-every streaming loop asks it for one block at a time, so the census never holds
-a whole-space table.  Component structure comes from minimum propagation along
+:meth:`KeySpace.translation_table`, fills the translates of a run of whole high
+rows, and every streaming loop asks it for one block of rows at a time through
+one block iterator and one reused buffer, so the census never holds a
+whole-space table.  Component structure comes from minimum propagation along
 translation images in one int32 label array: a gather-free first pass, exact on
 unital spaces because their components are complete quivers, then a fixpoint
 pass lowered in place block by block.  The component sizes are the run lengths
@@ -24,12 +25,12 @@ vertex); a regular subset is built when a caller reads one from
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ResourceCapError
+from .errors import ResourceCapError
 from .groups import FiniteGroup
 from .holomorph import DEFAULT_CAP, RegularSubset, holomorph
 from .quivers import ComponentReport, LabelledQuiver, component_report, restrict_phi
@@ -49,9 +50,9 @@ KEY_DTYPE = np.int32
 KEY_LIMIT = int(np.iinfo(KEY_DTYPE).max)
 
 
-#: Keys handled per block by the streaming loops (:func:`component_labels`,
-#: :func:`initial_counts`, materialisation), each asking
-#: :meth:`KeySpace.translation_table` for one block at a time.
+#: Keys per block of the streaming loops (:func:`component_labels`,
+#: :func:`initial_counts`, materialisation, :func:`check_partition_constancy`),
+#: rounded down to whole high rows of W keys and up to at least one row.
 BLOCK_KEYS = 1 << 16
 #: Bound on W, the number of low values of the two-level contribution table.
 LOW_KEYS = 4096
@@ -61,9 +62,9 @@ class KeySpace:
     """Packed key arithmetic for the unital or the full assignment space.
 
     A key is split as ``h * W + l``: l holds the last j digits, where W = |Aut|^j
-    is the largest power of |Aut| not above :data:`LOW_KEYS` that uses at most
-    the nonzero-weight digits, and h holds the rest.  For every label a the
-    space keeps ``low[a, f, l]`` and ``high[a, f, h]``, the shares of the low
+    is the largest power of |Aut| not above :data:`LOW_KEYS` with j <= n - 1,
+    and h holds the rest, the identity's digit always among them.  For every
+    label a the space keeps ``low[a, f, l]`` and ``high[a, f, h]``, the shares of the low
     and the high pairs of S in the key of its translate along a when f_a = f,
     so a translate is two lookups and one add.  Both tables together have
     n * |Aut| * (W + K/W) entries.
@@ -90,10 +91,10 @@ class KeySpace:
         self._act = np.array([a.images for a in hol.auts], dtype=LABEL_DTYPE)
         self._comp = np.array(hol.comp, dtype=LABEL_DTYPE)
         self._ainv = np.array(hol.ainv, dtype=LABEL_DTYPE)
-        # j low digits; bounded by the digit count, since radix 1 never exceeds LOW_KEYS
+        # j low digits, at most n - 1 (radix 1 never exceeds LOW_KEYS), so the
+        # identity's digit is high and k0 = |Aut|^(n-1) is a row boundary
         low_digits = 0
-        digit_count = n - 1 if unital else n
-        while low_digits < digit_count and radix ** (low_digits + 1) <= LOW_KEYS:
+        while low_digits < n - 1 and radix ** (low_digits + 1) <= LOW_KEYS:
             low_digits += 1
         self.low_size = radix**low_digits
         self.high_size = self.size // self.low_size
@@ -146,17 +147,7 @@ class KeySpace:
     # -- scalar conversions --------------------------------------------------
 
     def assignment_of(self, key: int) -> tuple[int, ...]:
-        out = []
-        for c in range(self.n):
-            w = int(self.weights[c])
-            out.append((key // w) % self.radix if w else 0)
-        return tuple(out)
-
-    def key_of(self, assignment: Iterable[int]) -> int:
-        assignment = tuple(assignment)
-        if self.unital and assignment[self.group.identity] != 0:
-            raise InputError("assignment is not unital")
-        return int(sum(int(d) * int(w) for d, w in zip(assignment, self.weights)))
+        return tuple((key // w) % self.radix if w else 0 for w in self.weights.tolist())
 
     # -- vectorised kernels ----------------------------------------------------
 
@@ -169,59 +160,40 @@ class KeySpace:
     def digits(self, keys: np.ndarray) -> list[np.ndarray]:
         return [self.digit(keys, c) for c in range(self.n)]
 
-    def translate_keys(self, keys: np.ndarray, a: int) -> np.ndarray:
-        """Key of the translation target along the arrow labelled ``a``.
-
-        ``high[a, f_a, h] + low[a, f_a, l]`` for the key ``h * W + l``, where
-        f_a is read from whichever part holds digit a.
-        """
-        high, low = np.divmod(np.asarray(keys, dtype=KEY_DTYPE), KEY_DTYPE(self.low_size))
-        f = self._part_digit(low if a >= self._split else high, a)
-        return self._high[a][f, high] + self._low[a][f, low]
-
     def translation_table(
         self, lo: int = 0, hi: int | None = None, out: np.ndarray | None = None
     ) -> np.ndarray:
         """Translation images of the keys ``[lo, hi)``, one row per label.
 
         Returns an ``(n, hi - lo)`` array, row a holding the translates along
-        a; with no range that is the whole-space table.  ``out``, an ``(n, m)``
-        buffer with m >= hi - lo, is filled and its leading columns returned.
-        The range is cut into at most three rectangles of high rows by low
-        columns (a partial first row, whole rows, a partial last row).  When
-        digit a is low, every row of a rectangle is the same gather of high
-        columns by f_a(l) plus a row of the own shares ``low[a, f_a(l), l]``;
-        when it is high, each row is one row of low shares plus the own share
+        a; with no range that is the whole-space table.  The range must be
+        whole high rows: ``lo`` and ``hi`` multiples of W (K is one).  ``out``,
+        an ``(n, m)`` buffer with m >= hi - lo, is filled and its leading
+        columns returned.  Row a, viewed as high rows by low columns, is one
+        rectangle: when digit a is low, every row is the same gather of high
+        shares by f_a(l) plus the own shares ``low[a, f_a(l), l]``; when it is
+        high, each row is one row of low shares plus the own share
         ``high[a, f_a(h), h]``.
         """
         hi = self.size if hi is None else hi
+        width = self.low_size
+        if not 0 <= lo <= hi <= self.size or lo % width or hi % width:
+            raise ValueError(f"keys [{lo}, {hi}) are not whole rows of {width} keys")
         if out is None:
             out = np.empty((self.n, hi - lo), dtype=KEY_DTYPE)
         else:
             out = out[:, :hi - lo]
-        width = self.low_size
-        rectangles = []
-        start = lo
-        while start < hi:
-            h, l = divmod(start, width)
-            if l or hi - start < width:
-                stop = min(hi, (h + 1) * width)
-                rectangles.append((start - lo, h, h + 1, l, stop - h * width))
-            else:
-                stop = start + (hi - start) // width * width
-                rectangles.append((start - lo, h, stop // width, 0, width))
-            start = stop
+        h0, h1 = lo // width, hi // width
         # every f below is a digit in [0, radix); "wrap" lets take write without a buffer
         for a in range(self.n):
             f, own = self._own_digit[a], self._own_share[a]
-            for at, h0, h1, l0, l1 in rectangles:
-                block = out[a, at:at + (h1 - h0) * (l1 - l0)].reshape(h1 - h0, l1 - l0)
-                if a >= self._split:
-                    np.take(self._high[a, :, h0:h1].T, f[l0:l1], axis=1, out=block, mode="wrap")
-                    block += own[l0:l1]
-                else:
-                    np.take(self._low[a, :, l0:l1], f[h0:h1], axis=0, out=block, mode="wrap")
-                    block += own[h0:h1, None]
+            block = out[a].reshape(h1 - h0, width)
+            if a >= self._split:
+                np.take(self._high[a, :, h0:h1].T, f, axis=1, out=block, mode="wrap")
+                block += own
+            else:
+                np.take(self._low[a], f[h0:h1], axis=0, out=block, mode="wrap")
+                block += own[h0:h1, None]
         return out
 
     def translates_in_range(self) -> bool:
@@ -236,45 +208,56 @@ class KeySpace:
         most = self._high.max(axis=2).astype(wide) + self._low.max(axis=2)
         return bool(least.min() >= 0 and most.max() < self.size)
 
-    def subset_of(self, key: int) -> RegularSubset:
-        return RegularSubset(self.assignment_of(int(key)))
+
+def _block_buffer(space: KeySpace) -> np.ndarray:
+    """The ``(n, block)`` buffer of :func:`_blocks`: ``max(1, BLOCK_KEYS // W)``
+    whole high rows, or the whole space when that is smaller."""
+    rows = max(1, BLOCK_KEYS // space.low_size)
+    return np.empty((space.n, min(rows * space.low_size, space.size)), dtype=KEY_DTYPE)
+
+
+def _blocks(space: KeySpace, buf: np.ndarray, lo: int = 0):
+    """``(lo, hi, translates)`` per block of the keys ``[lo, K)``, each block's
+    translates written into ``buf`` by :meth:`KeySpace.translation_table`."""
+    for start in range(lo, space.size, buf.shape[1]):
+        stop = min(start + buf.shape[1], space.size)
+        yield start, stop, space.translation_table(start, stop, out=buf)
 
 
 def component_labels(space: KeySpace) -> np.ndarray:
     """Per-key component label: the minimal key of the component.
 
-    One int32 label array, lowered in place.  Both passes walk
-    :data:`BLOCK_KEYS` blocks; each block's translates come from
-    :meth:`KeySpace.translation_table` into one reused ``(n, block)`` buffer,
-    so no whole-space table is built.  The labels start as the keys
-    themselves, so the first pass is the minimum over each block's translates
-    with no gather.  The fixpoint pass gathers the labels of each block's
-    targets into a block-sized buffer and writes the block's minimum back; it
-    repeats until a whole pass changes nothing.  Labels only decrease and
-    always name a key reachable from their vertex, and a pass without change
-    leaves every label at most the labels of its targets, so each label is the
-    minimum over the forward-reachable set.  For unital spaces the first pass
-    is already exact because every out-neighbourhood is the whole component;
-    the fixpoint pass checks it.
+    One int32 label array, lowered in place.  Both passes walk the blocks of
+    :func:`_blocks`, whole high rows whose translates fill one ``(n, block)``
+    buffer reused across passes, so no whole-space table is built.  The labels
+    start as the keys themselves, so the first pass is the minimum over each
+    block's translates with no gather.  The fixpoint pass gathers the labels
+    of each block's targets into a block-sized buffer and writes the block's
+    minimum back; it repeats until a whole pass changes nothing.  Labels only
+    decrease and always name a key reachable from their vertex, and a pass
+    without change leaves every label at most the labels of its targets, so
+    each label is the minimum over the forward-reachable set.  For unital
+    spaces the first pass is already exact because every out-neighbourhood is
+    the whole component; the fixpoint pass checks it.
     """
     if not space.translates_in_range():
         raise AssertionError("a translation image lies outside the key space")
-    buf = np.empty((space.n, min(BLOCK_KEYS, space.size)), dtype=KEY_DTYPE)
+    buf = _block_buffer(space)
     comp = np.arange(space.size, dtype=KEY_DTYPE)
-    for lo in range(0, space.size, BLOCK_KEYS):
-        block = comp[lo:lo + BLOCK_KEYS]
-        for ta in space.translation_table(lo, lo + block.size, out=buf):
+    for lo, hi, targets in _blocks(space, buf):
+        block = comp[lo:hi]
+        for ta in targets:
             np.minimum(block, ta, out=block)
-    gather_buf = np.empty(min(BLOCK_KEYS, space.size), dtype=KEY_DTYPE)
+    gather_buf = np.empty(buf.shape[1], dtype=KEY_DTYPE)
     least_buf = np.empty_like(gather_buf)
     changed = True
     while changed:
         changed = False
-        for lo in range(0, space.size, BLOCK_KEYS):
-            block = comp[lo:lo + BLOCK_KEYS]
+        for lo, hi, targets in _blocks(space, buf):
+            block = comp[lo:hi]
             least, gathered = least_buf[:block.size], gather_buf[:block.size]
             np.copyto(least, block)
-            for ta in space.translation_table(lo, lo + block.size, out=buf):
+            for ta in targets:
                 # in range by the check above; "wrap" lets take write without a buffer
                 np.take(comp, ta, out=gathered, mode="wrap")
                 np.minimum(least, gathered, out=least)
@@ -402,9 +385,7 @@ def initial_counts(group: FiniteGroup, *, cap: int = DEFAULT_CAP) -> InitialCoun
     """
     space = KeySpace(group, unital=False, cap=cap)
     comp = component_labels(space)
-    k0 = space.unital_size
-    radix = space.radix
-    n = space.n
+    k0, radix, n = space.unital_size, space.radix, space.n
 
     unital_roots, unital_sizes = np.unique(comp[:k0], return_counts=True)
     size_of_root = {int(r): int(s) for r, s in zip(unital_roots, unital_sizes)}
@@ -412,16 +393,14 @@ def initial_counts(group: FiniteGroup, *, cap: int = DEFAULT_CAP) -> InitialCoun
     root_size_arr[unital_roots] = unital_sizes
 
     per_component: dict[int, int] = {int(r): 0 for r in unital_roots}
-    buf = np.empty((n, min(BLOCK_KEYS, space.size - k0)), dtype=KEY_DTYPE)
-    for lo in range(k0, space.size, BLOCK_KEYS):
-        hi = min(lo + BLOCK_KEYS, space.size)
+    # k0 is a row boundary: the initial keys are whole high rows
+    for lo, hi, targets in _blocks(space, _block_buffer(space), k0):
         labels = comp[lo:hi]
         if labels.max(initial=0) >= k0:
             raise AssertionError("an initial vertex is attached to no unital component")
         roots, counts = np.unique(labels, return_counts=True)
         for r, c in zip(roots.tolist(), counts.tolist()):
             per_component[r] += int(c)
-        targets = space.translation_table(lo, hi, out=buf)  # (n, block)
         # every arrow of an initial vertex stays in its component
         for ta in targets:
             if not np.array_equal(comp[ta], labels):
@@ -480,15 +459,15 @@ def check_inverse_lemma(space: KeySpace) -> None:
     """
     keys = np.arange(space.size, dtype=KEY_DTYPE)
     digits = space.digits(keys)
+    tables = space.translation_table()
     unital = digits[space.group.identity] == 0
     inv = np.array(space.group.inverses, dtype=np.intp)
     for a in range(space.n):
         fa = digits[a].astype(np.intp)
         fi = space._ainv[fa].astype(np.intp)
         pos = inv[space._act[fi, a].astype(np.intp)]
-        target = space.translate_keys(keys, a)
         w = space.weights[pos]
-        observed = np.where(w > 0, (target // np.where(w > 0, w, 1)) % space.radix, 0)
+        observed = np.where(w > 0, (tables[a] // np.where(w > 0, w, 1)) % space.radix, 0)
         ok = ~unital | (observed.astype(np.intp) == fi)
         if not ok.all():
             bad = int(np.argwhere(~ok)[0][0])
@@ -539,20 +518,19 @@ def _materialise(group: FiniteGroup, space: KeySpace, named: Mapping[tuple, str]
 
     # phi, digits and ops per key block, straight into their final dtype
     phi = np.empty((size, n), dtype=VERTEX_DTYPE)
-    buf = np.empty((n, min(BLOCK_KEYS, size)), dtype=KEY_DTYPE)
     digits = np.empty((size, n), dtype=LABEL_DTYPE)
     ops = np.empty((size, n, n), dtype=LABEL_DTYPE)
     mul = np.array(group.table, dtype=LABEL_DTYPE)
     rows = np.arange(n, dtype=np.intp)[:, None]
-    for lo in range(0, size, BLOCK_KEYS):
-        keys = np.arange(lo, min(lo + BLOCK_KEYS, size), dtype=KEY_DTYPE)
-        phi[lo:lo + keys.size] = space.translation_table(lo, lo + keys.size, out=buf).T
-        block = digits[lo:lo + keys.size]
+    for lo, hi, targets in _blocks(space, _block_buffer(space)):
+        keys = np.arange(lo, hi, dtype=KEY_DTYPE)
+        phi[lo:hi] = targets.T
+        block = digits[lo:hi]
         for c in range(n):
             block[:, c] = space.digit(keys, c)
         # ops[k, a, b] = a * f_a(b)
-        ops[lo:lo + keys.size] = mul[rows, space._act[block]]
-    del buf  # the peak comes later, in the component report
+        ops[lo:hi] = mul[rows, space._act[block]]
+    del targets  # frees the block buffer: the peak comes later, in the component report
     digits.setflags(write=False)
 
     if named:
@@ -611,10 +589,11 @@ def component_dsb(result: EnumerationResult, component: int) -> DynamicalSkewBra
 def check_partition_constancy(group: FiniteGroup, *, cap: int = DEFAULT_CAP) -> None:
     """part(S) is constant on every component of the full family."""
     space = KeySpace(group, unital=False, cap=cap)
-    tables = space.translation_table()
-    keys = np.arange(space.size, dtype=KEY_DTYPE)
-    mat = _partition_matrix(space, keys)
-    for ta in tables:
-        if not (mat == mat[ta]).all():
-            bad = int(np.argwhere((mat != mat[ta]).any(axis=1))[0][0])
-            raise AssertionError(f"partition profile changes along an arrow at key {bad}")
+    mat = _partition_matrix(space, np.arange(space.size, dtype=KEY_DTYPE))
+    for lo, hi, targets in _blocks(space, _block_buffer(space)):
+        profiles = mat[lo:hi]
+        for ta in targets:
+            changes = (profiles != mat[ta]).any(axis=1)
+            if changes.any():
+                bad = lo + int(np.flatnonzero(changes)[0])
+                raise AssertionError(f"partition profile changes along an arrow at key {bad}")

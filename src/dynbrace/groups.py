@@ -80,11 +80,16 @@ class Automorphism:
 def validate_table(table: Sequence[Sequence[int]], identity: int | None = None) -> int:
     """Check the group axioms on a raw table, returning the identity index.
 
-    Raises :class:`InputError` naming the first violating cell or triple.
+    Raises :class:`InputError` for a table that is not a list of rows, an order
+    above :data:`MAX_ORDER`, or naming the first violating cell or triple.
     """
+    if not isinstance(table, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in table):
+        raise InputError("group table must be a list of rows")
     n = len(table)
     if n == 0:
         raise InputError("empty table")
+    if n > MAX_ORDER:
+        raise InputError(f"group order {n} exceeds supported maximum {MAX_ORDER}")
     for i, row in enumerate(table):
         if len(row) != n:
             raise InputError(f"row {i} has length {len(row)}, expected {n}")
@@ -143,7 +148,9 @@ def make_group(
     if names is None:
         names = tuple(str(i) for i in range(n))
     else:
-        names = tuple(str(x) for x in names)
+        if not isinstance(names, (list, tuple)) or not all(isinstance(x, str) for x in names):
+            raise InputError("group names must be a list of strings")
+        names = tuple(names)
         if len(names) != n:
             raise InputError(f"{len(names)} element names for order {n}")
     return FiniteGroup(
@@ -177,14 +184,9 @@ def build_group(spec: str | Mapping) -> FiniteGroup:
     if isinstance(spec, str):
         group = _group_from_preset(spec)
     elif isinstance(spec, Mapping):
-        table = spec.get("table")
-        if table is None:
-            raise InputError("explicit group spec needs a 'table' key")
-        group = make_group(table, name=str(spec.get("name", "group")), names=spec.get("names"))
+        group = group_from_json(spec)
     else:
         raise InputError(f"unsupported group spec {spec!r}")
-    if group.order > MAX_ORDER:
-        raise InputError(f"group order {group.order} exceeds supported maximum {MAX_ORDER}")
     if group.identity != 0:
         perm = list(range(group.order))
         perm[0], perm[group.identity] = perm[group.identity], perm[0]
@@ -425,15 +427,11 @@ def group_to_json(group: FiniteGroup) -> dict:
 
 
 def group_from_json(data: Mapping) -> FiniteGroup:
-    if "table" not in data:
+    """The group of a ``{"table", "name"?, "names"?}`` object, validated once
+    and not relabelled: the identity keeps its index in ``table``."""
+    if not isinstance(data, Mapping) or "table" not in data:
         raise InputError("group JSON needs a 'table' key")
-    return build_group(
-        {
-            "table": data["table"],
-            "name": data.get("name", "group"),
-            "names": data.get("names"),
-        }
-    )
+    return make_group(data["table"], name=str(data.get("name", "group")), names=data.get("names"))
 
 
 # Preset names used when reporting "this pointed group is isomorphic to ...".

@@ -352,13 +352,33 @@ def test_seed_examples_unknown_group(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("flag,value", [("--cap", "-1"), ("--cap", "0"), ("--cap", "x")])
-def test_cap_and_workers_need_positive_ints(capsys, flag, value):
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(("invariants", "--group", "cyclic:3", "--cap", "-1"), "positive integer", id="--cap--1"),
+    pytest.param(("invariants", "--group", "cyclic:3", "--cap", "0"), "positive integer", id="--cap-0"),
+    pytest.param(("invariants", "--group", "cyclic:3", "--cap", "x"), "positive integer", id="--cap-x"),
+    # parallelise and heap read a file and enumerate nothing, so they take no cap
+    pytest.param(("parallelise", "--input", "f.json", "--per-component", "--cap", "5"),
+                 "unrecognized arguments: --cap 5", id="parallelise"),
+    pytest.param(("heap", "--input", "f.json", "--cap", "5"), "unrecognized arguments: --cap 5", id="heap"),
+])
+def test_cap_needs_a_positive_int_and_a_group(capsys, argv, message):
     with pytest.raises(SystemExit) as info:
-        main(["invariants", "--group", "cyclic:3", flag, value])
+        main(list(argv))
     err = capsys.readouterr().err
     assert info.value.code == 2
-    assert "positive integer" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}"], ids=["directory", "not-utf8"])
+def test_unreadable_input_is_input_error(tmp_path, capsys, content):
+    src = tmp_path / "in.json"
+    if content is None:
+        src.mkdir()
+    else:
+        src.write_bytes(content)
+    code, out, err = run(capsys, "verify", "--input", str(src))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_unwritable_out_is_input_error(capsys):
@@ -407,6 +427,13 @@ MALFORMED = {
     "list-label-name": ("bracoid", ("labels", 0), ["0"]),
     "null-label-name": ("bracoid", ("labels", 2), None),
     "bool-label-name": ("bracoid", ("labels", 2), False),
+    "group-not-an-object": ("dsb", ("group",), 5),
+    "group-table-not-a-list": ("dsb", ("group", "table"), 5),
+    "group-row-not-a-list": ("dsb", ("group", "table", 0), 5),
+    "group-names-not-a-list": ("dsb", ("group", "names"), 5),
+    "group-names-a-string": ("dsb", ("group", "names"), "xyz"),
+    # a valid cyclic:3 table whose identity is element 1
+    "group-identity-not-first": ("dsb", ("group", "table"), [[2, 0, 1], [0, 1, 2], [1, 2, 0]]),
 }
 
 MALFORMED_COMMANDS = {

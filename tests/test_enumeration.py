@@ -194,6 +194,8 @@ class _TableSpace:
     """A key space whose translates along each label are the given arrays, so
     :func:`component_labels` can be driven with arbitrary functional tables."""
 
+    low_size = 1
+
     def __init__(self, tables: list[np.ndarray]):
         self._tables = np.stack(tables)
         self.n, self.size = self._tables.shape
@@ -248,10 +250,10 @@ def test_component_labels_fixpoint_in_place_by_blocks(monkeypatch):
 
 
 def test_streamed_component_labels_hold_one_label_array(monkeypatch):
-    # cyclic:8 unital: 16,384 keys and W = 4096, so with 256-key blocks every
-    # block lies inside one high row; the labelling
-    # keeps one int32 label array plus buffers of O(n * BLOCK_KEYS) bytes
-    block = 256
+    # cyclic:8 unital: 16,384 keys and W = 4096, so 4096-key blocks are one
+    # high row each, four blocks; the labelling keeps one int32 label array
+    # plus buffers of O(n * BLOCK_KEYS) bytes
+    block = 4096
     monkeypatch.setattr(enumeration, "BLOCK_KEYS", block)
     space = KeySpace(cached_group("cyclic:8"), unital=True)
     assert space.size == 16384 and space.low_size == 4096
@@ -288,21 +290,27 @@ KERNEL_PRESETS = ("trivial", "cyclic:2", "cyclic:4", "klein4", "sym:3", "cyclic:
                   "prod:cyclic:2,cyclic:4", "dihedral:4")
 
 
+def _scalar_translates(space: KeySpace, key: int) -> list[tuple[int, ...]]:
+    """The assignments of the n translates of one key, by the scalar translate."""
+    subset = RegularSubset(space.assignment_of(key))
+    return [translate(subset, a, space.group).assignment for a in range(space.n)]
+
+
 def test_translate_keys_against_scalar_translate():
-    # full spaces take the kernel through a nonzero identity digit
+    # the kernel on the high row of each sampled key; full spaces take it
+    # through a nonzero identity digit
     rng = np.random.default_rng(5)
     for name in KERNEL_PRESETS:
         group = cached_group(name)
         for unital in (True, False):
             space = KeySpace(group, unital=unital)
             keys = rng.integers(0, space.size, size=min(80, space.size), dtype=KEY_DTYPE)
-            for a in range(group.order):
-                out = space.translate_keys(keys, a)
-                assert out.dtype == KEY_DTYPE
-                for key, target in zip(keys.tolist(), out.tolist()):
-                    subset = space.subset_of(key)
-                    expected = translate(subset, a, group)
-                    assert space.assignment_of(target) == expected.assignment
+            for key in keys.tolist():
+                lo = key - key % space.low_size
+                row = space.translation_table(lo, lo + space.low_size)
+                assert row.dtype == KEY_DTYPE
+                targets = row[:, key - lo].tolist()
+                assert [space.assignment_of(t) for t in targets] == _scalar_translates(space, key)
 
 
 # every preset of order <= 7
@@ -312,68 +320,74 @@ SMALL_PRESETS = ("trivial", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyc
 
 @pytest.mark.parametrize("name", SMALL_PRESETS)
 def test_translation_table_is_translate_keys(name):
+    # the whole-space table against the scalar translate on sampled keys, the
+    # first and the last key and both sides of k0 among them
     group = cached_group(name)
+    rng = np.random.default_rng(7)
     for unital in (True, False):
         space = KeySpace(group, unital=unital)
-        keys = np.arange(space.size, dtype=KEY_DTYPE)
         tables = space.translation_table()
-        assert len(tables) == group.order
-        for a, table in enumerate(tables):
-            assert table.dtype == KEY_DTYPE
-            assert np.array_equal(table, space.translate_keys(keys, a))
+        assert tables.shape == (group.order, space.size) and tables.dtype == KEY_DTYPE
+        k0 = space.unital_size
+        keys = {0, k0 - 1, k0 % space.size, space.size - 1, *rng.integers(0, space.size, 40).tolist()}
+        for key in sorted(keys):
+            targets = tables[:, key].tolist()
+            assert [space.assignment_of(t) for t in targets] == _scalar_translates(space, key)
 
 
 def _kernel_ranges(space: KeySpace) -> list[tuple[int, int]]:
-    """Aligned, unaligned, in-row, final partial and k0-crossing key ranges."""
-    size, width = space.size, space.low_size
-    ranges = [(0, size), (0, min(size, width)), (size - 1, size), (size // 3, size - size // 5)]
-    if space.high_size > 2:
-        ranges += [(width, 3 * width), (width + 1, 3 * width - 1), (width - 1, 2 * width + 1)]
-    if width > 8:
-        ranges += [(width + 2, width + 9), (size - width + 3, size - 2)]
+    """Whole-row key ranges: the whole space, the first and the last row, an
+    empty run, runs of rows, and in full spaces the rows on both sides of k0."""
+    size, width, rows = space.size, space.low_size, space.high_size
+    ranges = [(0, size), (0, width), (size - width, size), (width, width),
+              (rows // 3 * width, (rows - rows // 5) * width)]
+    if rows > 2:
+        ranges.append((width, 3 * width))
     if not space.unital:
         k0 = space.unital_size
-        ranges += [(k0 - 1, k0 + 1), (max(0, k0 - width - 5), min(size, k0 + 2 * width + 3))]
-    return [(lo, hi) for lo, hi in ranges if 0 <= lo < hi <= size]
+        ranges += [(k0 - width, k0 + width), (k0, size)]
+    return [(lo, hi) for lo, hi in ranges if 0 <= lo <= hi <= size]
 
 
 @pytest.mark.parametrize("name", ["trivial", "cyclic:2", "cyclic:7", "prod:cyclic:2,cyclic:4"])
 @pytest.mark.parametrize("unital", [True, False])
 def test_translation_table_ranges_are_slices(name, unital):
     space = KeySpace(cached_group(name), unital=unital)
-    # the full C2 x C4 space has 8^8 keys; its reference comes from translate_keys
+    # the full C2 x C4 space has 8^8 keys: its ranges of at most 2^21 keys are
+    # checked against the scalar translate on sampled keys
     whole = space.translation_table() if space.size <= 1 << 21 else None
     buf = np.empty((space.n, space.size), dtype=KEY_DTYPE) if space.size <= 1 << 16 else None
+    rng = np.random.default_rng(3)
     for lo, hi in _kernel_ranges(space):
-        if whole is not None:
-            expected = whole[:, lo:hi]
-        else:
-            keys = np.arange(lo, hi, dtype=KEY_DTYPE)
-            expected = np.stack([space.translate_keys(keys, a) for a in range(space.n)])
+        if whole is None and hi - lo > 1 << 21:
+            continue
         got = space.translation_table(lo, hi)
         assert got.dtype == KEY_DTYPE and got.shape == (space.n, hi - lo)
-        assert np.array_equal(got, expected), (lo, hi)
-        if buf is not None:
+        if whole is not None:
+            assert np.array_equal(got, whole[:, lo:hi]), (lo, hi)
+        elif hi > lo:
+            for key in {lo, hi - 1, *rng.integers(lo, hi, 20).tolist()}:
+                targets = got[:, key - lo].tolist()
+                assert [space.assignment_of(t) for t in targets] == _scalar_translates(space, key)
+        if buf is not None and hi > lo:
             # into a wider reused buffer: only its leading columns are written
             buf.fill(-1)
             into = space.translation_table(lo, hi, out=buf)
-            assert np.shares_memory(into, buf) and np.array_equal(into, expected)
+            assert np.shares_memory(into, buf) and np.array_equal(into, got)
             assert (buf[:, hi - lo:] == -1).all()
 
 
-@pytest.mark.parametrize("name", ["cyclic:2", "cyclic:7", "klein4", "sym:3"])
-def test_streamed_labels_with_blocks_inside_one_high_row(monkeypatch, name):
-    # cyclic:7 and sym:3 have W = 1296; 100-key blocks start mid-row and end
-    # mid-row, and the last block is partial
-    group = cached_group(name)
-    expected = {}
-    for unital in (True, False):
-        space = KeySpace(group, unital=unital)
-        expected[unital] = labels(np.stack(space.translation_table(), axis=1))
-    monkeypatch.setattr(enumeration, "BLOCK_KEYS", 100)
-    for unital in (True, False):
-        space = KeySpace(group, unital=unital)
-        assert np.array_equal(component_labels(space), expected[unital])
+@pytest.mark.parametrize("name", ["cyclic:7", "prod:cyclic:2,cyclic:4"])
+def test_translation_table_refuses_partial_rows(name):
+    # W = 1296 or 4096: a range shifted by a few keys at both ends has a whole
+    # number of rows, but not whole rows
+    space = KeySpace(cached_group(name), unital=True)
+    width = space.low_size
+    assert width > 1
+    for lo, hi in [(1, width), (0, width + 1), (3, width + 3), (width - 1, 3 * width - 1),
+                   (2 * width, width), (0, space.size + width)]:
+        with pytest.raises(ValueError, match="not whole rows"):
+            space.translation_table(lo, hi)
 
 
 def test_translation_composition_vectorised():
@@ -447,8 +461,9 @@ def test_partitions_listing_in_invariants():
 
 @pytest.mark.parametrize("name", ["cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6", "sym:3"])
 def test_block_sizes_do_not_change_results(monkeypatch, name):
-    # |Aut| is 2, 4 or 6 here, so no key or high-value count is a multiple of
-    # 7 or 3 and every blocked loop ends on a partial block; LOW_KEYS = 3 makes W 2 or 1
+    # |Aut| is 2, 4 or 6 here and LOW_KEYS = 3 makes W 2 or 1, so the blocks are
+    # 6 or 7 keys; no key count of a blocked loop is a multiple of its block,
+    # so every one ends on a partial block
     group = cached_group(name)
 
     def run():
