@@ -16,7 +16,7 @@ from dynbrace.enumeration import component_dsb, enumerate_unital
 from dynbrace.families import seeded_names
 from dynbrace.groups import build_group, preset_isomorphism_report
 from dynbrace.parallelise import group_from_pointed_heap, ternary_of_braiding
-from dynbrace.structures import braiding_of_qtsb, semiloopoid_of_dsb
+from dynbrace.structures import braiding_of_qtsb, semiloopoid_of_dsb, verify_bracoid, verify_dsb
 
 
 def show_family(name: str) -> None:
@@ -28,7 +28,9 @@ def show_family(name: str) -> None:
         print(f"  component {cid} (degree {result.components.degrees[cid]}): {labels}")
     for vname in result.vertex_names:
         print(f"  table at {vname}: {result.dsb.op_table(vname).tolist()}")
+    verify_dsb(result.dsb).require("not a dynamical skew brace")
     bracoid = semiloopoid_of_dsb(result.dsb)
+    verify_bracoid(bracoid).require("not a skew bracoid")
     braiding = braiding_of_qtsb(bracoid)
     n = group.order
     moves = []
@@ -50,7 +52,9 @@ def show_degree_one_component(name: str) -> None:
         if result.components.degrees[cid] != 1 or len(members) < 2:
             continue
         sub = component_dsb(result, cid)
+        verify_dsb(sub).require("not a dynamical skew brace")
         bracoid = semiloopoid_of_dsb(sub)
+        verify_bracoid(bracoid).require("not a skew bracoid")
         braiding = braiding_of_qtsb(bracoid)
         heap = ternary_of_braiding(bracoid, braiding)
         print(f"== degree-one component of {name}: {' '.join(heap.names)} ==")

@@ -568,11 +568,11 @@ def _cmd_verify(args) -> int:
         reports.append(("structure", verify_dsb(dsb)))
         if reports[-1][1].passed:
             reports.append(("computation_rules", verify_computation_rules(dsb)))
-            bracoid = semiloopoid_of_dsb(dsb, check=False)
+            bracoid = semiloopoid_of_dsb(dsb)
     if bracoid is not None:
         reports.append(("bracoid", verify_bracoid(bracoid)))
         if reports[-1][1].passed:
-            braiding = braiding_of_qtsb(bracoid, check=False)
+            braiding = braiding_of_qtsb(bracoid)
             reports.append(("braiding", verify_braiding(bracoid, braiding)))
 
     failed = False
@@ -605,12 +605,14 @@ def _cmd_verify(args) -> int:
 
 
 def _load_bracoid(path: str):
-    """The bracoid of a bracoid file, or the semiloopoid of a structure file."""
+    """The bracoid of a bracoid file, or the semiloopoid of a verified structure file."""
     data = _load_json(path)
     if "dot" in data:
         return bracoid_from_json(data)
     if "ops" in data:
-        return semiloopoid_of_dsb(dsb_from_json(data))
+        dsb = dsb_from_json(data)
+        verify_dsb(dsb).require("not a dynamical skew brace")
+        return semiloopoid_of_dsb(dsb)
     raise InputError("input JSON is neither a dynamical structure nor a bracoid")
 
 
@@ -638,6 +640,7 @@ def _cmd_heap(args) -> int:
             )
         vertex = bracoid.vertex_index(args.point)
         bracoid = restrict_bracoid(bracoid, report.members[report.component_of[vertex]])
+    verify_bracoid(bracoid).require("not a skew bracoid")
     braiding = braiding_of_qtsb(bracoid)
     heap = ternary_of_braiding(bracoid, braiding)
 
@@ -720,10 +723,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, group_opt=True, input_opt=False):
+        source = p.add_mutually_exclusive_group() if group_opt and input_opt else p
         if group_opt:
-            p.add_argument("--group", help="group preset, e.g. cyclic:4 or prod:cyclic:2,cyclic:2")
+            source.add_argument("--group", help="group preset, e.g. cyclic:4 or prod:cyclic:2,cyclic:2")
         if input_opt:
-            p.add_argument("--input", help="input JSON path")
+            source.add_argument("--input", help="input JSON path")
         p.add_argument("--out", help="output path (default stdout)")
         if group_opt:  # only the commands that enumerate read a cap
             p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
@@ -751,9 +755,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parallelise", help="relabel a connected bracoid into a dynamical structure")
     common(p, group_opt=False, input_opt=True)
-    p.add_argument("--base", help="base vertex name")
-    p.add_argument("--per-component", action="store_true",
-                   help="apply per connected component (base chosen canonically)")
+    base = p.add_mutually_exclusive_group()
+    base.add_argument("--base", help="base vertex name")
+    base.add_argument("--per-component", action="store_true",
+                      help="apply per connected component (base chosen canonically)")
     p.set_defaults(func=_cmd_parallelise)
 
     p = sub.add_parser("heap", help="ternary table of a degree-one braided component")

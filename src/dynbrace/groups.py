@@ -49,9 +49,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverses[a]
 
-    def elements(self) -> range:
-        return range(self.order)
-
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
         out = []
@@ -431,7 +428,10 @@ def group_from_json(data: Mapping) -> FiniteGroup:
     and not relabelled: the identity keeps its index in ``table``."""
     if not isinstance(data, Mapping) or "table" not in data:
         raise InputError("group JSON needs a 'table' key")
-    return make_group(data["table"], name=str(data.get("name", "group")), names=data.get("names"))
+    name = data.get("name", "group")
+    if not isinstance(name, str):
+        raise InputError("group name must be a string")
+    return make_group(data["table"], name=name, names=data.get("names"))
 
 
 # Preset names used when reporting "this pointed group is isomorphic to ...".

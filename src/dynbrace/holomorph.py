@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .errors import InputError, ResourceCapError
 from .groups import Automorphism, FiniteGroup, automorphism_group
@@ -81,10 +81,6 @@ class RegularSubset:
     """
 
     assignment: tuple[int, ...]
-
-    def pairs(self) -> Iterator[HolElement]:
-        for a, f in enumerate(self.assignment):
-            yield HolElement(a, f)
 
     def is_unital(self, group: FiniteGroup) -> bool:
         return self.assignment[group.identity] == 0

@@ -17,7 +17,7 @@ vertex recovers a group.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -33,11 +33,15 @@ from .structures import (
     QuiverBraiding,
     Report,
     SkewBracoid,
+    _axes,
+    _block,
+    _check,
+    _take,
     braiding_of_qtsb,
-    is_zero_symmetric,
     make_bracoid,
     make_dsb,
     restrict_bracoid,
+    verify_bracoid,
     verify_dsb,
 )
 
@@ -209,8 +213,8 @@ def _parallelise(
     zeta = pg.base
     phi, B, D, units = bracoid.phi, bracoid.bullet, bracoid.dot, bracoid.units
     L, n = phi.shape
-    braiding = braiding_of_qtsb(bracoid)
-    SR = braiding.right
+    verify_bracoid(bracoid).require("not a skew bracoid")
+    SR = braiding_of_qtsb(bracoid).right
 
     if base_labelling is None:
         maps_base = default_base_labelling(bracoid, zeta)
@@ -265,12 +269,11 @@ def _parallelise(
             restrict_phi(phi_new, members),
             ops_new[members],
         )
-        report = verify_dsb(dsb)
-        if not report.passed or not is_zero_symmetric(dsb):
-            raise AssertionError(
-                "parallelised output is not a zero-symmetric dynamical structure: "
-                + "; ".join(c.line() for c in report.failures())
-            )
+        checks = tuple(replace(c, required=True) if c.name == "zero_symmetric" else c
+                       for c in verify_dsb(dsb).checks)
+        Report(checks).require(
+            "parallelised output is not a zero-symmetric dynamical structure", AssertionError
+        )
         structures.append(dsb)
 
     position = np.empty(L, dtype=np.intp)
@@ -334,58 +337,55 @@ def make_heap(names: Sequence[str], table) -> TernaryHeap:
 
 def verify_heap(heap: TernaryHeap) -> Report:
     """Mal'tsev identities, both associativity forms, their agreement, and
-    commutativity as a reported fact."""
-    T = heap.table
-    m = heap.size
-    names = heap.names
-    checks = []
-    a2 = np.arange(m, dtype=np.intp)[:, None]
-    b2 = np.arange(m, dtype=np.intp)[None, :]
+    commutativity as a reported fact.
 
-    def add(name, ok, witness_axes, required=True, lhs=None, rhs=None):
-        ok = np.asarray(ok)
-        if bool(ok.all()):
-            checks.append(Check(name, True, required=required))
-            return True
-        idx = tuple(int(v) for v in np.argwhere(~ok)[0])
-        wit = {"elements": tuple(names[idx[ax]] for ax in range(len(idx)))}
-        if lhs is not None:
-            wit["lhs"] = int(lhs[idx])
-        if rhs is not None:
-            wit["rhs"] = int(rhs[idx])
-        checks.append(Check(name, False, required=required, witness=wit))
-        return False
+    The axioms run on the driver of ``structures``, the heap's elements
+    standing for both vertices and labels; a witness names the elements of
+    the first failing tuple, and both sides for the associativity forms.
+    """
+    T, m, names = heap.table, heap.size, heap.names
 
-    m1_ok = add("maltsev1", T[a2, b2, b2] == a2, 2)
-    m2_ok = add("maltsev2", T[a2, a2, b2] == b2, 2)
+    def witness(idx, lhs, rhs):
+        w = {"elements": tuple(names[i] for i in idx)}
+        return w if lhs is None else {**w, "lhs": int(lhs), "rhs": int(rhs)}
 
-    a5 = np.arange(m, dtype=np.intp).reshape(m, 1, 1, 1, 1)
-    b5 = np.arange(m, dtype=np.intp).reshape(1, m, 1, 1, 1)
-    c5 = np.arange(m, dtype=np.intp).reshape(1, 1, m, 1, 1)
-    d5 = np.arange(m, dtype=np.intp).reshape(1, 1, 1, m, 1)
-    e5 = np.arange(m, dtype=np.intp).reshape(1, 1, 1, 1, m)
-    lhs = T[a5, b5, T[c5, d5, e5]]
-    rhs = T[T[:, :, :, None, None], d5, e5]
-    a_ok = add("assoc", lhs == rhs, 5, lhs=lhs, rhs=rhs)
+    def maltsev1(s, t):  # <a, b, b> = a
+        a, (b,) = _block(s, t, 2), _axes(m, 2)
+        return _take(T, a, b, b) == a, None, None
 
-    a4 = np.arange(m, dtype=np.intp).reshape(m, 1, 1, 1)
-    b4 = np.arange(m, dtype=np.intp).reshape(1, m, 1, 1)
-    c4 = np.arange(m, dtype=np.intp).reshape(1, 1, m, 1)
-    d4 = np.arange(m, dtype=np.intp).reshape(1, 1, 1, m)
-    lhs1 = np.broadcast_to(T[a4, b4, d4], (m, m, m, m))
-    rhs1 = T[T[:, :, :, None], c4, d4]
-    a1_ok = add("assoc1", lhs1 == rhs1, 4, lhs=lhs1, rhs=rhs1)
-    lhs2 = np.broadcast_to(T[a4, c4, d4], (m, m, m, m))
-    rhs2 = T[a4, b4, T[b4, c4, d4]]
-    a2_ok = add("assoc2", lhs2 == rhs2, 4, lhs=lhs2, rhs=rhs2)
+    def maltsev2(s, t):  # <a, a, b> = b
+        a, (b,) = _block(s, t, 2), _axes(m, 2)
+        return _take(T, a, a, b) == b, None, None
 
-    if m1_ok and m2_ok:
-        checks.append(Check("assoc_equivalence", a_ok == (a1_ok and a2_ok)))
-    else:
-        checks.append(Check("assoc_equivalence", True, required=False))
+    def assoc(s, t):  # <a, b, <c, d, e>> = <<a, b, c>, d, e>
+        a, (b, c, d, e) = _block(s, t, 5), _axes(m, 5)
+        lhs, rhs = _take(T, a, b, _take(T, c, d, e)), _take(T, _take(T, a, b, c), d, e)
+        return lhs == rhs, lhs, rhs
 
-    add("abelian", T == T.transpose(2, 1, 0), 3, required=False)
-    return Report(tuple(checks))
+    def assoc1(s, t):  # <a, b, d> = <<a, b, c>, c, d>
+        a, (b, c, d) = _block(s, t, 4), _axes(m, 4)
+        lhs, rhs = _take(T, a, b, d), _take(T, _take(T, a, b, c), c, d)
+        return lhs == rhs, lhs, rhs
+
+    def assoc2(s, t):  # <a, c, d> = <a, b, <b, c, d>>
+        a, (b, c, d) = _block(s, t, 4), _axes(m, 4)
+        lhs, rhs = _take(T, a, c, d), _take(T, a, b, _take(T, b, c, d))
+        return lhs == rhs, lhs, rhs
+
+    def abelian(s, t):  # <a, b, c> = <c, b, a>
+        b, c = _axes(m, 3)
+        return T[s:t] == _take(T, c, b, _block(s, t, 3)), None, None
+
+    m1, m2, a, a1, a2 = (
+        _check(fn.__name__, names, m, (fn, witness)) for fn in (maltsev1, maltsev2, assoc, assoc1, assoc2)
+    )
+    # given the Mal'tsev identities, associativity holds exactly when both forms do
+    maltsev = m1.passed and m2.passed
+    agree = not maltsev or a.passed == (a1.passed and a2.passed)
+    return Report((
+        m1, m2, a, a1, a2, Check("assoc_equivalence", agree, required=maltsev),
+        _check("abelian", names, m, (abelian, witness), required=False),
+    ))
 
 
 def heap_from_group(group: FiniteGroup) -> TernaryHeap:
@@ -402,9 +402,7 @@ def heap_from_group(group: FiniteGroup) -> TernaryHeap:
 
 def group_from_pointed_heap(heap: TernaryHeap, base: int | str) -> FiniteGroup:
     """The group <a, base, b> with unit at the distinguished element."""
-    report = verify_heap(heap)
-    if not report.passed:
-        raise InputError("not a heap: " + "; ".join(c.line() for c in report.failures()))
+    verify_heap(heap).require("not a heap")
     zeta = heap.index(base) if isinstance(base, str) else int(base)
     if not (0 <= zeta < heap.size):
         raise InputError(f"base element {base!r} out of range")
@@ -431,20 +429,13 @@ def ternary_of_braiding(bracoid: SkewBracoid, braiding: QuiverBraiding) -> Terna
     lab_bc = lab[None, :, :]
     middle = phi[a3, braiding.right[a3, lab_ab, lab_bc].astype(np.intp)]
     heap = make_heap(bracoid.vertex_names, middle)
-    report = verify_heap(heap)
-    if not report.passed:
-        raise AssertionError(
-            "degree-one braiding did not induce a heap: "
-            + "; ".join(c.line() for c in report.failures())
-        )
+    verify_heap(heap).require("degree-one braiding did not induce a heap", AssertionError)
     return heap
 
 
 def braiding_from_heap(heap: TernaryHeap) -> tuple[SkewBracoid, QuiverBraiding]:
     """The degree-one braided groupoid over the heap's element set."""
-    report = verify_heap(heap)
-    if not report.passed:
-        raise InputError("not a heap: " + "; ".join(c.line() for c in report.failures()))
+    verify_heap(heap).require("not a heap")
     m = heap.size
     T = heap.table
     aran_v = np.arange(m, dtype=VERTEX_DTYPE)

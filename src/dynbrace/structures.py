@@ -72,6 +72,11 @@ class Report:
     def failures(self) -> tuple[Check, ...]:
         return tuple(c for c in self.checks if c.required and not c.passed)
 
+    def require(self, what: str, error: type[Exception] = InputError) -> None:
+        """Raise ``error`` naming every failed required check, unless the report passed."""
+        if not self.passed:
+            raise error(f"{what}: " + "; ".join(c.line() for c in self.failures()))
+
     def lines(self) -> list[str]:
         return [c.line() for c in self.checks]
 
@@ -123,8 +128,8 @@ def _axes(n: int, ndim: int) -> list[np.ndarray]:
 
 
 def _blocks(L: int, n: int):
-    """The vertex blocks (s, t), in order."""
-    step = max(1, BLOCK_CELLS // n**3)
+    """The vertex blocks (s, t), in order; n may be 0 (an empty heap)."""
+    step = max(1, BLOCK_CELLS // max(n, 1) ** 3)
     return ((s, min(s + step, L)) for s in range(0, L, step))
 
 
@@ -345,10 +350,6 @@ class SkewBracoid(QuiverBase):
     units: np.ndarray
     unital: np.ndarray
 
-    @property
-    def is_groupoid(self) -> bool:
-        return bool(self.unital.all())
-
     def quiver(self) -> LabelledQuiver:
         return LabelledQuiver(self.vertex_names, self.label_names, self.phi)
 
@@ -368,20 +369,15 @@ def make_bracoid(vertex_names, label_names, phi, bullet, dot, units, unital) -> 
     return SkewBracoid(names, labels, phi, bullet, dot, units, unital)
 
 
-def semiloopoid_of_dsb(dsb: DynamicalSkewBrace, check: bool = True) -> SkewBracoid:
+def semiloopoid_of_dsb(dsb: DynamicalSkewBrace) -> SkewBracoid:
     """The arrow-composition structure of a dynamical skew brace.
 
     The bullet tables coincide with the per-vertex operations; the out-star
     group at every vertex is a copy of the underlying group; a vertex is
     unital exactly when the identity label acts trivially there (its identity
-    loop is then the unit).
+    loop is then the unit).  Nothing is verified here: a caller holding
+    outside data runs ``verify_dsb(dsb).require(...)`` first.
     """
-    if check:
-        report = verify_dsb(dsb)
-        if not report.passed:
-            raise InputError(
-                "not a dynamical skew brace: " + "; ".join(c.line() for c in report.failures())
-            )
     L, n = dsb.phi.shape
     e = dsb.group.identity
     aran = np.arange(n, dtype=dsb.ops.dtype)
@@ -626,15 +622,13 @@ class QuiverBraiding:
         return vertex, r, int(bracoid.phi[vertex, r]), l
 
 
-def braiding_of_qtsb(bracoid: SkewBracoid, check: bool = True) -> QuiverBraiding:
+def braiding_of_qtsb(bracoid: SkewBracoid) -> QuiverBraiding:
     """The braiding with first component x^-1 dot (x bullet y) and second
-    component the bullet left-division of (x bullet y) by the first."""
-    if check:
-        report = verify_bracoid(bracoid)
-        if not report.passed:
-            raise InputError(
-                "not a skew bracoid: " + "; ".join(c.line() for c in report.failures())
-            )
+    component the bullet left-division of (x bullet y) by the first.
+
+    Nothing is verified here: a caller holding outside data runs
+    ``verify_bracoid(bracoid).require(...)`` first.
+    """
     B, D = bracoid.bullet, bracoid.dot
     L, n = bracoid.phi.shape
     right = _derived_action(B, D, _dot_inverse(D))

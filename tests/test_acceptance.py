@@ -200,9 +200,9 @@ def test_criterion_09_property_suite():
                 dsb = result.dsb
                 assert verify_dsb(dsb).passed, (name, full)
                 assert verify_computation_rules(dsb).passed, (name, full)
-                bracoid = semiloopoid_of_dsb(dsb, check=False)
+                bracoid = semiloopoid_of_dsb(dsb)
                 assert verify_bracoid(bracoid).passed, (name, full)
-                braiding = braiding_of_qtsb(bracoid, check=False)
+                braiding = braiding_of_qtsb(bracoid)
                 report = verify_braiding(bracoid, braiding)
                 assert report.passed, (name, full)
                 for check_name in ("ybe", "bg1", "bg2", "bg3", "bg4", "bg5", "left_nondegenerate"):
@@ -218,12 +218,12 @@ def test_criterion_10_involutivity_dichotomy():
     with criterion(10, "sigma^2 = id iff the group is abelian (cyclic:4, klein4 vs sym:3)"):
         for name in ("cyclic:4", "klein4"):
             result = enumerate_unital(build_group(name))
-            bracoid = semiloopoid_of_dsb(result.dsb, check=False)
-            braiding = braiding_of_qtsb(bracoid, check=False)
+            bracoid = semiloopoid_of_dsb(result.dsb)
+            braiding = braiding_of_qtsb(bracoid)
             assert verify_braiding(bracoid, braiding).check("involutive").passed, name
         result = enumerate_unital(build_group("sym:3"))
-        bracoid = semiloopoid_of_dsb(result.dsb, check=False)
-        braiding = braiding_of_qtsb(bracoid, check=False)
+        bracoid = semiloopoid_of_dsb(result.dsb)
+        braiding = braiding_of_qtsb(bracoid)
         check = verify_braiding(bracoid, braiding).check("involutive")
         assert not check.passed
         assert check.witness is not None  # a concrete non-involutive pair
@@ -236,8 +236,8 @@ def test_criterion_11_parallelisation_round_trip():
             group, result = seeded_unital(name)
             for cid in range(result.components.count):
                 sub = component_dsb(result, cid)
-                bracoid = semiloopoid_of_dsb(sub, check=False)
-                braiding = braiding_of_qtsb(bracoid, check=False)
+                bracoid = semiloopoid_of_dsb(sub)
+                braiding = braiding_of_qtsb(bracoid)
                 size = sub.vertex_count
                 degree = group.order // size
                 perms = np.stack(
@@ -252,8 +252,8 @@ def test_criterion_11_parallelisation_round_trip():
                     assert report.count == 1
                     assert len(report.members[0]) == size
                     assert report.degrees[0] == degree
-                    new_bracoid = semiloopoid_of_dsb(recovered, check=False)
-                    new_braiding = braiding_of_qtsb(new_bracoid, check=False)
+                    new_bracoid = semiloopoid_of_dsb(recovered)
+                    new_braiding = braiding_of_qtsb(new_bracoid)
                     assert find_braiding_isomorphism(
                         bracoid, braiding, new_bracoid, new_braiding
                     ) is not None
@@ -267,8 +267,8 @@ def test_criterion_12_heap_suite():
             if {result.vertex_names[v] for v in m} == {"s4", "s5", "s6", "s7"}
         )
         sub = component_dsb(result, cid)
-        bracoid = semiloopoid_of_dsb(sub, check=False)
-        braiding = braiding_of_qtsb(bracoid, check=False)
+        bracoid = semiloopoid_of_dsb(sub)
+        braiding = braiding_of_qtsb(bracoid)
         heap = ternary_of_braiding(bracoid, braiding)
         letters = {x: heap.index(v) for x, v in _golden.HEAP_LETTER_TO_VERTEX.items()}
 

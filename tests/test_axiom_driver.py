@@ -5,18 +5,21 @@ vertices and stops at the first failing block.  Reports must not depend on
 the block size: the same ``verify`` text and ``--json`` bytes come out with
 one vertex per block, seven vertices per block and the default budget, for
 passing families and for corrupted files whose first failure lies in the
-last, partial block.  Memory must follow the budget, not the L·n³ tuples.
+last, partial block.  The heap verifier runs on the same driver, one element
+of the heap per vertex.  Memory must follow the budget, not the L·n³ tuples.
 """
 import copy
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from dynbrace import structures
 from dynbrace.cli import main
 from dynbrace.enumeration import enumerate_full
 from dynbrace.groups import build_group
+from dynbrace.parallelise import heap_from_group, make_heap, verify_heap
 from dynbrace.quivers import connected_components
 from dynbrace.structures import (
     bracoid_to_json,
@@ -136,6 +139,28 @@ def test_late_corruptions_fail_in_the_last_block(capsys, documents, files):
         assert set(witnessed) & set(last_block), (name, err)
 
 
+def _heaps():
+    """The empty heap, group heaps, and the same heaps tampered in one cell of
+    the first or the last element."""
+    yield "empty", make_heap([], np.zeros((0, 0, 0)))
+    for name in ("cyclic:4", "klein4", "sym:3", "dihedral:4"):
+        heap = heap_from_group(build_group(name))
+        yield name, heap
+        m = heap.size
+        for cell in ((0, 1, 1), (m - 1, 1, 1), (m - 1, m - 2, 0)):
+            table = heap.table.copy()
+            table[cell] = (table[cell] + 1) % m
+            yield f"{name}{cell}", make_heap(heap.names, table)
+
+
+def test_verify_heap_is_block_size_independent(monkeypatch):
+    reference = {name: verify_heap(heap).lines() for name, heap in _heaps()}
+    # the tampered heaps fail with witnesses, both sides included
+    assert any(line.startswith("FAIL assoc ") for lines in reference.values() for line in lines)
+    monkeypatch.setattr(structures, "BLOCK_CELLS", 1)
+    assert {name: verify_heap(heap).lines() for name, heap in _heaps()} == reference
+
+
 def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
@@ -152,7 +177,7 @@ def test_verifier_memory_follows_the_block_budget(monkeypatch):
     # cyclic:7 full: 279,936 vertices, 96M (vertex, a, b, c) tuples; one int8
     # (L, n, n, n) tensor alone would take 96 MB.  Not cached: it is large.
     dsb = enumerate_full(build_group("cyclic:7")).dsb
-    bracoid = semiloopoid_of_dsb(dsb, check=False)
+    bracoid = semiloopoid_of_dsb(dsb)
     L, n = dsb.phi.shape
     budget = 1 << 16
     monkeypatch.setattr(structures, "BLOCK_CELLS", budget)

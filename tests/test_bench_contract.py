@@ -6,7 +6,8 @@ translated keys from the arrays it returns, on every call; a traced census run w
 marked incorrect, and so is a traced transport pass without calls to
 ``parallelise.parallelise``, ``parallelise.schurian_transversal``,
 ``groups.make_group`` or ``quivers.connected_components``.  A rewrite that
-breaks either contract fails here.
+breaks either contract fails here, and so does one that doubles or drops a
+verifier call of ``heap``.
 """
 import json
 import os
@@ -70,6 +71,31 @@ def test_tracer_sees_the_transport_layers(tmp_path):
     assert names["groups.make_group"] == 1 + 2
     assert names["cli.json_encode"] == 1
     assert record["counts"]["structures.verify.calls"] == 1 + 1 + 2
+
+
+def test_tracer_counts_the_heap_checks(tmp_path):
+    # ``heap`` on a structure file checks the file once and the chosen
+    # component once: verify_dsb, then verify_bracoid
+    family = tmp_path / "family.json"
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-m", "dynbrace.cli", "enumerate", "--group", "cyclic:4", "--seed-examples",
+         "--json", "--out", str(family)],
+        cwd=ROOT, env=env, check=True, timeout=120,
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans_path),
+         "--", "heap", "--input", str(family), "--point", "s4"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(spans_path.read_text(encoding="utf-8"))
+    names = Counter(span["name"] for span in record["spans"])
+    assert names["structures.verify_dsb"] == names["structures.verify_bracoid"] == 1
+    assert {"structures.braiding_of_qtsb", "parallelise.ternary_of_braiding"} <= set(names)
+    assert record["counts"]["structures.verify.calls"] == 2
 
 
 def test_tracer_sees_the_json_writer(tmp_path):

@@ -291,6 +291,53 @@ def test_heap_cli(tmp_path, capsys):
     assert data["pointed"]["isomorphic_to"] == "cyclic:4"
 
 
+@pytest.fixture(scope="module")
+def seed_cyclic4():
+    """The cyclic:4 ``--seed-examples`` structure document and its bracoid document."""
+    from dynbrace.enumeration import enumerate_unital
+    from dynbrace.families import seeded_names
+    from dynbrace.groups import build_group
+    from dynbrace.structures import bracoid_to_json, dsb_to_json, semiloopoid_of_dsb
+
+    dsb = enumerate_unital(build_group("cyclic:4"), seeded_names("cyclic:4", False)).dsb
+    return dsb_to_json(dsb), bracoid_to_json(semiloopoid_of_dsb(dsb), dsb.group)
+
+
+NOT_A_DSB = (
+    "error: not a dynamical skew brace: "
+    "FAIL dynamical_associativity vertex=s1 labels=(1, 2, 1) lhs=2 rhs=1; "
+    "FAIL brace_compatibility vertex=s1 labels=(1, 1, 1) lhs=0 rhs=1\n"
+)
+NOT_A_BRACOID = (
+    "error: not a skew bracoid: "
+    "FAIL per_vertex_groups vertex=s4 labels=(1, 0, 0) note=vertex operation not associative; "
+    "FAIL bracoid_compatibility note=skipped: structure invalid; "
+    "FAIL action_composition note=skipped: structure invalid; "
+    "FAIL action_distributivity note=skipped: structure invalid\n"
+)
+
+
+@pytest.mark.parametrize("kind,stderr", [("dsb", NOT_A_DSB), ("bracoid", NOT_A_BRACOID)],
+                         ids=["dsb", "bracoid"])
+@pytest.mark.parametrize("command", [("parallelise", "--per-component"), ("heap", "--point", "s4")],
+                         ids=["parallelise", "heap"])
+def test_corrupted_seed_file_names_every_failure(tmp_path, capsys, seed_cyclic4, kind, stderr, command):
+    # a structure file is checked when it is read; a bracoid file by the
+    # transport, or by ``heap`` on the chosen component
+    dsb, bracoid = copy.deepcopy(seed_cyclic4)
+    if kind == "dsb":
+        row = dsb["ops"]["s1"][1]
+        row[1], row[2] = row[2], row[1]
+        data = dsb
+    else:
+        table = bracoid["dot"]["s4"]
+        table[1], table[2] = table[2], table[1]
+        data = bracoid
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(data))
+    assert run(capsys, command[0], "--input", str(src), *command[1:]) == (2, "", stderr)
+
+
 def test_heap_rejects_wrong_degree(tmp_path, capsys):
     src = tmp_path / "z4.json"
     run(capsys, "enumerate", "--group", "cyclic:4", "--seed-examples", "--json", "--out", str(src))
@@ -360,8 +407,15 @@ def test_seed_examples_unknown_group(capsys):
     pytest.param(("parallelise", "--input", "f.json", "--per-component", "--cap", "5"),
                  "unrecognized arguments: --cap 5", id="parallelise"),
     pytest.param(("heap", "--input", "f.json", "--cap", "5"), "unrecognized arguments: --cap 5", id="heap"),
+    # flags that would otherwise be dropped without a word
+    pytest.param(("parallelise", "--input", "f.json", "--base", "s4", "--per-component"),
+                 "argument --per-component: not allowed with argument --base", id="base-and-per-component"),
+    pytest.param(("verify", "--input", "f.json", "--group", "sym:3"),
+                 "argument --group: not allowed with argument --input", id="verify-input-and-group"),
+    pytest.param(("export-dot", "--group", "sym:3", "--input", "f.json"),
+                 "argument --input: not allowed with argument --group", id="export-dot-input-and-group"),
 ])
-def test_cap_needs_a_positive_int_and_a_group(capsys, argv, message):
+def test_parser_refuses_bad_flags(capsys, argv, message):
     with pytest.raises(SystemExit) as info:
         main(list(argv))
     err = capsys.readouterr().err
@@ -432,6 +486,7 @@ MALFORMED = {
     "group-row-not-a-list": ("dsb", ("group", "table", 0), 5),
     "group-names-not-a-list": ("dsb", ("group", "names"), 5),
     "group-names-a-string": ("dsb", ("group", "names"), "xyz"),
+    "group-name-not-a-string": ("dsb", ("group", "name"), [1]),
     # a valid cyclic:3 table whose identity is element 1
     "group-identity-not-first": ("dsb", ("group", "table"), [[2, 0, 1], [0, 1, 2], [1, 2, 0]]),
 }

@@ -415,8 +415,8 @@ def test_component_dsb_extraction():
         assert verify_dsb(sub).passed
         report = connected_components(sub.quiver())
         assert report.count == 1
-        bracoid = semiloopoid_of_dsb(sub, check=False)
-        braiding = braiding_of_qtsb(bracoid, check=False)
+        bracoid = semiloopoid_of_dsb(sub)
+        braiding = braiding_of_qtsb(bracoid)
         assert verify_braiding(bracoid, braiding).passed
 
 

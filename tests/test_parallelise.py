@@ -335,9 +335,32 @@ def test_verify_heap_tampered_maltsev():
     table[0, 1, 1] = 1  # break <a,b,b> = a
     bad = make_heap(heap.names, table)
     report = verify_heap(bad)
-    check = report.check("maltsev1")
-    assert not check.passed
-    assert check.witness is not None
+    assert report.check("maltsev1").line() == "FAIL maltsev1 elements=('0', '1')"
+
+
+def test_verify_heap_witnesses_non_abelian():
+    report = verify_heap(heap_from_group(build_group("sym:3")))
+    assert report.passed
+    assert report.check("abelian").line() == "FAIL abelian elements=('012', '021', '102')"
+
+
+TAMPERED_HEAP = (
+    "not a heap: FAIL maltsev1 elements=('0', '1'); "
+    "FAIL assoc elements=('0', '1', '0', '0', '1') lhs=1 rhs=0; "
+    "FAIL assoc1 elements=('0', '1', '0', '1') lhs=1 rhs=0; "
+    "FAIL assoc2 elements=('0', '1', '0', '0') lhs=0 rhs=1"
+)
+
+
+@pytest.mark.parametrize("build", [lambda heap: group_from_pointed_heap(heap, 0), braiding_from_heap],
+                         ids=["group_from_pointed_heap", "braiding_from_heap"])
+def test_heap_consumers_name_every_failure(build):
+    heap = heap_from_group(build_group("cyclic:4"))
+    table = heap.table.copy()
+    table[0, 1, 1] = 1
+    with pytest.raises(InputError) as info:
+        build(make_heap(heap.names, table))
+    assert str(info.value) == TAMPERED_HEAP
 
 
 def test_braiding_from_heap_round_trips():

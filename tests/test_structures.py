@@ -339,7 +339,7 @@ def test_dsb_bracoid_equivalence_under_tampering(z3):
         ops[v, a] = row
         cand = make_dsb(group, dsb.vertex_names, dsb.phi, ops)
         dsb_ok = verify_dsb(cand).passed
-        bracoid = semiloopoid_of_dsb(cand, check=False)
+        bracoid = semiloopoid_of_dsb(cand)
         bracoid_ok = verify_bracoid(bracoid).passed
         assert dsb_ok == bracoid_ok
 
@@ -352,7 +352,7 @@ def test_relabelled_bracoid_still_valid(z4):
     scrambled = relabel_bracoid(bracoid, perms)
     report = verify_bracoid(scrambled)
     assert report.passed
-    braiding = braiding_of_qtsb(scrambled, check=False)
+    braiding = braiding_of_qtsb(scrambled)
     assert verify_braiding(scrambled, braiding).passed
 
 
