@@ -53,6 +53,7 @@ from .quivers import (
     quiver_from_json,
 )
 from .structures import (
+    SkewBracoid,
     braiding_of_qtsb,
     braiding_quadruples,
     bracoid_from_json,
@@ -407,7 +408,7 @@ def _group_json(group) -> dict:
 
 
 def _dsb_json(dsb) -> dict:
-    """:func:`dsb_to_json` with its tables as arrays."""
+    """The structure document read by :func:`dsb_from_json`, its tables as arrays."""
     return {
         "group": _group_json(dsb.group),
         "vertices": dsb.vertex_names,
@@ -432,13 +433,26 @@ def _load_json(path: str):
     return data
 
 
-def _named(args, group_name: str, full: bool):
+def _load_structure(data: dict, what: str = "input JSON is neither a dynamical structure nor a bracoid"):
+    """The bracoid of a document with a ``dot`` table, else the dynamical
+    structure of one with ``ops``; any other document is an input error ``what``."""
+    if "dot" in data:
+        return bracoid_from_json(data)
+    if "ops" in data:
+        return dsb_from_json(data)
+    raise InputError(what)
+
+
+def _family(args) -> EnumerationResult:
+    """The ``--full`` or unital family of ``--group``, with the bundled names
+    when ``--seed-examples`` asks for them."""
+    group = build_group(args.group)
+    named = None
     if getattr(args, "seed_examples", False):
-        names = seeded_names(group_name, full)
-        if not names:
-            raise InputError(f"no bundled example family for group {group_name!r}")
-        return names
-    return None
+        named = seeded_names(group.name, args.full)
+        if not named:
+            raise InputError(f"no bundled example family for group {group.name!r}")
+    return (enumerate_full if args.full else enumerate_unital)(group, named, cap=args.cap)
 
 
 def _enumeration_json(result: EnumerationResult) -> dict:
@@ -454,9 +468,8 @@ def _enumeration_json(result: EnumerationResult) -> dict:
 
 
 def _cmd_enumerate(args) -> int:
-    group = build_group(args.group)
-    named = _named(args, group.name, args.full)
-    result = (enumerate_full if args.full else enumerate_unital)(group, named, cap=args.cap)
+    result = _family(args)
+    group = result.group
     in_result = initial_counts(group, cap=args.cap) if args.full else None
 
     if args.json:
@@ -549,16 +562,13 @@ def _report_lines(kind: str, report) -> list[str]:
 def _cmd_verify(args) -> int:
     dsb = bracoid = braiding = None
     if args.input:
-        data = _load_json(args.input)
-        if "dot" in data:
-            bracoid = bracoid_from_json(data)
-        elif "ops" in data:
-            dsb = dsb_from_json(data)
+        structure = _load_structure(_load_json(args.input))
+        if isinstance(structure, SkewBracoid):
+            bracoid = structure
         else:
-            raise InputError("input JSON is neither a dynamical structure nor a bracoid")
+            dsb = structure
     elif args.group:
-        group = build_group(args.group)
-        dsb = (enumerate_full if args.full else enumerate_unital)(group, cap=args.cap).dsb
+        dsb = _family(args).dsb
     else:
         raise InputError("verify needs --input or --group")
 
@@ -606,14 +616,11 @@ def _cmd_verify(args) -> int:
 
 def _load_bracoid(path: str):
     """The bracoid of a bracoid file, or the semiloopoid of a verified structure file."""
-    data = _load_json(path)
-    if "dot" in data:
-        return bracoid_from_json(data)
-    if "ops" in data:
-        dsb = dsb_from_json(data)
-        verify_dsb(dsb).require("not a dynamical skew brace")
-        return semiloopoid_of_dsb(dsb)
-    raise InputError("input JSON is neither a dynamical structure nor a bracoid")
+    structure = _load_structure(_load_json(path))
+    if isinstance(structure, SkewBracoid):
+        return structure
+    verify_dsb(structure).require("not a dynamical skew brace")
+    return semiloopoid_of_dsb(structure)
 
 
 def _cmd_parallelise(args) -> int:
@@ -688,17 +695,10 @@ def _cmd_export_dot(args) -> int:
         data = _load_json(args.input)
         if "labels" in data and "ops" not in data:
             quiver = quiver_from_json(data)
-        elif "dot" in data:
-            quiver = bracoid_from_json(data).quiver()
-        elif "ops" in data:
-            quiver = dsb_from_json(data).quiver()
         else:
-            raise InputError("input JSON does not describe a quiver")
+            quiver = _load_structure(data, "input JSON does not describe a quiver").quiver()
     elif args.group:
-        group = build_group(args.group)
-        named = _named(args, group.name, args.full)
-        result = (enumerate_full if args.full else enumerate_unital)(group, named, cap=args.cap)
-        quiver = result.quiver
+        quiver = _family(args).quiver
     else:
         raise InputError("export-dot needs --input or --group")
     _emit(export_dot(quiver, collapse_labels=args.collapse_labels), args.out)

@@ -18,26 +18,30 @@ translation images in one int32 label array: a gather-free first pass, exact on
 unital spaces because their components are complete quivers, then a fixpoint
 pass lowered in place block by block.  The component sizes are the run lengths
 of the label array sorted in place, and the table of component counts is
-exact.  Materialising a family builds arrays only (the ``(K, n)`` digits,
-``phi``, the ``(K, n, n)`` ops filled per key block, a bool unital flag per
-vertex); a regular subset is built when a caller reads one from
-:attr:`EnumerationResult.vertices`.
+exact.  Materialising a family builds the ``(K, n)`` digits and ``phi`` per
+key block and the component report, and nothing else per vertex but its
+name; the quiver and the unital flags are views of those arrays.  The
+dynamical skew brace, whose ``(K, n, n)`` ops
+(:func:`~dynbrace.structures.dsb_ops` of the digits) are the bulk of a family,
+is built and validated when :attr:`EnumerationResult.dsb` is first read.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ResourceCapError
 from .groups import FiniteGroup
 from .holomorph import DEFAULT_CAP, RegularSubset, holomorph
-from .quivers import ComponentReport, LabelledQuiver, component_report, restrict_phi
+from .quivers import ComponentReport, LabelledQuiver, component_report, restrict_phi, validate_phi
 from .structures import (
     LABEL_DTYPE,
     VERTEX_DTYPE,
     DynamicalSkewBrace,
+    dsb_ops,
     make_dsb,
 )
 
@@ -474,41 +478,38 @@ def check_inverse_lemma(space: KeySpace) -> None:
             raise AssertionError(f"inverse identity fails at key {bad}, label {a}")
 
 
-class SubsetView(Sequence):
-    """The rows of a ``(K, n)`` assignment array as regular subsets, each
-    built when it is read."""
-
-    def __init__(self, assignments: np.ndarray):
-        self._rows = assignments
-
-    def __len__(self) -> int:
-        return self._rows.shape[0]
-
-    def __getitem__(self, k: int) -> RegularSubset:
-        return RegularSubset(tuple(self._rows[k].tolist()))
-
-
 @dataclass(frozen=True, eq=False)
 class EnumerationResult:
-    """Materialised family: the ``(K, n)`` assignment digits, a bool ``unital``
-    flag per vertex, the quiver, component data and attached structure."""
+    """Materialised family: the ``(K, n)`` assignment digits, the vertex
+    names, the transition array ``phi`` and the component report.
+
+    The quiver and the unital flags are views of these; the dynamical skew
+    brace is built, and validated, when it is first read.
+    """
 
     group: FiniteGroup
     assignments: np.ndarray
     vertex_names: tuple[str, ...]
-    quiver: LabelledQuiver
+    phi: np.ndarray
     components: ComponentReport
-    unital_flags: np.ndarray
-    dsb: DynamicalSkewBrace
     full: bool
-
-    @property
-    def vertices(self) -> SubsetView:
-        return SubsetView(self.assignments)
 
     @property
     def vertex_count(self) -> int:
         return self.assignments.shape[0]
+
+    @property
+    def quiver(self) -> LabelledQuiver:
+        return LabelledQuiver(self.vertex_names, self.group.names, self.phi)
+
+    @property
+    def unital_flags(self) -> np.ndarray:
+        """Per vertex, whether the identity carries the identity automorphism."""
+        return self.assignments[:, self.group.identity] == 0
+
+    @cached_property
+    def dsb(self) -> DynamicalSkewBrace:
+        return make_dsb(self.group, self.vertex_names, self.phi, dsb_ops(self.group, self.assignments))
 
 
 def _materialise(group: FiniteGroup, space: KeySpace, named: Mapping[tuple, str] | None) -> EnumerationResult:
@@ -516,45 +517,29 @@ def _materialise(group: FiniteGroup, space: KeySpace, named: Mapping[tuple, str]
     size, n = space.size, space.n
     k0 = space.unital_size
 
-    # phi, digits and ops per key block, straight into their final dtype
+    # phi and digits per key block, straight into their final dtype
     phi = np.empty((size, n), dtype=VERTEX_DTYPE)
     digits = np.empty((size, n), dtype=LABEL_DTYPE)
-    ops = np.empty((size, n, n), dtype=LABEL_DTYPE)
-    mul = np.array(group.table, dtype=LABEL_DTYPE)
-    rows = np.arange(n, dtype=np.intp)[:, None]
     for lo, hi, targets in _blocks(space, _block_buffer(space)):
         keys = np.arange(lo, hi, dtype=KEY_DTYPE)
         phi[lo:hi] = targets.T
         block = digits[lo:hi]
         for c in range(n):
             block[:, c] = space.digit(keys, c)
-        # ops[k, a, b] = a * f_a(b)
-        ops[lo:hi] = mul[rows, space._act[block]]
     del targets  # frees the block buffer: the peak comes later, in the component report
     digits.setflags(write=False)
 
+    names = (f"s{k}" if k < k0 else f"r{k - k0}" for k in range(size))
     if named:
-        names = tuple(
-            named.get(tuple(row), f"s{k}" if k < k0 else f"r{k - k0}")
-            for k, row in enumerate(digits.tolist())
-        )
-    else:
-        names = tuple(f"s{k}" if k < k0 else f"r{k - k0}" for k in range(size))
-
-    dsb = make_dsb(group, names, phi, ops)
-    quiver = dsb.quiver()
-    # keys are vertex indices, so the minimal-key labels are minimal-vertex labels
-    report = component_report(dsb.phi, comp)
-    unital = np.arange(size) < k0
-    unital.setflags(write=False)
+        names = map(named.get, map(tuple, digits.tolist()), names)
+    names, phi = validate_phi(tuple(names), phi, n)
     return EnumerationResult(
         group=group,
         assignments=digits,
         vertex_names=names,
-        quiver=quiver,
-        components=report,
-        unital_flags=unital,
-        dsb=dsb,
+        phi=phi,
+        # keys are vertex indices, so the minimal-key labels are minimal-vertex labels
+        components=component_report(phi, comp),
         full=not space.unital,
     )
 
@@ -580,10 +565,12 @@ def enumerate_full(
 
 
 def component_dsb(result: EnumerationResult, component: int) -> DynamicalSkewBrace:
-    """Extract one component as a stand-alone structure, vertices re-indexed."""
+    """Extract one component as a stand-alone structure, vertices re-indexed;
+    only the members' ops are built."""
     members = result.components.members[component]
     names = [result.vertex_names[v] for v in members.tolist()]
-    return make_dsb(result.group, names, restrict_phi(result.dsb.phi, members), result.dsb.ops[members])
+    ops = dsb_ops(result.group, result.assignments[members])
+    return make_dsb(result.group, names, restrict_phi(result.phi, members), ops)
 
 
 def check_partition_constancy(group: FiniteGroup, *, cap: int = DEFAULT_CAP) -> None:

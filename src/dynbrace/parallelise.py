@@ -377,14 +377,15 @@ def verify_heap(heap: TernaryHeap) -> Report:
         return T[s:t] == _take(T, c, b, _block(s, t, 3)), None, None
 
     m1, m2, a, a1, a2 = (
-        _check(fn.__name__, names, m, (fn, witness)) for fn in (maltsev1, maltsev2, assoc, assoc1, assoc2)
+        _check(fn.__name__, names, m, (fn, witness), rank=rank)
+        for fn, rank in ((maltsev1, 2), (maltsev2, 2), (assoc, 5), (assoc1, 4), (assoc2, 4))
     )
     # given the Mal'tsev identities, associativity holds exactly when both forms do
     maltsev = m1.passed and m2.passed
     agree = not maltsev or a.passed == (a1.passed and a2.passed)
     return Report((
         m1, m2, a, a1, a2, Check("assoc_equivalence", agree, required=maltsev),
-        _check("abelian", names, m, (abelian, witness), required=False),
+        _check("abelian", names, m, (abelian, witness), required=False, rank=3),
     ))
 
 

@@ -356,14 +356,6 @@ def export_dot(quiver: LabelledQuiver, collapse_labels: bool = False, name: str 
     return "\n".join(lines) + "\n"
 
 
-def quiver_to_json(quiver: LabelledQuiver) -> dict:
-    return {
-        "vertices": list(quiver.vertices),
-        "labels": list(quiver.labels),
-        "phi": quiver.phi.tolist(),
-    }
-
-
 def quiver_from_json(data: Mapping) -> LabelledQuiver:
     for key in ("vertices", "labels", "phi"):
         if key not in data:

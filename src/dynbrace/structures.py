@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InputError
-from .groups import FiniteGroup, group_from_json, group_to_json
+from .groups import FiniteGroup, group_from_json
 from .holomorph import RegularSubset, holomorph, translate
 from .quivers import (
     VERTEX_DTYPE,
@@ -100,9 +100,9 @@ def _witness(names: Sequence[str], idx, lhs=None, rhs=None, **extra) -> dict:
 # does not print them).  Neighbour data is gathered through the whole tables
 # by :func:`_take`, so a block only ever allocates block-sized arrays.
 
-# Tuples (vertex x label^3) per block: a block holds BLOCK_CELLS // n**3
-# vertices, at least one, so the temporaries of a check are O(BLOCK_CELLS)
-# whatever the number of vertices.
+# Cells per block: an axiom of rank r (vertex x label^(r-1) tuples) gets
+# blocks of BLOCK_CELLS // n**(r-1) vertices, at least one, so the temporaries
+# of a check are O(BLOCK_CELLS) whatever the number of vertices.
 BLOCK_CELLS = 1 << 17
 
 
@@ -127,32 +127,34 @@ def _axes(n: int, ndim: int) -> list[np.ndarray]:
     return [r.reshape((1,) * k + (n,) + (1,) * (ndim - 1 - k)) for k in range(1, ndim)]
 
 
-def _blocks(L: int, n: int):
-    """The vertex blocks (s, t), in order; n may be 0 (an empty heap)."""
-    step = max(1, BLOCK_CELLS // max(n, 1) ** 3)
+def _blocks(L: int, n: int, rank: int = 4):
+    """The vertex blocks (s, t) of a rank-``rank`` axiom, in order; n may be
+    0 (an empty heap)."""
+    step = max(1, BLOCK_CELLS // max(n, 1) ** (rank - 1))
     return ((s, min(s + step, L)) for s in range(0, L, step))
 
 
 def _blockwise(table_of_block, L: int, n: int, dtype=LABEL_DTYPE) -> np.ndarray:
     """The (L, n, n) table whose rows s..t-1 are ``table_of_block(s, t)``."""
     out = np.empty((L, n, n), dtype=dtype)
-    for s, t in _blocks(L, n):
+    for s, t in _blocks(L, n, 3):
         out[s:t] = table_of_block(s, t)
     return out
 
 
-def _check(name: str, names: Sequence[str], n: int, *axioms, required: bool = True) -> Check:
+def _check(name: str, names: Sequence[str], n: int, *axioms, required: bool = True, rank: int = 4) -> Check:
     """One ``Check`` of axioms run in order, each block by block.
 
     Each axiom is a block function or a ``(function, witness)`` pair, where
     ``witness(index, lhs, rhs)`` builds the witness; the default names the
-    vertex, the labels and both sides.  The first failing block ends the
-    check, and its first False cell (row-major) is the first failing tuple
-    in global (lam, a, b, c) order, whatever the block size.
+    vertex, the labels and both sides.  ``rank`` is the largest number of
+    axes of an axiom's block, which sizes the blocks.  The first failing
+    block ends the check, and its first False cell (row-major) is the first
+    failing tuple in global (lam, a, b, c) order, whatever the block size.
     """
     for axiom in axioms:
         fn, witness = axiom if isinstance(axiom, tuple) else (axiom, None)
-        for s, t in _blocks(len(names), n):
+        for s, t in _blocks(len(names), n, rank):
             ok, lhs, rhs = fn(s, t)
             if not ok.all():
                 idx = np.unravel_index(np.argmin(ok), ok.shape)
@@ -193,6 +195,17 @@ class DynamicalSkewBrace(QuiverBase):
         return self.ops[lam]
 
 
+def dsb_ops(group: FiniteGroup, digits: np.ndarray) -> np.ndarray:
+    """The per-vertex products ``ops[k, a, b] = a * f_a(b)`` of the regular
+    subsets whose automorphism indices are the rows of the ``(L, n)``
+    ``digits``, f_a the automorphism assigned at a.  Filled per block of
+    rows, so the ``(L, n, n)`` result is the only table of that size."""
+    act = np.array([aut.images for aut in holomorph(group).auts], dtype=LABEL_DTYPE)
+    mul = np.array(group.table, dtype=LABEL_DTYPE)
+    rows = np.arange(group.order, dtype=np.intp)[:, None]
+    return _blockwise(lambda s, t: mul[rows, act[digits[s:t]]], *digits.shape)
+
+
 def make_dsb(group, vertex_names, phi, ops) -> DynamicalSkewBrace:
     n = group.order
     names, phi = validate_phi(vertex_names, phi, n)
@@ -218,7 +231,6 @@ def dsb_from_subgroup_family(
         subsets = sorted(set(s.assignment for s in family))
     if not subsets:
         raise InputError("empty family")
-    hol = holomorph(group)
     n = group.order
     index = {assignment: k for k, assignment in enumerate(subsets)}
     names = [name_of.get(assignment, f"s{k}") for k, assignment in enumerate(subsets)]
@@ -234,13 +246,7 @@ def dsb_from_subgroup_family(
                     f"has assignment {t.describe()}"
                 )
             phi[k, a] = index[t.assignment]
-    act = np.array([aut.images for aut in hol.auts], dtype=LABEL_DTYPE)
-    mul = np.array(group.table, dtype=LABEL_DTYPE)
-    digits = np.array(subsets, dtype=LABEL_DTYPE)
-    # ops[k, a, b] = a * f_a(b) with f_a the automorphism assigned at a
-    fa = act[digits]                     # (L, n, n): fa[k, a, b] = f_a(b)
-    ops = mul[np.arange(n, dtype=np.intp)[None, :, None], fa]
-    return make_dsb(group, names, phi, ops)
+    return make_dsb(group, names, phi, dsb_ops(group, np.array(subsets, dtype=LABEL_DTYPE)))
 
 
 def is_zero_symmetric(dsb: DynamicalSkewBrace) -> bool:
@@ -784,15 +790,6 @@ def braiding_quadruples(
 # JSON formats
 
 
-def dsb_to_json(dsb: DynamicalSkewBrace) -> dict:
-    return {
-        "group": group_to_json(dsb.group),
-        "vertices": list(dsb.vertex_names),
-        "phi": dsb.phi.tolist(),
-        "ops": dict(zip(dsb.vertex_names, dsb.ops.tolist())),
-    }
-
-
 def _per_vertex(data: Mapping, key: str, names: Sequence[str]) -> list:
     """The entries of the name-keyed table ``data[key]``, in vertex order."""
     table = data[key]
@@ -813,26 +810,6 @@ def dsb_from_json(data: Mapping) -> DynamicalSkewBrace:
         raise InputError("dynamical structure JSON expects the identity at index 0")
     names = name_tuple(data["vertices"], "vertices")
     return make_dsb(group, names, data["phi"], _per_vertex(data, "ops", names))
-
-
-def bracoid_to_json(bracoid: SkewBracoid, group: FiniteGroup | None = None) -> dict:
-    out = {
-        "vertices": list(bracoid.vertex_names),
-        "labels": list(bracoid.label_names),
-        "phi": bracoid.phi.tolist(),
-        "ops": dict(zip(bracoid.vertex_names, bracoid.bullet.tolist())),
-        "dot": dict(zip(bracoid.vertex_names, bracoid.dot.tolist())),
-        "units": {
-            name: unit
-            for name, unit, unital in zip(
-                bracoid.vertex_names, bracoid.units.tolist(), bracoid.unital.tolist()
-            )
-            if unital
-        },
-    }
-    if group is not None:
-        out["group"] = group_to_json(group)
-    return out
 
 
 def bracoid_from_json(data: Mapping) -> SkewBracoid:

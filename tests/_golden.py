@@ -1,10 +1,55 @@
-"""Frozen expected values for the worked order-3 and order-4 families.
+"""Frozen expected values for the worked order-3 and order-4 families, and
+the list-form JSON encoders that serve as the stdlib oracle.
 
 The per-vertex product tables are derived from the reference subset listings
 (product of a with the assigned automorphism applied to b) and cross-checked
 against the reference braiding action and quiver drawings; unlisted two-step
 paths are fixed by the braiding.
+
+``json.dumps(dsb_to_json(dsb), indent=2, sort_keys=True)`` is, byte for
+byte, what the CLI's array writer must emit for a structure; likewise for
+the bracoid and quiver encoders.  They build every table as nested lists, so
+they are kept for tests on small families only.
 """
+from dynbrace.groups import group_to_json
+
+
+def dsb_to_json(dsb) -> dict:
+    return {
+        "group": group_to_json(dsb.group),
+        "vertices": list(dsb.vertex_names),
+        "phi": dsb.phi.tolist(),
+        "ops": dict(zip(dsb.vertex_names, dsb.ops.tolist())),
+    }
+
+
+def bracoid_to_json(bracoid, group=None) -> dict:
+    out = {
+        "vertices": list(bracoid.vertex_names),
+        "labels": list(bracoid.label_names),
+        "phi": bracoid.phi.tolist(),
+        "ops": dict(zip(bracoid.vertex_names, bracoid.bullet.tolist())),
+        "dot": dict(zip(bracoid.vertex_names, bracoid.dot.tolist())),
+        "units": {
+            name: unit
+            for name, unit, unital in zip(
+                bracoid.vertex_names, bracoid.units.tolist(), bracoid.unital.tolist()
+            )
+            if unital
+        },
+    }
+    if group is not None:
+        out["group"] = group_to_json(group)
+    return out
+
+
+def quiver_to_json(quiver) -> dict:
+    return {
+        "vertices": list(quiver.vertices),
+        "labels": list(quiver.labels),
+        "phi": quiver.phi.tolist(),
+    }
+
 
 # per-vertex product tables over the order-3 family
 Z3_OPS = {

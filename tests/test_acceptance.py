@@ -329,7 +329,8 @@ def test_criterion_13_partition_constancy():
         s1 = RegularSubset((0, 1, 0, 1))
         s2 = RegularSubset((0, 0, 1, 1))
         assert partition_profile(s1, group) == partition_profile(s2, group) == (2, 2)
-        i1 = result.vertices.index(s1)
-        i2 = result.vertices.index(s2)
+        rows = result.assignments.tolist()
+        i1 = rows.index(list(s1.assignment))
+        i2 = rows.index(list(s2.assignment))
         assert result.components.component_of[i1] != result.components.component_of[i2]
         assert partition_profile(RegularSubset((0, 1, 1, 1)), group) == (3, 1)

@@ -1,12 +1,14 @@
 """The blocked axiom driver of ``structures``.
 
-Every verifier runs its axioms over vertex blocks of ``BLOCK_CELLS // n**3``
-vertices and stops at the first failing block.  Reports must not depend on
+Every verifier runs its (vertex, a, b, c) axioms over vertex blocks of
+``BLOCK_CELLS // n**3`` vertices and stops at the first failing block.  Reports must not depend on
 the block size: the same ``verify`` text and ``--json`` bytes come out with
 one vertex per block, seven vertices per block and the default budget, for
 passing families and for corrupted files whose first failure lies in the
 last, partial block.  The heap verifier runs on the same driver, one element
-of the heap per vertex.  Memory must follow the budget, not the L·n³ tuples.
+of the heap per vertex, its five-element associativity in blocks of
+``BLOCK_CELLS // m**4`` elements.  Memory must follow the budget, not the
+L·n³ tuples.
 """
 import copy
 import json
@@ -22,14 +24,13 @@ from dynbrace.groups import build_group
 from dynbrace.parallelise import heap_from_group, make_heap, verify_heap
 from dynbrace.quivers import connected_components
 from dynbrace.structures import (
-    bracoid_to_json,
-    dsb_to_json,
     restrict_bracoid,
     semiloopoid_of_dsb,
     verify_bracoid,
     verify_dsb,
 )
 
+from tests._golden import bracoid_to_json, dsb_to_json
 from tests.conftest import cached_full, cached_unital
 
 BLOCK_VERTICES = (1, 7)
@@ -189,3 +190,12 @@ def test_verifier_memory_follows_the_block_budget(monkeypatch):
     table_bytes = 2 * L * n * n
     assert _traced_peak(lambda: verify_bracoid(bracoid)) < 1.5 * table_bytes + block_bytes
     assert 1.5 * table_bytes + block_bytes < L * n**3 / 2
+
+
+def test_heap_verifier_memory_follows_the_block_budget(monkeypatch):
+    # order 16: the five-element associativity has 16**4 tuples per element,
+    # so blocks sized for four axes would hold 16 elements, 2**20 tuples
+    heap = heap_from_group(build_group("dihedral:8"))
+    budget = 1 << 16
+    monkeypatch.setattr(structures, "BLOCK_CELLS", budget)
+    assert _traced_peak(lambda: verify_heap(heap)) < 32 * budget

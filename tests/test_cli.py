@@ -213,7 +213,8 @@ def test_json_outputs_byte_identical(tmp_path, capsys):
 
 def test_json_round_trip_reemission(tmp_path, capsys):
     # parsing an emitted file and re-emitting is byte-identical
-    from dynbrace.structures import dsb_from_json, dsb_to_json
+    from dynbrace.structures import dsb_from_json
+    from tests._golden import dsb_to_json
 
     path = tmp_path / "z4.json"
     run(capsys, "enumerate", "--group", "cyclic:4", "--json", "--out", str(path))
@@ -297,7 +298,8 @@ def seed_cyclic4():
     from dynbrace.enumeration import enumerate_unital
     from dynbrace.families import seeded_names
     from dynbrace.groups import build_group
-    from dynbrace.structures import bracoid_to_json, dsb_to_json, semiloopoid_of_dsb
+    from dynbrace.structures import semiloopoid_of_dsb
+    from tests._golden import bracoid_to_json, dsb_to_json
 
     dsb = enumerate_unital(build_group("cyclic:4"), seeded_names("cyclic:4", False)).dsb
     return dsb_to_json(dsb), bracoid_to_json(semiloopoid_of_dsb(dsb), dsb.group)
@@ -366,7 +368,8 @@ def test_export_dot_seeded_names(capsys):
 
 
 def test_parallelise_single_component_with_base(tmp_path, capsys):
-    from dynbrace.structures import bracoid_to_json, semiloopoid_of_dsb
+    from dynbrace.structures import semiloopoid_of_dsb
+    from tests._golden import bracoid_to_json
     from dynbrace.enumeration import component_dsb, enumerate_unital
     from dynbrace.families import seeded_names
     from dynbrace.groups import build_group
@@ -502,7 +505,8 @@ MALFORMED_COMMANDS = {
 def cyclic3_documents():
     from dynbrace.enumeration import enumerate_unital
     from dynbrace.groups import build_group
-    from dynbrace.structures import bracoid_to_json, dsb_to_json, semiloopoid_of_dsb
+    from dynbrace.structures import semiloopoid_of_dsb
+    from tests._golden import bracoid_to_json, dsb_to_json
 
     dsb = enumerate_unital(build_group("cyclic:3")).dsb
     return {"dsb": dsb_to_json(dsb), "bracoid": bracoid_to_json(semiloopoid_of_dsb(dsb))}

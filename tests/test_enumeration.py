@@ -41,7 +41,7 @@ def test_full_sizes():
 
 def test_vertices_in_canonical_order():
     result = cached_unital("cyclic:4")
-    assignments = [v.assignment for v in result.vertices]
+    assignments = [tuple(row) for row in result.assignments.tolist()]
     assert assignments == sorted(assignments)
 
 
@@ -114,7 +114,8 @@ def test_isolated_vertices_equal_regular_subgroup_count():
         k = len(holomorph(group).auts)
         count = 0
         result = cached_unital(name)
-        for s in result.vertices:
+        for row in result.assignments.tolist():
+            s = RegularSubset(tuple(row))
             if all(translate(s, a, group) == s for a in range(group.order)):
                 count += 1
         assert count == invariants(group).count(1)
@@ -161,8 +162,9 @@ def test_partition_equal_but_components_distinct():
     s2 = RegularSubset((0, 0, 1, 1))
     assert partition_profile(s1, z4) == partition_profile(s2, z4) == (2, 2)
     result = cached_unital("cyclic:4")
-    idx1 = result.vertices.index(s1)
-    idx2 = result.vertices.index(s2)
+    rows = result.assignments.tolist()
+    idx1 = rows.index(list(s1.assignment))
+    idx2 = rows.index(list(s2.assignment))
     assert result.components.component_of[idx1] != result.components.component_of[idx2]
 
 
@@ -404,6 +406,42 @@ def test_inverse_lemma_vectorised():
         for unital in (True, False):
             space = KeySpace(group, unital=unital)
             check_inverse_lemma(space)
+
+
+def test_dsb_is_built_when_first_read():
+    result = enumeration.enumerate_unital(cached_group("cyclic:4"))
+    # the text outputs read the quiver, the flags and the components only
+    assert result.quiver.arrow_count == 32 and result.unital_flags.all()
+    assert result.components.count == 4
+    assert "dsb" not in result.__dict__
+    dsb = result.dsb
+    assert result.__dict__["dsb"] is dsb and result.dsb is dsb
+    assert np.array_equal(dsb.phi, result.phi) and dsb.vertex_names == result.vertex_names
+
+
+@pytest.mark.parametrize("block_cells", [None, 1])
+@pytest.mark.parametrize("name, full", [("cyclic:3", False), ("cyclic:3", True), ("cyclic:4", False)])
+def test_dsb_ops_are_the_subgroup_family_tables(monkeypatch, name, full, block_cells):
+    from dynbrace import structures
+    from dynbrace.families import reference_family, seeded_names
+    from dynbrace.holomorph import holomorph
+    from dynbrace.structures import dsb_from_subgroup_family, dsb_ops
+
+    if block_cells:
+        monkeypatch.setattr(structures, "BLOCK_CELLS", block_cells)
+    group, family = reference_family(name, full)
+    reference = dsb_from_subgroup_family(group, family)
+    digits = np.array(sorted(s.assignment for s in family.values()), dtype=np.int16)
+    ops = dsb_ops(group, digits)
+    assert np.array_equal(ops, reference.ops)
+    auts, n = holomorph(group).auts, group.order
+    for k, row in enumerate(digits.tolist()):
+        assert ops[k].tolist() == [[group.mul(a, auts[row[a]].images[b]) for b in range(n)] for a in range(n)]
+    # the enumerated family's lazy structure has the same vertices and tables
+    result = (enumeration.enumerate_full if full else enumeration.enumerate_unital)(group, seeded_names(name, full))
+    assert result.dsb.vertex_names == reference.vertex_names
+    assert np.array_equal(result.dsb.phi, reference.phi)
+    assert np.array_equal(result.dsb.ops, reference.ops)
 
 
 def test_component_dsb_extraction():

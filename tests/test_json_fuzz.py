@@ -116,7 +116,8 @@ def _outputs(tmp, doc):
 
 @pytest.fixture(scope="module")
 def workdirs(tmp_path_factory):
-    from dynbrace.structures import bracoid_to_json, dsb_from_json, semiloopoid_of_dsb
+    from dynbrace.structures import dsb_from_json, semiloopoid_of_dsb
+    from tests._golden import bracoid_to_json
 
     code, out, _ = _run(["enumerate", "--group", "cyclic:3", "--json"])
     assert code == 0

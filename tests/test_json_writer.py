@@ -20,8 +20,9 @@ from dynbrace import cli
 from dynbrace.enumeration import enumerate_full, initial_counts
 from dynbrace.groups import automorphism_group
 from dynbrace.parallelise import parallelise
-from dynbrace.structures import braiding_of_qtsb, dsb_to_json, semiloopoid_of_dsb
+from dynbrace.structures import braiding_of_qtsb, semiloopoid_of_dsb
 
+from tests._golden import dsb_to_json
 from tests.conftest import cached_full, cached_group, cached_unital
 
 INTS = st.integers(min_value=-(2**70), max_value=2**70)

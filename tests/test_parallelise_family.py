@@ -19,8 +19,6 @@ from dynbrace.quivers import connected_components
 from dynbrace.structures import (
     Report,
     bracoid_from_json,
-    bracoid_to_json,
-    dsb_to_json,
     is_zero_symmetric,
     make_dsb,
     relabel_bracoid,
@@ -29,6 +27,7 @@ from dynbrace.structures import (
     verify_dsb,
 )
 
+from tests._golden import bracoid_to_json, dsb_to_json
 from tests.conftest import cached_full, cached_unital
 from tests.test_cli import run
 

@@ -14,9 +14,9 @@ from dynbrace.quivers import (
     labels,
     quiver_from_json,
     quiver_of_dynamical_set,
-    quiver_to_json,
 )
 
+from tests._golden import quiver_to_json
 from tests.conftest import cached_unital
 
 # the worked unital family over the order-3 cyclic group:

@@ -9,12 +9,10 @@ from dynbrace.holomorph import RegularSubset
 from dynbrace.structures import (
     QuiverBraiding,
     bracoid_from_json,
-    bracoid_to_json,
     braiding_of_qtsb,
     braiding_quadruples,
     dsb_from_json,
     dsb_from_subgroup_family,
-    dsb_to_json,
     is_zero_symmetric,
     make_bracoid,
     make_dsb,
@@ -27,7 +25,7 @@ from dynbrace.structures import (
     verify_dsb,
 )
 
-from tests._golden import Z3_ARROWS, Z3_OPS, Z4_OPS, z4_expected_braiding
+from tests._golden import Z3_ARROWS, Z3_OPS, Z4_OPS, bracoid_to_json, dsb_to_json, z4_expected_braiding
 
 
 @pytest.fixture(scope="module")
