@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Sweep the component-size census over a list of group presets with timings.
+"""Sweep the component-size census over a list of group presets with timings
+and the peak of memory the census allocates (``tracemalloc``, in MB).
 
 Usage:
     python scripts/invariants_sweep.py
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import time
+import tracemalloc
 
 from dynbrace.enumeration import invariants
 from dynbrace.errors import ResourceCapError
@@ -34,7 +36,7 @@ def main() -> int:
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP)
     args = parser.parse_args()
 
-    print(f"{'group':<24} {'|A|':>4} {'|Aut|':>6} {'space':>10} {'N_s':<28} {'time':>8}")
+    print(f"{'group':<24} {'|A|':>4} {'|Aut|':>6} {'space':>10} {'N_s':<28} {'time':>8} {'peak':>9}")
     for name in args.groups:
         group = build_group(name)
         radix = len(automorphism_group(group))
@@ -42,15 +44,19 @@ def main() -> int:
         if space > args.max_space:
             print(f"{name:<24} {group.order:>4} {radix:>6} {space:>10}  skipped (over --max-space)")
             continue
+        tracemalloc.start()
         start = time.perf_counter()
         try:
             table = invariants(group, cap=args.cap)
         except ResourceCapError as exc:
             print(f"{name:<24} {group.order:>4} {radix:>6} {space:>10}  {exc}")
             continue
-        elapsed = time.perf_counter() - start
+        finally:
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+            tracemalloc.stop()
         census = " ".join(f"N_{s}={c}" for s, c in table.counts.items())
-        print(f"{name:<24} {group.order:>4} {radix:>6} {space:>10} {census:<28} {elapsed:>7.2f}s")
+        print(f"{name:<24} {group.order:>4} {radix:>6} {space:>10} {census:<28} {elapsed:>7.2f}s {peak:>7.2f}MB")
     return 0
 
 

@@ -561,16 +561,14 @@ def _report_lines(kind: str, report) -> list[str]:
 
 def _cmd_verify(args) -> int:
     dsb = bracoid = braiding = None
-    if args.input:
+    if args.input is not None:
         structure = _load_structure(_load_json(args.input))
         if isinstance(structure, SkewBracoid):
             bracoid = structure
         else:
             dsb = structure
-    elif args.group:
-        dsb = _family(args).dsb
     else:
-        raise InputError("verify needs --input or --group")
+        dsb = _family(args).dsb
 
     # each stage runs only when the one before it passed
     reports = []
@@ -630,8 +628,6 @@ def _cmd_parallelise(args) -> int:
         _emit_json({"components": _Components(structures)}, args.out)
         return 0
 
-    if args.base is None:
-        raise InputError("parallelise needs --base (or --per-component)")
     _, dsb = parallelise(bracoid, args.base)
     _emit_json(_dsb_json(dsb), args.out)
     return 0
@@ -691,16 +687,14 @@ def _cmd_heap(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    if args.input:
+    if args.input is not None:
         data = _load_json(args.input)
         if "labels" in data and "ops" not in data:
             quiver = quiver_from_json(data)
         else:
             quiver = _load_structure(data, "input JSON does not describe a quiver").quiver()
-    elif args.group:
-        quiver = _family(args).quiver
     else:
-        raise InputError("export-dot needs --input or --group")
+        quiver = _family(args).quiver
     _emit(export_dot(quiver, collapse_labels=args.collapse_labels), args.out)
     return 0
 
@@ -723,11 +717,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, group_opt=True, input_opt=False):
-        source = p.add_mutually_exclusive_group() if group_opt and input_opt else p
+        # one source is required: the option itself, or one of the exclusive pair
+        either = group_opt and input_opt
+        source = p.add_mutually_exclusive_group(required=True) if either else p
         if group_opt:
-            source.add_argument("--group", help="group preset, e.g. cyclic:4 or prod:cyclic:2,cyclic:2")
+            source.add_argument("--group", required=not either,
+                                help="group preset, e.g. cyclic:4 or prod:cyclic:2,cyclic:2")
         if input_opt:
-            source.add_argument("--input", help="input JSON path")
+            source.add_argument("--input", required=not either, help="input JSON path")
         p.add_argument("--out", help="output path (default stdout)")
         if group_opt:  # only the commands that enumerate read a cap
             p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
@@ -755,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parallelise", help="relabel a connected bracoid into a dynamical structure")
     common(p, group_opt=False, input_opt=True)
-    base = p.add_mutually_exclusive_group()
+    base = p.add_mutually_exclusive_group(required=True)
     base.add_argument("--base", help="base vertex name")
     base.add_argument("--per-component", action="store_true",
                       help="apply per connected component (base chosen canonically)")

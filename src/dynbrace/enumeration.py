@@ -17,13 +17,15 @@ whole-space table.  Component structure comes from minimum propagation along
 translation images in one int32 label array: a gather-free first pass, exact on
 unital spaces because their components are complete quivers, then a fixpoint
 pass lowered in place block by block.  The component sizes are the run lengths
-of the label array sorted in place, and the table of component counts is
-exact.  Materialising a family builds the ``(K, n)`` digits and ``phi`` per
-key block and the component report, and nothing else per vertex but its
-name; the quiver and the unital flags are views of those arrays.  The
-dynamical skew brace, whose ``(K, n, n)`` ops
-(:func:`~dynbrace.structures.dsb_ops` of the digits) are the bulk of a family,
-is built and validated when :attr:`EnumerationResult.dsb` is first read.
+of the label array sorted in place, counted block by block into a histogram,
+so the census holds that one 4-byte-per-key array and buffers of
+O(n * BLOCK_KEYS); the table of component counts is exact.  Materialising a
+family builds the ``(K, n)`` digits and ``phi`` per key block and the
+component report, and nothing else per vertex but its name; the quiver and
+the unital flags are views of those arrays.  The dynamical skew brace, whose
+``(K, n, n)`` ops (:func:`~dynbrace.structures.dsb_ops` of the digits) are
+the bulk of a family, is built when :attr:`EnumerationResult.dsb` is first
+read, from arrays the materialisation has already validated.
 """
 from __future__ import annotations
 
@@ -56,8 +58,9 @@ KEY_LIMIT = int(np.iinfo(KEY_DTYPE).max)
 
 #: Keys per block of the streaming loops (:func:`component_labels`,
 #: :func:`initial_counts`, materialisation, :func:`check_partition_constancy`),
-#: rounded down to whole high rows of W keys and up to at least one row.
-BLOCK_KEYS = 1 << 16
+#: rounded down to whole high rows of W keys and up to at least one row, and
+#: labels per block of the size count of :func:`invariants`.
+BLOCK_KEYS = 1 << 14
 #: Bound on W, the number of low values of the two-level contribution table.
 LOW_KEYS = 4096
 
@@ -332,20 +335,36 @@ def invariants(group: FiniteGroup, *, cap: int = DEFAULT_CAP) -> InvariantTable:
     """Component-size counts of the maximal unital family, streaming.
 
     The labels of :func:`component_labels` are sorted in place; each
-    component is then one run, and the run starts and lengths give the roots
-    in ascending order and their sizes with no per-key count array.  The
-    relation sum(s * N_s) = |Aut|^(|A|-1) and the divisibility constraint
-    are asserted; initial-vertex counts use the closed form s*(|Aut|-1), which
+    component is then one run, roots ascending.  The run lengths are counted
+    in one pass over blocks of :data:`BLOCK_KEYS` labels, the open run carried
+    across each block boundary, into a histogram of sizes; the run starts are
+    kept only while there are few enough to list, so the census holds no
+    array of one entry per key besides the labels.  The relation
+    sum(s * N_s) = |Aut|^(|A|-1) and the divisibility constraint are
+    asserted; initial-vertex counts use the closed form s*(|Aut|-1), which
     :func:`initial_counts` verifies independently against the full family.
     """
     space = KeySpace(group, unital=True, cap=cap)
     comp = component_labels(space)
     comp.sort()  # in place: each component becomes one run, roots ascending
-    starts = np.flatnonzero(comp[1:] != comp[:-1]) + 1
-    roots = comp[np.concatenate(([0], starts))]
-    sizes = np.diff(starts, prepend=0, append=comp.size)
-    size_values, size_counts = np.unique(sizes, return_counts=True)
-    counts = {int(s): int(c) for s, c in zip(size_values, size_counts)}
+    hist = np.zeros(0, dtype=np.intp)  # hist[s]: runs of length s closed so far
+    listed = [np.zeros(1, dtype=np.intp)]  # run starts, while the runs fit the listing
+    runs, open_start = 1, 0
+    for lo in range(1, comp.size, BLOCK_KEYS):
+        hi = min(lo + BLOCK_KEYS, comp.size)
+        starts = np.flatnonzero(comp[lo:hi] != comp[lo - 1:hi - 1]) + lo
+        if starts.size:
+            hist = _add_counts(hist, np.diff(starts, prepend=open_start))
+            open_start = int(starts[-1])
+            runs += starts.size
+            if runs <= PARTITION_LISTING_LIMIT:
+                listed.append(starts)
+    hist = _add_counts(hist, [comp.size - open_start])
+    counts = {s: int(hist[s]) for s in np.flatnonzero(hist).tolist()}
+    partitions = None
+    if runs <= PARTITION_LISTING_LIMIT:
+        starts = np.concatenate(listed)
+        partitions = _component_partitions(space, comp[starts], np.diff(starts, append=comp.size))
     table = InvariantTable(
         group_name=group.name,
         order=group.order,
@@ -354,8 +373,8 @@ def invariants(group: FiniteGroup, *, cap: int = DEFAULT_CAP) -> InvariantTable:
         sizes=tuple(counts),
         counts=counts,
         initial_counts={s: s * (space.radix - 1) for s in sorted(counts)},
-        partitions=_component_partitions(space, roots, sizes),
-        partitions_omitted=0 if roots.size <= PARTITION_LISTING_LIMIT else int(roots.size),
+        partitions=partitions,
+        partitions_omitted=0 if partitions is not None else runs,
     )
     problems = table.check_relations()
     if problems:
@@ -363,9 +382,14 @@ def invariants(group: FiniteGroup, *, cap: int = DEFAULT_CAP) -> InvariantTable:
     return table
 
 
+def _add_counts(hist: np.ndarray, lengths) -> np.ndarray:
+    """``hist`` plus the counts of ``lengths``, grown to the longest length."""
+    out = np.bincount(lengths, minlength=hist.size)
+    out[:hist.size] += hist
+    return out
+
+
 def _component_partitions(space: KeySpace, roots: np.ndarray, sizes: np.ndarray):
-    if roots.size > PARTITION_LISTING_LIMIT:
-        return None
     mat = _partition_matrix(space, roots)
     out = []
     for i in range(roots.size):
@@ -434,57 +458,13 @@ def initial_counts(group: FiniteGroup, *, cap: int = DEFAULT_CAP) -> InitialCoun
     return InitialCountsResult(tuple(out), dict(sorted(by_size.items())))
 
 
-def check_translation_composition(space: KeySpace, tables: np.ndarray) -> None:
-    """translate(translate(S,a),b) == translate(S, a *_S b) on the whole space.
-
-    ``tables`` is the whole-space ``(n, K)`` :meth:`KeySpace.translation_table`.
-    """
-    keys = np.arange(space.size, dtype=KEY_DTYPE)
-    digits = space.digits(keys)
-    mul = np.asarray(space.group.table, dtype=np.intp)
-    for a in range(space.n):
-        fa = digits[a].astype(np.intp)
-        for b in range(space.n):
-            ab = mul[a][space._act[fa, b]]
-            lhs = tables[b][tables[a]]
-            rhs = tables[ab, keys]
-            if not np.array_equal(lhs, rhs):
-                bad = int(np.argwhere(lhs != rhs)[0][0])
-                raise AssertionError(
-                    f"translation composition fails at key {bad}, labels ({a},{b})"
-                )
-
-
-def check_inverse_lemma(space: KeySpace) -> None:
-    """In the translate of S along a, the element (f_a^-1(a))^-1 carries f_a^-1.
-
-    A unital-only identity: it is the identity pair of S that lands on that
-    element, so it is checked on the unital keys of the space.
-    """
-    keys = np.arange(space.size, dtype=KEY_DTYPE)
-    digits = space.digits(keys)
-    tables = space.translation_table()
-    unital = digits[space.group.identity] == 0
-    inv = np.array(space.group.inverses, dtype=np.intp)
-    for a in range(space.n):
-        fa = digits[a].astype(np.intp)
-        fi = space._ainv[fa].astype(np.intp)
-        pos = inv[space._act[fi, a].astype(np.intp)]
-        w = space.weights[pos]
-        observed = np.where(w > 0, (tables[a] // np.where(w > 0, w, 1)) % space.radix, 0)
-        ok = ~unital | (observed.astype(np.intp) == fi)
-        if not ok.all():
-            bad = int(np.argwhere(~ok)[0][0])
-            raise AssertionError(f"inverse identity fails at key {bad}, label {a}")
-
-
 @dataclass(frozen=True, eq=False)
 class EnumerationResult:
     """Materialised family: the ``(K, n)`` assignment digits, the vertex
     names, the transition array ``phi`` and the component report.
 
     The quiver and the unital flags are views of these; the dynamical skew
-    brace is built, and validated, when it is first read.
+    brace is built when it is first read.
     """
 
     group: FiniteGroup
@@ -509,7 +489,11 @@ class EnumerationResult:
 
     @cached_property
     def dsb(self) -> DynamicalSkewBrace:
-        return make_dsb(self.group, self.vertex_names, self.phi, dsb_ops(self.group, self.assignments))
+        # no second validation: _materialise validated the names and phi, and
+        # every cell of dsb_ops is an entry of the group table
+        ops = dsb_ops(self.group, self.assignments)
+        ops.setflags(write=False)
+        return DynamicalSkewBrace(self.group, self.vertex_names, self.phi, ops)
 
 
 def _materialise(group: FiniteGroup, space: KeySpace, named: Mapping[tuple, str] | None) -> EnumerationResult:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .errors import InputError, ResourceCapError
 from .groups import Automorphism, FiniteGroup, automorphism_group
@@ -82,9 +82,6 @@ class RegularSubset:
 
     assignment: tuple[int, ...]
 
-    def is_unital(self, group: FiniteGroup) -> bool:
-        return self.assignment[group.identity] == 0
-
     def describe(self) -> str:
         return ",".join(str(f) for f in self.assignment)
 
@@ -99,10 +96,6 @@ def check_regular_subset(subset: RegularSubset, group: FiniteGroup) -> None:
     for a, f in enumerate(subset.assignment):
         if not (0 <= f < k):
             raise InputError(f"automorphism index {f} at element {a} out of range [0,{k})")
-
-
-def identity_subset(group: FiniteGroup) -> RegularSubset:
-    return RegularSubset(tuple(0 for _ in range(group.order)))
 
 
 def translate(subset: RegularSubset, a: int, group: FiniteGroup) -> RegularSubset:
@@ -151,14 +144,3 @@ def orbit_closure(
         frontier = nxt
     return tuple(RegularSubset(x) for x in sorted(seen))
 
-
-def subset_to_json(subset: RegularSubset) -> dict:
-    return {"assignment": list(subset.assignment)}
-
-
-def subset_from_json(data: Mapping, group: FiniteGroup) -> RegularSubset:
-    if "assignment" not in data:
-        raise InputError("regular subset JSON needs an 'assignment' key")
-    subset = RegularSubset(tuple(int(v) for v in data["assignment"]))
-    check_regular_subset(subset, group)
-    return subset

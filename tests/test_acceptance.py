@@ -10,9 +10,7 @@ import numpy as np
 
 from dynbrace.enumeration import (
     KeySpace,
-    check_inverse_lemma,
     check_partition_constancy,
-    check_translation_composition,
     component_dsb,
     enumerate_full,
     enumerate_unital,
@@ -43,6 +41,7 @@ from dynbrace.structures import (
 )
 
 from tests import _golden
+from tests._identities import check_inverse_lemma, check_translation_composition
 from tests.conftest import cached_group
 
 RESULTS: list[str] = []

@@ -7,9 +7,7 @@ import dynbrace.enumeration as enumeration
 from dynbrace.enumeration import (
     KEY_DTYPE,
     KeySpace,
-    check_inverse_lemma,
     check_partition_constancy,
-    check_translation_composition,
     component_dsb,
     component_labels,
     initial_counts,
@@ -22,6 +20,7 @@ from dynbrace.quivers import connected_components, is_homogeneous, labels
 from dynbrace.structures import is_zero_symmetric, verify_dsb
 
 from tests._golden import Z3_INITIAL_ARROWS
+from tests._identities import check_inverse_lemma, check_translation_composition
 from tests.conftest import cached_full, cached_group, cached_unital
 
 
@@ -419,6 +418,22 @@ def test_dsb_is_built_when_first_read():
     assert np.array_equal(dsb.phi, result.phi) and dsb.vertex_names == result.vertex_names
 
 
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("name", ["cyclic:4", "dihedral:3", "cyclic:6"])
+def test_lazy_dsb_is_make_dsb_of_the_family_arrays(name, full):
+    # the lazy structure skips make_dsb's validation, not any of its results
+    from dynbrace.structures import dsb_ops, make_dsb
+
+    result = (enumeration.enumerate_full if full else enumeration.enumerate_unital)(cached_group(name))
+    dsb = result.dsb
+    checked = make_dsb(result.group, result.vertex_names, result.phi, dsb_ops(result.group, result.assignments))
+    assert dsb.vertex_names == checked.vertex_names
+    for field in ("phi", "ops"):
+        got, want = getattr(dsb, field), getattr(checked, field)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable and not want.flags.writeable
+
+
 @pytest.mark.parametrize("block_cells", [None, 1])
 @pytest.mark.parametrize("name, full", [("cyclic:3", False), ("cyclic:3", True), ("cyclic:4", False)])
 def test_dsb_ops_are_the_subgroup_family_tables(monkeypatch, name, full, block_cells):
@@ -518,3 +533,53 @@ def test_block_sizes_do_not_change_results(monkeypatch, name):
     assert small_width < width
     assert small == base
     assert all(np.array_equal(x, y) for x, y in zip(base_tables, small_tables))
+
+
+def _census_oracle(group):
+    """Counts, partition listing and omitted count of the unital census, from
+    ``np.unique`` over whole label arrays and the scalar partition profile."""
+    space = KeySpace(group, unital=True)
+    roots, sizes = np.unique(component_labels(space), return_counts=True)
+    counts = dict(zip(*(v.tolist() for v in np.unique(sizes, return_counts=True))))
+    if roots.size > enumeration.PARTITION_LISTING_LIMIT:
+        return counts, None, roots.size
+    partitions = []
+    for root, size in zip(roots.tolist(), sizes.tolist()):
+        assignment = space.assignment_of(root)
+        partitions.append((size, assignment, partition_profile(RegularSubset(assignment), group)))
+    return counts, tuple(partitions), 0
+
+
+@pytest.mark.parametrize("name", KERNEL_PRESETS)
+def test_census_counts_runs_across_blocks(monkeypatch, name):
+    # 7-label blocks: runs straddle block boundaries, runs of 8 outlast a
+    # block, and the last run ends at K; the order-8 spaces have more runs
+    # than the listing shows
+    group = cached_group(name)
+    expected = _census_oracle(group)
+    monkeypatch.setattr(enumeration, "BLOCK_KEYS", 7)
+    table = invariants(group)
+    assert (dict(table.counts), table.partitions, table.partitions_omitted) == expected
+    assert table.sizes == tuple(sorted(expected[0]))
+
+
+def test_census_holds_one_label_array(monkeypatch):
+    # dihedral:4: 8^7 unital keys, an 8 MB label array; one W-row per block.
+    # Besides the labels, the census holds the share tables, block buffers
+    # and at most PARTITION_LISTING_LIMIT listed run starts: no second array
+    # of a byte or more per key (2 MB here)
+    block = 4096
+    monkeypatch.setattr(enumeration, "BLOCK_KEYS", block)
+    group = cached_group("dihedral:4")
+    space = KeySpace(group, unital=True)
+    shares = sum(a.nbytes for a in (space._low, space._high, *space._own_digit, *space._own_share))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table = invariants(group)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert table.partitions is None and table.partitions_omitted > enumeration.PARTITION_LISTING_LIMIT
+    labels_bytes = 4 * space.size
+    assert peak < labels_bytes + shares + 8 * enumeration.PARTITION_LISTING_LIMIT + 32 * space.n * block

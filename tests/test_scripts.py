@@ -40,10 +40,14 @@ def test_reproduce_reference_tables():
 
 def test_invariants_sweep():
     lines = run_script("invariants_sweep.py", "--groups", "cyclic:3", "cyclic:4", "klein4")
-    census = {line.split()[0]: line.split()[4:-1] for line in lines[1:]}
+    census = {line.split()[0]: line.split()[4:-2] for line in lines[1:]}
     assert census == {
         "cyclic:3": ["N_1=1", "N_3=1"],
         "cyclic:4": ["N_1=2", "N_2=1", "N_4=1"],
         "klein4": ["N_1=4", "N_2=6", "N_4=50"],
     }
-    assert lines[0].split() == ["group", "|A|", "|Aut|", "space", "N_s", "time"]
+    assert lines[0].split() == ["group", "|A|", "|Aut|", "space", "N_s", "time", "peak"]
+    for line in lines[1:]:
+        time_s, peak_mb = line.split()[-2:]
+        assert time_s.endswith("s") and peak_mb.endswith("MB")
+        assert 0 < float(peak_mb[:-2]) < 1  # the largest space here has 216 keys
