@@ -16,6 +16,7 @@ built.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import math
@@ -388,7 +389,7 @@ def _write(out: str | None, write) -> None:
     Writers stream, so a failure can come after the first bytes; the file is
     then removed rather than left truncated.
     """
-    if not out:
+    if out is None:
         write(sys.stdout)
         return
     try:
@@ -418,6 +419,8 @@ def _dsb_json(dsb) -> dict:
 
 
 def _load_json(path: str):
+    collecting = gc.isenabled()
+    gc.disable()  # the decode only allocates, so a collection on the way frees nothing
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -428,6 +431,9 @@ def _load_json(path: str):
         raise InputError(f"{path} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from None
+    finally:
+        if collecting:
+            gc.enable()
     if not isinstance(data, dict):
         raise InputError(f"{path} does not hold a JSON object")
     return data
@@ -470,7 +476,7 @@ def _enumeration_json(result: EnumerationResult) -> dict:
 def _cmd_enumerate(args) -> int:
     result = _family(args)
     group = result.group
-    in_result = initial_counts(group, cap=args.cap) if args.full else None
+    in_result = initial_counts(result) if args.full else None
 
     if args.json:
         data = _enumeration_json(result)
@@ -709,6 +715,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got an empty string")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dynbrace",
@@ -724,8 +736,8 @@ def build_parser() -> argparse.ArgumentParser:
             source.add_argument("--group", required=not either,
                                 help="group preset, e.g. cyclic:4 or prod:cyclic:2,cyclic:2")
         if input_opt:
-            source.add_argument("--input", required=not either, help="input JSON path")
-        p.add_argument("--out", help="output path (default stdout)")
+            source.add_argument("--input", type=_path, required=not either, help="input JSON path")
+        p.add_argument("--out", type=_path, help="output path (default stdout)")
         if group_opt:  # only the commands that enumerate read a cap
             p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
                            help="enumeration size cap")

@@ -25,7 +25,9 @@ component report, and nothing else per vertex but its name; the quiver and
 the unital flags are views of those arrays.  The dynamical skew brace, whose
 ``(K, n, n)`` ops (:func:`~dynbrace.structures.dsb_ops` of the digits) are
 the bulk of a family, is built when :attr:`EnumerationResult.dsb` is first
-read, from arrays the materialisation has already validated.
+read, from arrays the materialisation has already validated.  The checks of a
+family read those arrays too, so only the census and materialisation build a
+key space.
 """
 from __future__ import annotations
 
@@ -36,9 +38,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ResourceCapError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, automorphism_group
 from .holomorph import DEFAULT_CAP, RegularSubset, holomorph
-from .quivers import ComponentReport, LabelledQuiver, component_report, restrict_phi, validate_phi
+from .quivers import ComponentReport, LabelledQuiver, component_report, restrict_phi, uneven_rows, validate_phi
 from .structures import (
     LABEL_DTYPE,
     VERTEX_DTYPE,
@@ -56,10 +58,10 @@ KEY_DTYPE = np.int32
 KEY_LIMIT = int(np.iinfo(KEY_DTYPE).max)
 
 
-#: Keys per block of the streaming loops (:func:`component_labels`,
-#: :func:`initial_counts`, materialisation, :func:`check_partition_constancy`),
-#: rounded down to whole high rows of W keys and up to at least one row, and
-#: labels per block of the size count of :func:`invariants`.
+#: Keys per block of the key-space loops (:func:`component_labels`,
+#: materialisation), rounded down to whole high rows of W keys and up to at
+#: least one row; also labels per block of the census size count and ``phi``
+#: rows per block of :func:`initial_counts` and :func:`check_partition_constancy`.
 BLOCK_KEYS = 1 << 14
 #: Bound on W, the number of low values of the two-level contribution table.
 LOW_KEYS = 4096
@@ -78,18 +80,17 @@ class KeySpace:
     """
 
     def __init__(self, group: FiniteGroup, unital: bool, *, cap: int = DEFAULT_CAP):
-        hol = holomorph(group)
         self.group = group
-        self.hol = hol
         self.unital = unital
         n = group.order
-        radix = len(hol.auts)
+        radix = len(automorphism_group(group))
         self.n = n
         self.radix = radix
         self.size = radix ** (n - 1) if unital else radix**n
         cap = min(cap, KEY_LIMIT)
         if self.size > cap:
             raise ResourceCapError(self.size, cap, "regular subsets")
+        hol = holomorph(group)  # only below the cap: its composition table has |Aut|^2 entries
         weights = [radix ** (n - 1 - c) for c in range(n)]
         if unital:
             weights[0] = 0
@@ -150,13 +151,6 @@ class KeySpace:
                 if a != b:
                     target[a] += share[a, b][:, d]
         return low, high
-
-    # -- scalar conversions --------------------------------------------------
-
-    def assignment_of(self, key: int) -> tuple[int, ...]:
-        return tuple((key // w) % self.radix if w else 0 for w in self.weights.tolist())
-
-    # -- vectorised kernels ----------------------------------------------------
 
     def digit(self, keys: np.ndarray, position: int) -> np.ndarray:
         w = int(self.weights[position])
@@ -223,10 +217,10 @@ def _block_buffer(space: KeySpace) -> np.ndarray:
     return np.empty((space.n, min(rows * space.low_size, space.size)), dtype=KEY_DTYPE)
 
 
-def _blocks(space: KeySpace, buf: np.ndarray, lo: int = 0):
-    """``(lo, hi, translates)`` per block of the keys ``[lo, K)``, each block's
-    translates written into ``buf`` by :meth:`KeySpace.translation_table`."""
-    for start in range(lo, space.size, buf.shape[1]):
+def _blocks(space: KeySpace, buf: np.ndarray):
+    """``(lo, hi, translates)`` per block of the keys, each block's translates
+    written into ``buf`` by :meth:`KeySpace.translation_table`."""
+    for start in range(0, space.size, buf.shape[1]):
         stop = min(start + buf.shape[1], space.size)
         yield start, stop, space.translation_table(start, stop, out=buf)
 
@@ -276,22 +270,18 @@ def component_labels(space: KeySpace) -> np.ndarray:
 
 def partition_profile(subset: RegularSubset, group: FiniteGroup) -> tuple[int, ...]:
     """Multiset of automorphism multiplicities in decreasing order."""
-    hol = holomorph(group)
-    counts = [0] * len(hol.auts)
+    counts = [0] * len(automorphism_group(group))
     for f in subset.assignment:
         counts[f] += 1
     return tuple(sorted((c for c in counts if c), reverse=True))
 
 
-def _partition_matrix(space: KeySpace, keys: np.ndarray) -> np.ndarray:
-    """Row per key: automorphism multiplicities sorted decreasingly."""
-    counts = np.zeros((keys.size, space.radix), dtype=np.int16)
-    rows = np.arange(keys.size, dtype=np.intp)
-    for c in range(space.n):
-        if space.unital and c == 0:
-            counts[rows, 0] += 1
-            continue
-        counts[rows, space.digit(keys, c).astype(np.intp)] += 1
+def _partition_matrix(digits: np.ndarray, radix: int) -> np.ndarray:
+    """Row per ``(m, n)`` digits row: automorphism multiplicities sorted decreasingly."""
+    counts = np.zeros((digits.shape[0], radix), dtype=np.int16)
+    rows = np.arange(digits.shape[0], dtype=np.intp)
+    for column in digits.T:
+        counts[rows, column] += 1
     return -np.sort(-counts, axis=1)
 
 
@@ -342,7 +332,7 @@ def invariants(group: FiniteGroup, *, cap: int = DEFAULT_CAP) -> InvariantTable:
     array of one entry per key besides the labels.  The relation
     sum(s * N_s) = |Aut|^(|A|-1) and the divisibility constraint are
     asserted; initial-vertex counts use the closed form s*(|Aut|-1), which
-    :func:`initial_counts` verifies independently against the full family.
+    :func:`initial_counts` verifies on a materialised full family.
     """
     space = KeySpace(group, unital=True, cap=cap)
     comp = component_labels(space)
@@ -390,12 +380,13 @@ def _add_counts(hist: np.ndarray, lengths) -> np.ndarray:
 
 
 def _component_partitions(space: KeySpace, roots: np.ndarray, sizes: np.ndarray):
-    mat = _partition_matrix(space, roots)
-    out = []
-    for i in range(roots.size):
-        profile = tuple(int(v) for v in mat[i] if v)
-        out.append((int(sizes[i]), space.assignment_of(int(roots[i])), profile))
-    return tuple(out)
+    """(size, representative digits, partition profile) per component root."""
+    digits = np.stack(space.digits(roots), axis=1)
+    profiles = _partition_matrix(digits, space.radix)
+    return tuple(
+        (s, tuple(rep), tuple(v for v in profile if v))
+        for s, rep, profile in zip(sizes.tolist(), digits.tolist(), profiles.tolist())
+    )
 
 
 @dataclass(frozen=True)
@@ -404,54 +395,44 @@ class InitialCountsResult:
     by_size: Mapping[int, int]
 
 
-def initial_counts(group: FiniteGroup, *, cap: int = DEFAULT_CAP) -> InitialCountsResult:
-    """Initial-vertex counts per component of the full family, verified.
+def initial_counts(result: EnumerationResult) -> InitialCountsResult:
+    """Initial-vertex counts per component of a materialised full family, verified.
 
     Checks in_K = s * (|Aut| - 1) for every component, that all arrows of an
     initial vertex land in a single component, and that they are equidistributed
-    with |A|/s parallel arrows onto each unital vertex of that component.
+    with |A|/s parallel arrows onto each unital vertex of that component.  The
+    identity's digit has the highest weight, so the unital vertices are the
+    first k0 keys and the components holding them, numbered by least key, come
+    first; the initial rows of ``phi`` are read in blocks of :data:`BLOCK_KEYS`.
     """
-    space = KeySpace(group, unital=False, cap=cap)
-    comp = component_labels(space)
-    k0, radix, n = space.unital_size, space.radix, space.n
-
-    unital_roots, unital_sizes = np.unique(comp[:k0], return_counts=True)
-    size_of_root = {int(r): int(s) for r, s in zip(unital_roots, unital_sizes)}
-    root_size_arr = np.zeros(k0 if k0 else 1, dtype=np.int64)
-    root_size_arr[unital_roots] = unital_sizes
-
-    per_component: dict[int, int] = {int(r): 0 for r in unital_roots}
-    # k0 is a row boundary: the initial keys are whole high rows
-    for lo, hi, targets in _blocks(space, _block_buffer(space), k0):
-        labels = comp[lo:hi]
-        if labels.max(initial=0) >= k0:
+    if not result.full:
+        raise ValueError("initial counts need the full family")
+    phi, report = result.phi, result.components
+    component_of, n = report.component_of, phi.shape[1]
+    k0 = int(np.count_nonzero(result.unital_flags))
+    unital_sizes = np.bincount(component_of[:k0])  # s per unital component
+    step = np.where(n % unital_sizes == 0, n // unital_sizes, 0)
+    for lo in range(k0, phi.shape[0], BLOCK_KEYS):
+        rows, comps = phi[lo:lo + BLOCK_KEYS], component_of[lo:lo + BLOCK_KEYS]
+        if comps.max() >= unital_sizes.size:
             raise AssertionError("an initial vertex is attached to no unital component")
-        roots, counts = np.unique(labels, return_counts=True)
-        for r, c in zip(roots.tolist(), counts.tolist()):
-            per_component[r] += int(c)
-        # every arrow of an initial vertex stays in its component
-        for ta in targets:
-            if not np.array_equal(comp[ta], labels):
-                raise AssertionError("an initial vertex has arrows into two components")
-        # equidistribution: |A|/s arrows onto each unital vertex of the component
-        targets.sort(axis=0)
-        rep_arr = n // root_size_arr[labels]
-        changed = targets[1:] != targets[:-1]
-        expected = (np.arange(1, n, dtype=np.int64)[:, None] % rep_arr[None, :]) == 0
-        if not (changed == expected).all():
-            bad = int(np.flatnonzero((changed != expected).any(axis=0))[0])
+        if (component_of[rows] != comps[:, None]).any():
+            raise AssertionError("an initial vertex has arrows into two components")
+        uneven = uneven_rows(rows, step[comps])
+        if uneven.any():
             raise AssertionError(
-                f"initial vertex {lo + bad} is not equidistributed over its component"
+                f"initial vertex {lo + int(np.argmax(uneven))} is not equidistributed over its component"
             )
 
+    aut_order = len(automorphism_group(result.group))
+    initial = np.bincount(component_of[k0:], minlength=unital_sizes.size)
+    roots = report.order[report.starts[:unital_sizes.size]]
     by_size: dict[int, int] = {}
     out = []
-    for root in sorted(per_component):
-        s = size_of_root[root]
-        cnt = per_component[root]
-        if cnt != s * (radix - 1):
+    for root, s, cnt in zip(roots.tolist(), unital_sizes.tolist(), initial.tolist()):
+        if cnt != s * (aut_order - 1):
             raise AssertionError(
-                f"component {root} of size {s} has {cnt} initial vertices, expected {s * (radix - 1)}"
+                f"component {root} of size {s} has {cnt} initial vertices, expected {s * (aut_order - 1)}"
             )
         by_size[s] = cnt
         out.append((root, s, cnt))
@@ -557,14 +538,15 @@ def component_dsb(result: EnumerationResult, component: int) -> DynamicalSkewBra
     return make_dsb(result.group, names, restrict_phi(result.phi, members), ops)
 
 
-def check_partition_constancy(group: FiniteGroup, *, cap: int = DEFAULT_CAP) -> None:
-    """part(S) is constant on every component of the full family."""
-    space = KeySpace(group, unital=False, cap=cap)
-    mat = _partition_matrix(space, np.arange(space.size, dtype=KEY_DTYPE))
-    for lo, hi, targets in _blocks(space, _block_buffer(space)):
-        profiles = mat[lo:hi]
-        for ta in targets:
-            changes = (profiles != mat[ta]).any(axis=1)
+def check_partition_constancy(result: EnumerationResult) -> None:
+    """part(S) is constant on every component of a materialised family: no
+    arrow of ``phi`` joins two vertices of different profiles."""
+    profiles = _partition_matrix(result.assignments, len(automorphism_group(result.group)))
+    phi = result.phi
+    for lo in range(0, phi.shape[0], BLOCK_KEYS):
+        block = profiles[lo:lo + BLOCK_KEYS]
+        for ta in phi[lo:lo + BLOCK_KEYS].T:
+            changes = (block != profiles[ta]).any(axis=1)
             if changes.any():
-                bad = lo + int(np.flatnonzero(changes)[0])
+                bad = lo + int(np.argmax(changes))
                 raise AssertionError(f"partition profile changes along an arrow at key {bad}")

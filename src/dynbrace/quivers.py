@@ -13,7 +13,8 @@ Connected components come from one numpy routine: :func:`labels` propagates
 minimal vertex indices along arrows in both directions, and
 :func:`component_report` numbers the components by their smallest vertex and
 checks completeness: a component of s vertices is complete of degree d = n/s
-exactly when every member's sorted ``phi`` row changes value every d entries.
+exactly when every member's sorted ``phi`` row changes value every d entries,
+the test :func:`uneven_rows` makes for any rows and steps.
 The :class:`ComponentReport` is the one layout of components every caller
 reads: numpy arrays of the vertices in component order, the component starts,
 and each vertex's component and rank, with no per-vertex Python object.
@@ -31,6 +32,8 @@ import numpy as np
 from .errors import InputError
 
 VERTEX_DTYPE = np.int32
+#: Rows of ``phi`` per block of the completeness test of :func:`component_report`.
+ROW_BLOCK = 1 << 14
 
 
 def int_array(data, what: str, shape: tuple[int | None, ...], low: int, high: int, dtype) -> np.ndarray:
@@ -201,8 +204,8 @@ class ComponentReport:
     ``order`` lists the vertices component by component, each component in
     increasing order, and component c is ``order[starts[c]:starts[c + 1]]``;
     ``component_of[v]`` is v's component and ``rank[v]`` its position there.
-    The four are read-only intp arrays; ``degrees`` and ``witnesses`` hold one
-    entry per component.
+    The four are read-only intp arrays; ``degrees`` holds, per component, its
+    degree if it is complete and None otherwise.
     """
 
     component_of: np.ndarray
@@ -210,7 +213,6 @@ class ComponentReport:
     starts: np.ndarray
     rank: np.ndarray
     degrees: tuple[int | None, ...]
-    witnesses: tuple[tuple[int, int] | None, ...]
 
     @property
     def count(self) -> int:
@@ -253,43 +255,40 @@ def labels(phi: np.ndarray) -> np.ndarray:
         lab = new
 
 
+def uneven_rows(rows: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Per row of the ``(m, n)`` array ``rows``, whether its sorted entries fail
+    to change value exactly every ``step`` entries, that is to take n/step
+    values step times each; a step of 0 marks its row uneven."""
+    n = rows.shape[1]
+    ordered = np.sort(rows, axis=1)
+    changes = ordered[:, 1:] != ordered[:, :-1]
+    # divides[d, j]: whether d divides j + 1 (row 0, for rows with no step, is row 1)
+    divides = np.arange(1, n) % np.maximum(np.arange(n + 1), 1)[:, None] == 0
+    changes ^= divides[step]
+    return (step == 0) | changes.any(axis=1)
+
+
 def component_report(phi: np.ndarray, labels: np.ndarray) -> ComponentReport:
     """Components of ``phi`` numbered by smallest vertex, with completeness checked.
 
     ``labels[v]`` must be the smallest vertex of v's component, as
     :func:`labels` returns.  A component of s vertices has degree d when each
-    member sends exactly d arrows to every member, so d = n/s; otherwise its
-    degree is None and its witness is the first (source, target) pair, in
-    member order, whose arrow count differs from the first member's count of
-    arrows to its label-0 target.
+    member sends exactly d arrows to every member, so d = n/s, which holds
+    exactly when none of its rows is uneven with step d; otherwise its degree
+    is None.
     """
     nv, n = phi.shape
-    roots, component_of, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    _, component_of, sizes = np.unique(labels, return_inverse=True, return_counts=True)
     order = np.argsort(component_of, kind="stable")
     starts = np.concatenate(([0], np.cumsum(sizes)))
     rank = np.empty(nv, dtype=np.intp)
     rank[order] = np.arange(nv) - starts[component_of[order]]
 
-    size_of = sizes[component_of]
-    step = np.where(n % size_of == 0, n // size_of, 0)
-    sorted_rows = np.sort(phi, axis=1)
-    changes = sorted_rows[:, 1:] != sorted_rows[:, :-1]
-    # divides[d, j]: whether d divides j + 1 (row 0, for rows with no step, is row 1)
-    divides = np.arange(1, n) % np.maximum(np.arange(n + 1), 1)[:, None] == 0
-    changes ^= divides[step]
-    bad_row = (step == 0) | changes.any(axis=1)
-
-    bad_vertices = np.flatnonzero(bad_row)
-    failing, first = np.unique(component_of[bad_vertices], return_index=True)
-    source = bad_vertices[first]
-    lead = roots[failing]
-    reference = (phi[lead] == phi[lead, :1]).sum(axis=1)
-    # the first deviating member has rank <= n: each earlier rank takes >= 1 arrow
-    per_rank = (rank[phi[source]][:, :, None] == np.arange(n + 1)).sum(axis=1)
-    target = order[starts[failing] + np.argmax(per_rank != reference[:, None], axis=1)]
-    witnesses: list[tuple[int, int] | None] = [None] * roots.size
-    for c, v, w in zip(failing.tolist(), source.tolist(), target.tolist()):
-        witnesses[c] = (v, w)
+    step = np.where(n % sizes == 0, n // sizes, 0)
+    complete = np.ones(sizes.size, dtype=bool)
+    for lo in range(0, nv, ROW_BLOCK):
+        comps = component_of[lo:lo + ROW_BLOCK]
+        complete[comps[uneven_rows(phi[lo:lo + ROW_BLOCK], step[comps])]] = False
 
     for arr in (component_of, order, starts, rank):
         arr.setflags(write=False)
@@ -298,8 +297,7 @@ def component_report(phi: np.ndarray, labels: np.ndarray) -> ComponentReport:
         order=order,
         starts=starts,
         rank=rank,
-        degrees=tuple(None if w else n // s for s, w in zip(sizes.tolist(), witnesses)),
-        witnesses=tuple(witnesses),
+        degrees=tuple(d if ok else None for d, ok in zip(step.tolist(), complete.tolist())),
     )
 
 

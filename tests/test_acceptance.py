@@ -145,7 +145,7 @@ def test_criterion_06_full_cyclic3():
         for rname, arrows in _golden.Z3_INITIAL_ARROWS.items():
             for label, target in arrows.items():
                 assert result.vertex_names[int(result.dsb.phi[index[rname], label])] == target
-        counts = initial_counts(group)  # asserts in_K = s(|Aut|-1) and equidistribution
+        counts = initial_counts(result)  # asserts in_K = s(|Aut|-1) and equidistribution
         assert counts.by_size == {1: 1, 3: 3}
 
 
@@ -322,7 +322,7 @@ def test_criterion_13_partition_constancy():
     with criterion(13, "partition profile constant on components, order <= 6"):
         for name in ("trivial", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5",
                      "cyclic:6", "klein4", "sym:3", "dihedral:3"):
-            check_partition_constancy(build_group(name))
+            check_partition_constancy(enumerate_full(build_group(name)))
         # non-converse witness over cyclic:4
         group, result = seeded_unital("cyclic:4")
         s1 = RegularSubset((0, 1, 0, 1))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,27 @@ def test_cap_exceeded_is_resource_error(capsys):
     code, _, err = run(capsys, "invariants", "--group", "quaternion8", "--cap", "1000000")
     assert code == 3
     assert "cap" in err
+
+
+ORDER_16 = [
+    "cyclic:16", "dihedral:8", "prod:cyclic:2,cyclic:8", "prod:cyclic:4,cyclic:4",
+    "prod:cyclic:2,cyclic:2,cyclic:4", "prod:cyclic:2,cyclic:2,cyclic:2,cyclic:2",
+    "prod:cyclic:2,dihedral:4", "prod:cyclic:2,quaternion8",
+]
+
+
+def test_order_16_presets_exit_at_the_cap(capsys):
+    # the cap is checked before the holomorph is built: C2^4 has 20,160
+    # automorphisms, so its composition table alone would have 406M entries
+    start = time.perf_counter()
+    argvs = [("invariants", "--group", name) for name in ORDER_16]
+    c2_4 = ORDER_16[5]
+    argvs += [("enumerate", "--group", c2_4), ("verify", "--group", c2_4), ("export-dot", "--group", c2_4)]
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert err.startswith("resource cap exceeded:"), argv
+    assert time.perf_counter() - start < 30
 
 
 def test_memory_error_is_resource_error(tmp_path, capsys, monkeypatch):
@@ -457,6 +479,27 @@ def test_unreadable_input_is_input_error(tmp_path, capsys, content):
     code, out, err = run(capsys, "verify", "--input", str(src))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("verify", "--input", ""), id="verify"),
+    pytest.param(("heap", "--input", ""), id="heap"),
+    pytest.param(("parallelise", "--input", "", "--per-component"), id="parallelise"),
+    pytest.param(("export-dot", "--input", ""), id="export-dot"),
+    pytest.param(("enumerate", "--group", "cyclic:3", "--out", ""), id="enumerate-out"),
+    pytest.param(("invariants", "--group", "cyclic:3", "--out", ""), id="invariants-out"),
+    pytest.param(("verify", "--group", "cyclic:3", "--out", ""), id="verify-out"),
+    pytest.param(("export-dot", "--group", "cyclic:3", "--out", ""), id="export-dot-out"),
+])
+def test_empty_path_is_usage_error(capsys, argv):
+    # "" used to read the working directory, or, for --out, write to stdout
+    option = argv[argv.index("") - 1]
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == ""
+    assert f"argument {option}: expected a path, got an empty string" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_unwritable_out_is_input_error(capsys):

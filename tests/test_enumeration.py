@@ -1,8 +1,10 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import dynbrace.cli as cli
 import dynbrace.enumeration as enumeration
 from dynbrace.enumeration import (
     KEY_DTYPE,
@@ -10,13 +12,14 @@ from dynbrace.enumeration import (
     check_partition_constancy,
     component_dsb,
     component_labels,
+    enumerate_full,
     initial_counts,
     invariants,
     partition_profile,
 )
 from dynbrace.errors import ResourceCapError
 from dynbrace.holomorph import RegularSubset, translate
-from dynbrace.quivers import connected_components, is_homogeneous, labels
+from dynbrace.quivers import component_report, connected_components, is_homogeneous, labels
 from dynbrace.structures import is_zero_symmetric, verify_dsb
 
 from tests._golden import Z3_INITIAL_ARROWS
@@ -121,16 +124,16 @@ def test_isolated_vertices_equal_regular_subgroup_count():
 
 
 def test_initial_counts_values():
-    assert initial_counts(cached_group("cyclic:3")).by_size == {1: 1, 3: 3}
-    assert initial_counts(cached_group("trivial")).by_size == {1: 0}
-    assert initial_counts(cached_group("cyclic:4")).by_size == {1: 1, 2: 2, 4: 4}
+    assert initial_counts(cached_full("cyclic:3")).by_size == {1: 1, 3: 3}
+    assert initial_counts(cached_full("trivial")).by_size == {1: 0}
+    assert initial_counts(cached_full("cyclic:4")).by_size == {1: 1, 2: 2, 4: 4}
 
 
 def test_initial_counts_formula_against_full_family():
     for name in ("cyclic:3", "cyclic:4", "cyclic:5", "klein4"):
         group = cached_group(name)
         table = invariants(group)
-        result = initial_counts(group)
+        result = initial_counts(cached_full(name))
         for s, value in result.by_size.items():
             assert value == s * (table.aut_order - 1)
 
@@ -169,7 +172,7 @@ def test_partition_equal_but_components_distinct():
 
 @pytest.mark.parametrize("name", ["cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6", "klein4", "sym:3"])
 def test_partition_constant_on_components(name):
-    check_partition_constancy(cached_group(name))
+    check_partition_constancy(cached_full(name))
 
 
 def test_component_labels_match_union_find():
@@ -216,6 +219,63 @@ def test_component_labels_run_to_fixpoint():
     size = KeySpace(cached_group("cyclic:5"), unital=True).size
     tables = [rng.permutation(size).astype(KEY_DTYPE) for _ in range(2)]
     assert np.array_equal(component_labels(_TableSpace(tables)), labels(np.stack(tables, axis=1)))
+
+
+def _tampered(result, edits):
+    """A copy of the materialised ``result`` with ``phi[v, a] = w`` for each
+    ``(v, a, w)`` of ``edits``, its report recomputed from the forward-minimum
+    labels of the new ``phi``, as materialisation computes it."""
+    phi = result.phi.copy()
+    for v, a, w in edits:
+        phi[v, a] = w
+    forward = component_labels(_TableSpace(list(phi.T.astype(KEY_DTYPE))))
+    return dataclasses.replace(result, phi=phi, components=component_report(phi, forward))
+
+
+# cyclic:4, full: keys 0-7 are unital, in components rooted at 0, 1, 3 and 5
+# of sizes 1, 4, 2 and 1; initial vertex 9 maps to (3, 3, 6, 6), 10 to
+# (5, 5, 5, 5) and 11 to (1, 7, 4, 2)
+@pytest.mark.parametrize("edits,message", [
+    pytest.param([(9, a, 9) for a in range(4)],
+                 "an initial vertex is attached to no unital component", id="unattached"),
+    pytest.param([(9, 0, 0)], "an initial vertex has arrows into two components", id="two-components"),
+    pytest.param([(11, 0, 7)], "initial vertex 11 is not equidistributed over its component", id="uneven"),
+    pytest.param([(9, a, 5) for a in range(4)],
+                 "component 3 of size 2 has 1 initial vertices, expected 2", id="count"),
+])
+def test_initial_counts_failures_name_their_vertex(edits, message):
+    result = cached_full("cyclic:4")
+    assert initial_counts(result).by_size == {1: 1, 2: 2, 4: 4}
+    with pytest.raises(AssertionError) as info:
+        initial_counts(_tampered(result, edits))
+    assert str(info.value) == message
+
+
+def test_partition_constancy_failure_names_its_key():
+    # key 12 has profile (2, 2); key 0, the identity subset, has (4,)
+    result = cached_full("cyclic:4")
+    check_partition_constancy(result)
+    with pytest.raises(AssertionError) as info:
+        check_partition_constancy(_tampered(result, [(12, 1, 0)]))
+    assert str(info.value) == "partition profile changes along an arrow at key 12"
+
+
+def test_initial_counts_need_the_full_family():
+    with pytest.raises(ValueError, match="full family"):
+        initial_counts(cached_unital("cyclic:4"))
+
+
+def test_enumerate_full_labels_the_space_once(monkeypatch, capsys):
+    sizes = []
+
+    def counted(space):
+        sizes.append(space.size)
+        return component_labels(space)
+
+    monkeypatch.setattr(enumeration, "component_labels", counted)
+    assert cli.main(["enumerate", "--group", "cyclic:4", "--full"]) == 0
+    assert "initial vertices into component of size 4: 4" in capsys.readouterr().out
+    assert sizes == [16]
 
 
 def _least_reachable(tables: list[np.ndarray]) -> np.ndarray:
@@ -291,9 +351,14 @@ KERNEL_PRESETS = ("trivial", "cyclic:2", "cyclic:4", "klein4", "sym:3", "cyclic:
                   "prod:cyclic:2,cyclic:4", "dihedral:4")
 
 
+def _assignment_of(space: KeySpace, key: int) -> tuple[int, ...]:
+    """The digits of one key, by scalar arithmetic."""
+    return tuple((key // w) % space.radix if w else 0 for w in space.weights.tolist())
+
+
 def _scalar_translates(space: KeySpace, key: int) -> list[tuple[int, ...]]:
     """The assignments of the n translates of one key, by the scalar translate."""
-    subset = RegularSubset(space.assignment_of(key))
+    subset = RegularSubset(_assignment_of(space, key))
     return [translate(subset, a, space.group).assignment for a in range(space.n)]
 
 
@@ -311,7 +376,7 @@ def test_translate_keys_against_scalar_translate():
                 row = space.translation_table(lo, lo + space.low_size)
                 assert row.dtype == KEY_DTYPE
                 targets = row[:, key - lo].tolist()
-                assert [space.assignment_of(t) for t in targets] == _scalar_translates(space, key)
+                assert [_assignment_of(space, t) for t in targets] == _scalar_translates(space, key)
 
 
 # every preset of order <= 7
@@ -334,7 +399,7 @@ def test_translation_table_is_translate_keys(name):
         keys = {0, k0 - 1, k0 % space.size, space.size - 1, *rng.integers(0, space.size, 40).tolist()}
         for key in range(space.size) if space.size <= 4096 else sorted(keys):
             targets = tables[:, key].tolist()
-            assert [space.assignment_of(t) for t in targets] == _scalar_translates(space, key)
+            assert [_assignment_of(space, t) for t in targets] == _scalar_translates(space, key)
 
 
 def _kernel_ranges(space: KeySpace) -> list[tuple[int, int]]:
@@ -370,7 +435,7 @@ def test_translation_table_ranges_are_slices(name, unital):
         elif hi > lo:
             for key in {lo, hi - 1, *rng.integers(lo, hi, 20).tolist()}:
                 targets = got[:, key - lo].tolist()
-                assert [space.assignment_of(t) for t in targets] == _scalar_translates(space, key)
+                assert [_assignment_of(space, t) for t in targets] == _scalar_translates(space, key)
         if buf is not None and hi > lo:
             # into a wider reused buffer: only its leading columns are written
             buf.fill(-1)
@@ -523,7 +588,7 @@ def test_block_sizes_do_not_change_results(monkeypatch, name):
     def run():
         space = KeySpace(group, unital=False)
         table = invariants(group)
-        results = dict(table.counts), table.partitions, initial_counts(group)
+        results = dict(table.counts), table.partitions, initial_counts(enumerate_full(group))
         return space.low_size, results, space.translation_table()
 
     width, base, base_tables = run()
@@ -545,7 +610,7 @@ def _census_oracle(group):
         return counts, None, roots.size
     partitions = []
     for root, size in zip(roots.tolist(), sizes.tolist()):
-        assignment = space.assignment_of(root)
+        assignment = _assignment_of(space, root)
         partitions.append((size, assignment, partition_profile(RegularSubset(assignment), group)))
     return counts, tuple(partitions), 0
 

@@ -161,7 +161,7 @@ def test_dumps_of_enumeration_json_matches_the_stdlib(tmp_path):
     # document, also with blocks small enough to split every table
     for group, full in (("cyclic:4", True), ("dihedral:3", False)):
         result = cached_full(group) if full else cached_unital(group)
-        initial = {str(s): c for s, c in initial_counts(result.group).by_size.items()} if full else None
+        initial = {str(s): c for s, c in initial_counts(result).by_size.items()} if full else None
         want = _stdlib(_list_document(result, initial))
         path = tmp_path / f"{group}.json"
         argv = ["enumerate", "--group", group, "--json", "--out", str(path)] + (["--full"] if full else [])

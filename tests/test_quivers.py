@@ -1,10 +1,12 @@
 import tracemalloc
 from collections import deque
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import dynbrace.quivers as quivers
 from dynbrace.errors import InputError
 from dynbrace.quivers import (
     component_report,
@@ -14,10 +16,11 @@ from dynbrace.quivers import (
     labels,
     quiver_from_json,
     quiver_of_dynamical_set,
+    uneven_rows,
 )
 
 from tests._golden import quiver_to_json
-from tests.conftest import cached_unital
+from tests.conftest import cached_full, cached_unital
 
 # the worked unital family over the order-3 cyclic group:
 # s0 isolated with three loops, s1/s2/s3 a complete degree-1 triangle
@@ -66,7 +69,6 @@ def test_two_loop_bundles_are_two_components():
 def test_completeness_degrees():
     report = connected_components(Z3_QUIVER)
     assert report.degrees == (3, 1)
-    assert report.witnesses == (None, None)
 
 
 def test_degree_two_component():
@@ -75,13 +77,19 @@ def test_degree_two_component():
         ["s2", "s3"], ["0", "1", "2", "3"], [[0, 1, 1, 0], [1, 0, 0, 1]]
     )
     report = connected_components(q)
-    assert (report.degrees, report.witnesses) == ((2,), (None,))
+    assert report.degrees == (2,)
 
 
-def test_not_complete_witness():
+def test_not_complete_degree():
     q = quiver_of_dynamical_set(["a", "b"], ["x", "y"], [[0, 1], [1, 1]])
     report = connected_components(q)
-    assert (report.degrees, report.witnesses) == ((None,), ((1, 0),))
+    assert report.degrees == (None,)
+
+
+def test_uneven_rows():
+    rows = np.array([[0, 0, 1, 1], [1, 0, 1, 0], [0, 0, 0, 1], [2, 2, 2, 2], [3, 2, 1, 0], [3, 2, 1, 0]])
+    step = np.array([2, 2, 2, 4, 1, 0])
+    assert uneven_rows(rows, step).tolist() == [False, False, True, False, False, True]
 
 
 def test_homogeneous_weights():
@@ -140,12 +148,7 @@ def test_quiver_json_round_trip():
 
 
 def _reference_components(phi):
-    """Brute force: BFS over arrows in both directions, then arrow counts per pair.
-
-    The witness of an incomplete component is its first (source, target) pair
-    whose count differs from the first member's count of arrows to its
-    label-0 target.
-    """
+    """Brute force: BFS over arrows in both directions, then arrow counts per pair."""
     nv = len(phi)
     neighbours = [set() for _ in range(nv)]
     for v, row in enumerate(phi):
@@ -166,13 +169,12 @@ def _reference_components(phi):
                     found.append(w)
                     queue.append(w)
         members.append(tuple(sorted(found)))
-    degrees, witnesses = [], []
+    degrees = []
     for group in members:
         expected = phi[group[0]].count(phi[group[0]][0])
-        bad = [(v, w) for v in group for w in group if phi[v].count(w) != expected]
-        degrees.append(None if bad else expected)
-        witnesses.append(bad[0] if bad else None)
-    return tuple(component_of), tuple(members), tuple(degrees), tuple(witnesses)
+        complete = all(phi[v].count(w) == expected for v in group for w in group)
+        degrees.append(expected if complete else None)
+    return tuple(component_of), tuple(members), tuple(degrees)
 
 
 @given(
@@ -184,12 +186,11 @@ def test_random_functional_quivers_partition(nv, nl, rng):
     phi = [[rng.randrange(nv) for _ in range(nl)] for _ in range(nv)]
     q = quiver_of_dynamical_set([f"v{i}" for i in range(nv)], [str(a) for a in range(nl)], phi)
     report = connected_components(q)
-    component_of, members, degrees, witnesses = _reference_components(phi)
+    component_of, members, degrees = _reference_components(phi)
     assert [m.tolist() for m in report.members] == list(map(list, members))
     assert report.component_of.tolist() == list(component_of)
     assert report.rank.tolist() == [members[c].index(v) for v, c in enumerate(component_of)]
     assert report.degrees == degrees
-    assert report.witnesses == witnesses
 
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4), st.randoms())
@@ -214,7 +215,7 @@ def test_random_complete_quivers_have_degree(s, d, rng):
 def test_component_report_holds_no_per_vertex_objects():
     # cyclic:8 unital: 16,384 vertices in 2,093 components; the report keeps
     # its intp component_of, order and rank arrays, the starts and one
-    # degree and witness per component, within five int arrays of length nv
+    # degree per component, within five int arrays of length nv
     phi = cached_unital("cyclic:8").dsb.phi
     lab = labels(phi)
     nv = phi.shape[0]
@@ -230,6 +231,17 @@ def test_component_report_holds_no_per_vertex_objects():
     for arr in (report.component_of, report.order, report.starts, report.rank):
         assert arr.dtype == np.intp and not arr.flags.writeable
     assert np.array_equal(np.concatenate(report.members), report.order)
+
+
+def test_component_report_blocks_do_not_change_degrees(monkeypatch):
+    # rows in blocks of 5: no vertex count below is a multiple of it
+    rng = np.random.default_rng(5)
+    phis = [cached_unital(name).phi for name in ("cyclic:4", "cyclic:5")]
+    phis += [cached_full("cyclic:4").phi, rng.integers(0, 23, (23, 3))]
+    want = [component_report(phi, labels(phi)).degrees for phi in phis]
+    assert {None, 1, 2, 4, 5} <= set(chain.from_iterable(want))
+    monkeypatch.setattr(quivers, "ROW_BLOCK", 5)
+    assert [component_report(phi, labels(phi)).degrees for phi in phis] == want
 
 
 def test_quiver_phi_is_the_read_only_int32_array():
