@@ -470,7 +470,7 @@ class EnumerationResult:
 
     @cached_property
     def dsb(self) -> DynamicalSkewBrace:
-        # no second validation: _materialise validated the names and phi, and
+        # no second validation: _materialise knows its names and phi are good, and
         # every cell of dsb_ops is an entry of the group table
         ops = dsb_ops(self.group, self.assignments)
         ops.setflags(write=False)
@@ -494,10 +494,12 @@ def _materialise(group: FiniteGroup, space: KeySpace, named: Mapping[tuple, str]
     del targets  # frees the block buffer: the peak comes later, in the component report
     digits.setflags(write=False)
 
-    names = (f"s{k}" if k < k0 else f"r{k - k0}" for k in range(size))
+    # only bundled names can repeat: the default ones are distinct, and every
+    # target in phi is a key, as component_labels checked every translate
+    names = tuple(f"s{k}" if k < k0 else f"r{k - k0}" for k in range(size))
     if named:
-        names = map(named.get, map(tuple, digits.tolist()), names)
-    names, phi = validate_phi(tuple(names), phi, n)
+        names, phi = validate_phi(tuple(map(named.get, map(tuple, digits.tolist()), names)), phi, n)
+    phi.setflags(write=False)
     return EnumerationResult(
         group=group,
         assignments=digits,

@@ -150,6 +150,9 @@ def make_group(
         names = tuple(names)
         if len(names) != n:
             raise InputError(f"{len(names)} element names for order {n}")
+        dup = next((x for k, x in enumerate(names) if x in names[:k]), None)
+        if dup is not None:
+            raise InputError(f"duplicate group element name {dup!r}")
     return FiniteGroup(
         name=name,
         order=n,
@@ -424,14 +427,20 @@ def group_to_json(group: FiniteGroup) -> dict:
 
 
 def group_from_json(data: Mapping) -> FiniteGroup:
-    """The group of a ``{"table", "name"?, "names"?}`` object, validated once
-    and not relabelled: the identity keeps its index in ``table``."""
+    """The group of a ``{"table", "name"?, "names"?, "order"?, "identity"?}``
+    object, validated once and not relabelled: the identity keeps its index in
+    ``table``.  An ``order`` or ``identity`` given must be the table's."""
     if not isinstance(data, Mapping) or "table" not in data:
         raise InputError("group JSON needs a 'table' key")
     name = data.get("name", "group")
     if not isinstance(name, str):
         raise InputError("group name must be a string")
-    return make_group(data["table"], name=name, names=data.get("names"))
+    group = make_group(data["table"], name=name, names=data.get("names"))
+    for key in ("order", "identity"):
+        value, actual = data.get(key, getattr(group, key)), getattr(group, key)
+        if type(value) is not int or value != actual:
+            raise InputError(f"group {key} is {value!r}, but its table has {key} {actual}")
+    return group
 
 
 # Preset names used when reporting "this pointed group is isomorphic to ...".

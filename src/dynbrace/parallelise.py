@@ -37,19 +37,12 @@ from .structures import (
     _block,
     _check,
     _take,
-    braiding_of_qtsb,
     make_bracoid,
     make_dsb,
     restrict_bracoid,
     verify_bracoid,
     verify_dsb,
 )
-
-
-def _require_groupoid(bracoid: SkewBracoid) -> None:
-    if not bool(bracoid.unital.all()):
-        lam = int(np.argwhere(~bracoid.unital)[0][0])
-        raise InputError(f"vertex {bracoid.vertex_names[lam]} is initial; need a groupoid")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +77,8 @@ def schurian_transversal(bracoid: SkewBracoid, base: int | str | None = None) ->
     """
     phi, B, units, names = bracoid.phi, bracoid.bullet, bracoid.units, bracoid.vertex_names
     L, n = phi.shape
-    _require_groupoid(bracoid)
+    if not bracoid.unital.all():
+        raise InputError(f"vertex {names[np.argmin(bracoid.unital)]} is initial; need a groupoid")
     report = connected_components(bracoid.quiver())
     order, starts, comp = report.order, report.starts, report.component_of
     if base is None:
@@ -204,7 +198,8 @@ def _parallelise(
     """The transport of every component at once; see :func:`parallelise`.
 
     The labelling at each vertex is forced by transporting its base labelling
-    through the braiding's left component along the transversal arrows.  The
+    through the bracoid's derived action (the braiding's first component)
+    along the transversal arrows.  The
     transported vertex group laws must coincide on each component; this is
     verified exhaustively and a failure raises with a witness, since it
     signals either a bug or an input that is not a bracoid.
@@ -214,7 +209,7 @@ def _parallelise(
     phi, B, D, units = bracoid.phi, bracoid.bullet, bracoid.dot, bracoid.units
     L, n = phi.shape
     verify_bracoid(bracoid).require("not a skew bracoid")
-    SR = braiding_of_qtsb(bracoid).right
+    SR = bracoid.derived_action
 
     if base_labelling is None:
         maps_base = default_base_labelling(bracoid, zeta)
@@ -437,20 +432,12 @@ def ternary_of_braiding(bracoid: SkewBracoid, braiding: QuiverBraiding) -> Terna
 def braiding_from_heap(heap: TernaryHeap) -> tuple[SkewBracoid, QuiverBraiding]:
     """The degree-one braided groupoid over the heap's element set."""
     verify_heap(heap).require("not a heap")
-    m = heap.size
-    T = heap.table
-    aran_v = np.arange(m, dtype=VERTEX_DTYPE)
-    aran_l = np.arange(m, dtype=LABEL_DTYPE)
-    phi = np.broadcast_to(aran_v[None, :], (m, m)).copy()
-    bullet = np.broadcast_to(aran_l[None, None, :], (m, m, m)).copy()
-    dot = np.ascontiguousarray(T.transpose(1, 0, 2))
-    units = aran_l.copy()
-    unital = np.ones(m, dtype=bool)
-    bracoid = make_bracoid(heap.names, heap.names, phi, bullet, dot, units, unital)
-    right = np.ascontiguousarray(T, dtype=LABEL_DTYPE)
-    left = np.broadcast_to(aran_l[None, None, :], (m, m, m)).copy()
-    braiding = QuiverBraiding(right, left)
-    return bracoid, braiding
+    m, T = heap.size, heap.table
+    labels = np.arange(m, dtype=LABEL_DTYPE)
+    phi, bullet = np.broadcast_to(labels.astype(VERTEX_DTYPE), (m, m)), np.broadcast_to(labels, (m, m, m))
+    bracoid = make_bracoid(heap.names, heap.names, phi, bullet, T.transpose(1, 0, 2), labels)
+    # right[lam, a, b] = <lam, a, b>, and left[lam, a, b] = b, as the bullet is
+    return bracoid, QuiverBraiding(T, bracoid.bullet)
 
 
 def complete_heap_table(

@@ -8,6 +8,7 @@ labels, both sides), so the suite doubles as a table-checking tool.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -345,7 +346,8 @@ class SkewBracoid(QuiverBase):
     ``bullet[lam, a, b]`` is the label (at lam) of the composite of the arrow
     [lam|a] with the arrow [phi(lam,a)|b]; ``dot[lam]`` is the group table on
     the out-star of lam; ``units[lam]`` is the unit-loop label on unital
-    vertices and -1 on initial ones.
+    vertices and -1 on initial ones.  Everything else is derived from these
+    tables, once, on first use.
     """
 
     vertex_names: tuple[str, ...]
@@ -354,25 +356,54 @@ class SkewBracoid(QuiverBase):
     bullet: np.ndarray
     dot: np.ndarray
     units: np.ndarray
-    unital: np.ndarray
 
     def quiver(self) -> LabelledQuiver:
         return LabelledQuiver(self.vertex_names, self.label_names, self.phi)
 
+    @cached_property
+    def unital(self) -> np.ndarray:
+        """Whether each vertex has a unit loop."""
+        return _frozen(self.units >= 0)
 
-def make_bracoid(vertex_names, label_names, phi, bullet, dot, units, unital) -> SkewBracoid:
+    @cached_property
+    def dot_identity(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per vertex: whether its out-star table has a two-sided identity, and
+        that identity's label (0 where it has none)."""
+        D = self.dot
+        aran = np.arange(D.shape[1], dtype=D.dtype)
+        both = (D == aran[None, None, :]).all(axis=2) & (D == aran[None, :, None]).all(axis=1)
+        return _frozen(both.any(axis=1)), _frozen(np.argmax(both, axis=1).astype(LABEL_DTYPE))
+
+    @cached_property
+    def dot_inverse(self) -> np.ndarray:
+        """``dot_inverse[lam, a]``, the inverse of a in the out-star group of lam."""
+        identity = self.dot_identity[1][:, None, None]
+        return _frozen(np.argmax(self.dot == identity, axis=2).astype(LABEL_DTYPE))
+
+    @cached_property
+    def derived_action(self) -> np.ndarray:
+        """``derived_action[lam, a, b] = a^-1 dot (a bullet b)``, the derived
+        left action; it is the first component of the braiding."""
+        B, D, dotinv = self.bullet, self.dot, self.dot_inverse
+        L, n = dotinv.shape
+        action = _blockwise(lambda s, t: _take(D, _block(s, t, 3), dotinv[s:t, :, None], B[s:t]), L, n)
+        return _frozen(action)
+
+
+def make_bracoid(vertex_names, label_names, phi, bullet, dot, units) -> SkewBracoid:
     labels = name_tuple(label_names, "labels")
-    names, phi = validate_phi(vertex_names, phi, len(labels))
+    return _bracoid(*validate_phi(vertex_names, phi, len(labels)), labels, bullet, dot, units)
+
+
+def _bracoid(names, phi, labels, bullet, dot, units) -> SkewBracoid:
+    """The bracoid over the validated ``names`` and ``phi``, its tables checked."""
     L, n = phi.shape
+    if len(labels) != n:
+        raise InputError(f"phi has shape {phi.shape}, expected {(L, len(labels))}")
     bullet = int_array(bullet, "bullet", (L, n, n), 0, n, LABEL_DTYPE)
     dot = int_array(dot, "dot", (L, n, n), 0, n, LABEL_DTYPE)
     units = int_array(units, "units", (L,), -1, n, LABEL_DTYPE)
-    unital = _frozen(np.ascontiguousarray(unital, dtype=bool))
-    if unital.shape != (L,):
-        raise InputError(f"unital shape {unital.shape}, expected {(L,)}")
-    if (units[unital] < 0).any():
-        raise InputError("every unital vertex needs a unit label")
-    return SkewBracoid(names, labels, phi, bullet, dot, units, unital)
+    return SkewBracoid(names, labels, phi, bullet, dot, units)
 
 
 def semiloopoid_of_dsb(dsb: DynamicalSkewBrace) -> SkewBracoid:
@@ -382,17 +413,16 @@ def semiloopoid_of_dsb(dsb: DynamicalSkewBrace) -> SkewBracoid:
     group at every vertex is a copy of the underlying group; a vertex is
     unital exactly when the identity label acts trivially there (its identity
     loop is then the unit).  Nothing is verified here: a caller holding
-    outside data runs ``verify_dsb(dsb).require(...)`` first.
+    outside data runs ``verify_dsb(dsb).require(...)`` first.  The arrays of
+    ``dsb`` were validated when it was built, so they are not checked again.
     """
     L, n = dsb.phi.shape
     e = dsb.group.identity
-    aran = np.arange(n, dtype=dsb.ops.dtype)
-    unital = (dsb.ops[:, e, :] == aran).all(axis=1) & (dsb.phi[:, e] == np.arange(L))
-    units = np.where(unital, e, -1)
+    unital = (dsb.ops[:, e, :] == np.arange(n)).all(axis=1) & (dsb.phi[:, e] == np.arange(L))
+    units = np.where(unital, e, -1).astype(LABEL_DTYPE)
+    # a contiguous copy, which _take reads through ravel() without copying
     dot = np.broadcast_to(np.array(dsb.group.table, dtype=LABEL_DTYPE), (L, n, n)).copy()
-    return make_bracoid(
-        dsb.vertex_names, dsb.group.names, dsb.phi, dsb.ops, dot, units, unital
-    )
+    return SkewBracoid(dsb.vertex_names, dsb.group.names, dsb.phi, dsb.ops, _frozen(dot), _frozen(units))
 
 
 def semiloopoid_inverse(bracoid: SkewBracoid, vertex: int, label: int) -> tuple[int, int]:
@@ -430,48 +460,15 @@ def relabel_bracoid(bracoid: SkewBracoid, perms: Sequence[Sequence[int]]) -> Ske
     bullet = P[lam3, bracoid.bullet[lam3, old_a, old_b]]
     dot = P[lam3, bracoid.dot[lam3, old_a, Q[:, None, :]]]
     units = np.where(bracoid.unital, P[lam2[:, 0], np.where(bracoid.unital, bracoid.units, 0)], -1)
-    return make_bracoid(
-        bracoid.vertex_names,
-        tuple(str(i) for i in range(n)),
-        phi,
-        bullet,
-        dot,
-        units,
-        bracoid.unital.copy(),
-    )
+    return make_bracoid(bracoid.vertex_names, tuple(map(str, range(n))), phi, bullet, dot, units)
 
 
 def restrict_bracoid(bracoid: SkewBracoid, members: Sequence[int]) -> SkewBracoid:
     """The sub-bracoid on ``members``, a union of components, re-indexed in that order."""
     sel = np.array(members, dtype=np.intp)
-    return make_bracoid(
-        [bracoid.vertex_names[v] for v in members],
-        bracoid.label_names,
-        restrict_phi(bracoid.phi, sel),
-        bracoid.bullet[sel],
-        bracoid.dot[sel],
-        bracoid.units[sel],
-        bracoid.unital[sel],
-    )
-
-
-def _dot_identity(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per vertex of the out-star tables ``D``: whether it has a two-sided
-    identity, and its label (0 where it has none)."""
-    aran = np.arange(D.shape[1], dtype=D.dtype)
-    both = (D == aran[None, None, :]).all(axis=2) & (D == aran[None, :, None]).all(axis=1)
-    return both.any(axis=1), np.argmax(both, axis=1)
-
-
-def _dot_inverse(D: np.ndarray) -> np.ndarray:
-    """``inv[lam, a]``, the inverse of a in the out-star group of lam."""
-    return np.argmax(D == _dot_identity(D)[1][:, None, None], axis=2).astype(LABEL_DTYPE)
-
-
-def _derived_action(B: np.ndarray, D: np.ndarray, dotinv: np.ndarray) -> np.ndarray:
-    """``R[lam, a, b] = a^-1 dot (a bullet b)``, the derived left action."""
-    L, n = dotinv.shape
-    return _blockwise(lambda s, t: _take(D, _block(s, t, 3), dotinv[s:t, :, None], B[s:t]), L, n)
+    names = [bracoid.vertex_names[v] for v in members]
+    tables = (bracoid.bullet[sel], bracoid.dot[sel], bracoid.units[sel])
+    return make_bracoid(names, bracoid.label_names, restrict_phi(bracoid.phi, sel), *tables)
 
 
 def verify_bracoid(bracoid: SkewBracoid) -> Report:
@@ -536,10 +533,10 @@ def verify_bracoid(bracoid: SkewBracoid) -> Report:
         return ok, None, None
 
     def has_identity(s, t):
-        return _dot_identity(D[s:t])[0], None, None
+        return bracoid.dot_identity[0][s:t], None, None
 
     def identity_is_unit(s, t):
-        e_arr = _dot_identity(D[s:t])[1]
+        e_arr = bracoid.dot_identity[1][s:t]
         return ~unital[s:t] | (e_arr == units[s:t]), e_arr, units[s:t]
 
     def unit_mismatch(idx, lhs, rhs):
@@ -572,8 +569,7 @@ def verify_bracoid(bracoid: SkewBracoid) -> Report:
             checks.append(Check(name, False, witness={"note": "skipped: structure invalid"}))
         return Report(tuple(checks))
 
-    dotinv = _dot_inverse(D)
-    R = _derived_action(B, D, dotinv)
+    dotinv, R = bracoid.dot_inverse, bracoid.derived_action
 
     def compatibility(s, t):
         # x bullet (y dot z) = (x bullet y) dot x^-1 dot (x bullet z)
@@ -629,15 +625,16 @@ class QuiverBraiding:
 
 
 def braiding_of_qtsb(bracoid: SkewBracoid) -> QuiverBraiding:
-    """The braiding with first component x^-1 dot (x bullet y) and second
-    component the bullet left-division of (x bullet y) by the first.
+    """The braiding with first component x^-1 dot (x bullet y), the
+    bracoid's derived action, and second component the bullet left-division
+    of (x bullet y) by the first.
 
     Nothing is verified here: a caller holding outside data runs
     ``verify_bracoid(bracoid).require(...)`` first.
     """
-    B, D = bracoid.bullet, bracoid.dot
+    B = bracoid.bullet
     L, n = bracoid.phi.shape
-    right = _derived_action(B, D, _dot_inverse(D))
+    right = bracoid.derived_action
 
     def left(s, t):
         # the c with right[lam, a, b] bullet c = a bullet b, by left division
@@ -645,7 +642,7 @@ def braiding_of_qtsb(bracoid: SkewBracoid) -> QuiverBraiding:
         np.put_along_axis(ldiv, B[s:t], np.arange(n, dtype=B.dtype), axis=2)
         return _take(ldiv, _block(0, t - s, 3), right[s:t], B[s:t])
 
-    return QuiverBraiding(_frozen(right), _frozen(_blockwise(left, L, n)))
+    return QuiverBraiding(right, _frozen(_blockwise(left, L, n)))
 
 
 def verify_braiding(bracoid: SkewBracoid, braiding: QuiverBraiding) -> Report:
@@ -824,8 +821,11 @@ def bracoid_from_json(data: Mapping) -> SkewBracoid:
     unknown = set(unit_of) - set(names)
     if unknown:
         raise InputError(f"units refer to unknown vertex {min(unknown)!r}")
-    unital = [v in unit_of for v in names]
     units = [unit_of.get(v, -1) for v in names]
     bullet = _per_vertex(data, "ops", names)
     dot = _per_vertex(data, "dot", names)
-    return make_bracoid(names, labels, phi, bullet, dot, units, unital)
+    bracoid = _bracoid(names, phi, name_tuple(labels, "labels"), bullet, dot, units)
+    # the vertices listed in 'units' are the unital ones, so none may list -1
+    if np.count_nonzero(bracoid.unital) != len(unit_of):
+        raise InputError("every unital vertex needs a unit label")
+    return bracoid

@@ -556,6 +556,13 @@ MALFORMED = {
     "group-name-not-a-string": ("dsb", ("group", "name"), [1]),
     # a valid cyclic:3 table whose identity is element 1
     "group-identity-not-first": ("dsb", ("group", "table"), [[2, 0, 1], [0, 1, 2], [1, 2, 0]]),
+    "group-identity-not-first-unstated": ("dsb", ("group",), {"table": [[2, 0, 1], [0, 1, 2], [1, 2, 0]]}),
+    # a stated order or identity must be the table's, and element names distinct
+    "group-order-mismatch": ("dsb", ("group", "order"), 5),
+    "group-identity-mismatch": ("dsb", ("group", "identity"), 1),
+    "bool-group-order": ("dsb", ("group", "order"), True),
+    "group-duplicate-names": ("dsb", ("group", "names"), ["0", "1", "0"]),
+    "bracoid-initial-unit": ("bracoid", ("units", "s1"), -1),
 }
 
 MALFORMED_COMMANDS = {
@@ -597,3 +604,24 @@ def test_malformed_input_is_input_error(tmp_path, capsys, cyclic3_documents, mut
     assert code == 2, err
     assert err.startswith("error:") and "Traceback" not in err
     assert out == "" and not (tmp_path / "out.json").exists()
+
+
+def test_readme_synopsis_lists_every_option():
+    # every long option of every command is on that command's synopsis line
+    # or in the README's "Common flags" sentence
+    import re
+
+    from dynbrace.cli import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    synopsis = {line.split()[1]: set(re.findall(r"--[a-z-]+", line))
+                for line in block.splitlines() if line.startswith("dynbrace ")}
+    common = set(re.findall(r"--[a-z-]+", re.search(r"Common flags:(.*?)\.\s", readme, re.S).group(1)))
+    assert {"--out", "--cap"} <= common
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    assert set(synopsis) == set(commands)
+    for name, sub in commands.items():
+        options = {o for a in sub._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+        assert options - synopsis[name] - common == set(), name
+        assert synopsis[name] <= options, name

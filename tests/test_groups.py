@@ -215,6 +215,34 @@ def test_group_json_round_trip():
     assert h.table == g.table and h.identity == 0
 
 
+@pytest.mark.parametrize("key,value", [
+    ("order", 5), ("order", True), ("order", 2.0), ("order", "2"), ("order", None),
+    ("identity", 1), ("identity", False), ("identity", [0]),
+])
+def test_group_json_order_and_identity_must_be_the_tables(key, value):
+    data = {"table": [[0, 1], [1, 0]], "order": 2, "identity": 0, key: value}
+    with pytest.raises(InputError) as info:
+        group_from_json(data)
+    actual = 2 if key == "order" else 0
+    assert str(info.value) == f"group {key} is {value!r}, but its table has {key} {actual}"
+
+
+def test_group_json_order_and_identity_are_optional():
+    assert group_from_json({"table": [[0, 1], [1, 0]]}).identity == 0
+    assert group_from_json({"table": [[1, 0], [0, 1]], "order": 2, "identity": 1}).identity == 1
+
+
+def test_duplicate_element_names_are_rejected():
+    with pytest.raises(InputError, match="^duplicate group element name 'e'$"):
+        make_group([[0, 1], [1, 0]], names=["e", "e"])
+    with pytest.raises(InputError, match="^duplicate group element name 'b'$"):
+        group_from_json({"table": _cyclic3(), "names": ["a", "b", "b"]})
+
+
+def _cyclic3():
+    return [[(i + j) % 3 for j in range(3)] for i in range(3)]
+
+
 def test_order_cap():
     with pytest.raises(InputError, match="exceeds"):
         build_group("cyclic:17")

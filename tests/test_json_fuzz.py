@@ -4,7 +4,8 @@ Each example mutates one valid cyclic:3 file once and runs ``verify``,
 ``export-dot`` and ``parallelise --per-component`` on it.  The files are the
 one written by ``enumerate --group cyclic:3 --json`` and the bracoid of the same
 family.  A mutation of what the loaders read is malformed input, and so is a
-group, vertex or label name that is not a string; a mutation of free text
+group, vertex or label name that is not a string, and so is a group order
+or identity that differs from its table's; a mutation of free text
 (group and label names that stay strings), of a key no loader reads, or the
 removal of one bracoid unit leaves the input well-formed.  Integer cells are
 also retyped to ``true``/``false``, which numpy would read as 1 and 0.
@@ -94,7 +95,9 @@ def _verdict(document, command, kind, path, value) -> str:
         return "malformed"
     renamed = kind == "retype" and not isinstance(value, str)
     if path[0] == "group":
-        malformed = len(path) == 1 or path[1] == "table" or (path[1] == "name" and renamed)
+        # an order or identity that is given must be the table's
+        checked = ("table",) if kind == "drop" else ("table", "order", "identity")
+        malformed = len(path) == 1 or path[1] in checked or (path[1] == "name" and renamed)
         return "malformed" if malformed else "well-formed"
     if path[0] == "units":
         return "non-unital" if kind == "drop" and len(path) == 2 else "malformed"

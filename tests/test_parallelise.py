@@ -100,7 +100,7 @@ def test_schurian_transversal_single_vertex():
     table = [list(map(list, group.table))]
     from dynbrace.structures import make_bracoid
 
-    bracoid = make_bracoid(["v"], group.names, phi, table, table, [0], [True])
+    bracoid = make_bracoid(["v"], group.names, phi, table, table, [0])
     pg = schurian_transversal(bracoid, 0)
     assert pg.arrow_label.shape == (1, 1)
     assert int(pg.arrow_label[0, 0]) == 0
@@ -135,7 +135,7 @@ def test_parallelise_identity_on_single_vertex():
     table = [list(map(list, group.table))]
     from dynbrace.structures import make_bracoid
 
-    bracoid = make_bracoid(["v"], group.names, phi, table, table, [0], [True])
+    bracoid = make_bracoid(["v"], group.names, phi, table, table, [0])
     labelling, dsb = parallelise(bracoid, 0)
     assert dsb.vertex_count == 1
     assert verify_dsb(dsb).passed
@@ -373,6 +373,9 @@ def test_braiding_from_heap_round_trips():
         assert report.passed
         back = ternary_of_braiding(bracoid, braiding)
         assert np.array_equal(back.table, heap.table)
+        # the explicit braiding is the one the bracoid's formula gives
+        derived = braiding_of_qtsb(bracoid)
+        assert np.array_equal(braiding.right, derived.right) and np.array_equal(braiding.left, derived.left)
         from dynbrace.groups import is_abelian
 
         assert report.check("involutive").passed == is_abelian(group)

@@ -10,6 +10,7 @@ import hashlib
 import importlib
 import json
 from collections import Counter
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from dynbrace.errors import InputError
 from dynbrace.quivers import connected_components
 from dynbrace.structures import (
     Report,
+    SkewBracoid,
     bracoid_from_json,
+    braiding_of_qtsb,
     is_zero_symmetric,
     make_dsb,
     relabel_bracoid,
@@ -183,14 +186,22 @@ def test_checks_run_once_per_family_and_group_law(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("braiding_of_qtsb", "schurian_transversal", "make_group", "verify_dsb"):
+    for name in ("verify_bracoid", "schurian_transversal", "make_group", "verify_dsb"):
         monkeypatch.setattr(par, name, counted(name, getattr(par, name)))
-    _, structures = par.parallelise(semiloopoid_of_dsb(cached_unital("cyclic:6").dsb))
+    # the derived action is computed once, on the bracoid: the verifier's
+    # action checks and the transport read the same cached table
+    action = cached_property(counted("derived_action", SkewBracoid.derived_action.func))
+    action.__set_name__(SkewBracoid, "derived_action")
+    monkeypatch.setattr(SkewBracoid, "derived_action", action)
+    bracoid = semiloopoid_of_dsb(cached_unital("cyclic:6").dsb)
+    _, structures = par.parallelise(bracoid)
     laws = {(dsb.group.table, dsb.group.identity) for dsb in structures}
     assert len(structures) == cached_unital("cyclic:6").components.count
     assert 1 < len(laws) < len(structures)
-    assert calls == {"braiding_of_qtsb": 1, "schurian_transversal": 1,
+    assert calls == {"verify_bracoid": 1, "derived_action": 1, "schurian_transversal": 1,
                      "make_group": len(laws), "verify_dsb": len(laws)}
+    assert braiding_of_qtsb(bracoid).right is bracoid.derived_action
+    assert calls["derived_action"] == 1 and not hasattr(par, "braiding_of_qtsb")
 
 
 def test_one_component_layout_per_call(monkeypatch):

@@ -247,7 +247,7 @@ def test_flip_on_nonabelian_group_fails_bg5():
     n = group.order
     phi = np.zeros((1, n), dtype=int)
     table = [list(map(list, group.table))]
-    bracoid = make_bracoid(["v"], group.names, phi, table, table, [0], [True])
+    bracoid = make_bracoid(["v"], group.names, phi, table, table, [0])
     flip = QuiverBraiding(
         np.broadcast_to(np.arange(n, dtype=np.int16)[None, None, :], (1, n, n)).copy(),
         np.broadcast_to(np.arange(n, dtype=np.int16)[None, :, None], (1, n, n)).copy(),
@@ -263,7 +263,7 @@ def test_flip_on_abelian_group_is_braiding():
     n = group.order
     phi = np.zeros((1, n), dtype=int)
     table = [list(map(list, group.table))]
-    bracoid = make_bracoid(["v"], group.names, phi, table, table, [0], [True])
+    bracoid = make_bracoid(["v"], group.names, phi, table, table, [0])
     flip = QuiverBraiding(
         np.broadcast_to(np.arange(n, dtype=np.int16)[None, None, :], (1, n, n)).copy(),
         np.broadcast_to(np.arange(n, dtype=np.int16)[None, :, None], (1, n, n)).copy(),
@@ -290,7 +290,6 @@ def test_verify_bracoid_unit_mismatch(z4):
         bracoid.bullet,
         bracoid.dot,
         units,
-        bracoid.unital,
     )
     report = verify_bracoid(bad)
     assert not report.passed
@@ -313,7 +312,6 @@ def test_dot_unit_differs_from_unit_loop_detected(z4):
         bracoid.bullet,
         dot,
         bracoid.units,
-        bracoid.unital,
     )
     report = verify_bracoid(bad)
     check = report.check("per_vertex_groups")
@@ -379,6 +377,61 @@ def test_bracoid_json_round_trip(z4):
     assert np.array_equal(back.dot, bracoid.dot)
     assert np.array_equal(back.units, bracoid.units)
     assert json.dumps(bracoid_to_json(back), indent=2, sort_keys=True) == text
+
+
+def test_semiloopoid_arrays_are_the_validated_ones(z4):
+    # semiloopoid_of_dsb builds its bracoid without make_bracoid; every array
+    # must be the one the validating constructor builds from plain lists
+    from tests.conftest import cached_full
+
+    # the full cyclic:3 family has initial vertices, with unit -1
+    for dsb in (z4[1], cached_full("cyclic:3").dsb):
+        L, n = dsb.phi.shape
+        e = dsb.group.identity
+        trivial = [dsb.ops[v, e].tolist() == list(range(n)) and dsb.phi[v, e] == v for v in range(L)]
+        checked = make_bracoid(
+            list(dsb.vertex_names), list(dsb.group.names), dsb.phi.tolist(), dsb.ops.tolist(),
+            [list(map(list, dsb.group.table))] * L, [e if t else -1 for t in trivial],
+        )
+        bracoid = semiloopoid_of_dsb(dsb)
+        assert (bracoid.vertex_names, bracoid.label_names) == (checked.vertex_names, checked.label_names)
+        assert bracoid.unital.tolist() == trivial
+        for field in ("phi", "bullet", "dot", "units", "unital"):
+            ours, theirs = getattr(bracoid, field), getattr(checked, field)
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), field
+            assert ours.flags.c_contiguous and not ours.flags.writeable, field
+
+
+def test_derived_tables_are_computed_once(z4):
+    bracoid = semiloopoid_of_dsb(z4[1])
+    assert verify_bracoid(bracoid).passed
+    has, identity = bracoid.dot_identity
+    assert has.all() and (identity == z4[0].identity).all()
+    assert (bracoid.dot_inverse == np.array(z4[0].inverses)).all()
+    action = bracoid.derived_action
+    # the braiding's first component is the cached table, not a second copy
+    assert braiding_of_qtsb(bracoid).right is action
+    for table in (has, identity, bracoid.dot_inverse, action):
+        assert not table.flags.writeable
+    assert (identity.dtype, bracoid.dot_inverse.dtype, action.dtype) == (np.int16,) * 3
+    # x -> y = x^-1 dot (x bullet y), cell by cell
+    D, B, inv = bracoid.dot, bracoid.bullet, bracoid.dot_inverse
+    for lam, a, b in np.ndindex(action.shape):
+        assert action[lam, a, b] == D[lam, inv[lam, a], B[lam, a, b]]
+
+
+def test_listed_unit_must_not_be_minus_one(z4):
+    import json
+
+    data = json.loads(json.dumps(bracoid_to_json(semiloopoid_of_dsb(z4[1]))))
+    data["units"]["s2"] = -1
+    with pytest.raises(InputError, match="^every unital vertex needs a unit label$"):
+        bracoid_from_json(data)
+    # leaving the vertex out of 'units' makes it initial
+    del data["units"]["s2"]
+    bracoid = bracoid_from_json(data)
+    assert bracoid.units[bracoid.vertex_index("s2")] == -1
+    assert bracoid.unital.sum() == bracoid.vertex_count - 1
 
 
 def test_braiding_quadruples_shape(z3):
