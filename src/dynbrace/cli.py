@@ -41,7 +41,7 @@ from .groups import (
     group_to_json,
     preset_isomorphism_report,
 )
-from .holomorph import DEFAULT_CAP
+from .holomorph import DEFAULT_CAP, holomorph
 from .parallelise import (
     group_from_pointed_heap,
     parallelise,
@@ -405,7 +405,7 @@ def _write(out: str | None, write) -> None:
 
 
 def _group_json(group) -> dict:
-    return dict(group_to_json(group), table=np.asarray(group.table))
+    return dict(group_to_json(group), table=group.table)
 
 
 def _dsb_json(dsb) -> dict:
@@ -463,7 +463,7 @@ def _family(args) -> EnumerationResult:
 
 def _enumeration_json(result: EnumerationResult) -> dict:
     data = _dsb_json(result.dsb)
-    data["aut"] = np.array([a.images for a in automorphism_group(result.group)])
+    data["aut"] = holomorph(result.group).act
     data["assignments"] = result.assignments
     data["unital"] = result.unital_flags
     data["components"] = {
@@ -659,7 +659,7 @@ def _cmd_heap(args) -> int:
         pointed = {
             "base": args.point,
             "identity": group.identity,
-            "table": np.asarray(group.table),
+            "table": group.table,
             "isomorphic_to": preset_isomorphism_report(group),
         }
 

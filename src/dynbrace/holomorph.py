@@ -11,8 +11,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import InputError, ResourceCapError
-from .groups import Automorphism, FiniteGroup, automorphism_group
+from .groups import LABEL_DTYPE, Automorphism, FiniteGroup, _frozen, automorphism_group
 
 #: Default bound on closure/enumeration sizes; CLI-overridable.
 DEFAULT_CAP = 10**8
@@ -31,25 +33,24 @@ def holomorph(group: FiniteGroup) -> "Holomorph":
 
 
 class Holomorph:
-    """Composition, inverse and evaluation tables for Aut(A) acting on A."""
+    """Evaluation, composition and inverse tables for Aut(A) acting on A.
+
+    Read-only :data:`~dynbrace.groups.LABEL_DTYPE` arrays over the automorphism
+    indices of :func:`~dynbrace.groups.automorphism_group`: ``act[f, x]`` is
+    f(x), ``comp[f, g]`` the index of f o g and ``ainv[f]`` that of f^-1.
+    """
 
     def __init__(self, group: FiniteGroup):
         self.group = group
         self.auts: tuple[Automorphism, ...] = automorphism_group(group)
-        images = [a.images for a in self.auts]
-        index = {img: k for k, img in enumerate(images)}
-        k = len(images)
-        n = group.order
-        self.act: tuple[tuple[int, ...], ...] = tuple(images)
-        self.comp = tuple(
-            tuple(index[tuple(images[f][images[g][x]] for x in range(n))] for g in range(k))
-            for f in range(k)
-        )
-        ident = tuple(range(n))
-        self.ainv = tuple(
-            next(g for g in range(k) if tuple(images[f][images[g][x]] for x in range(n)) == ident)
-            for f in range(k)
-        )
+        act = np.array([a.images for a in self.auts], dtype=LABEL_DTYPE)
+        k = len(self.auts)
+        # the automorphisms are sorted rows, so a composite's rank among the
+        # sorted distinct composites is its index
+        _, comp = np.unique(act[:, act].reshape(k * k, group.order), axis=0, return_inverse=True)
+        self.act = _frozen(act)
+        self.comp = _frozen(comp.reshape(k, k).astype(LABEL_DTYPE))
+        self.ainv = _frozen(np.argmax(self.comp == 0, axis=1).astype(LABEL_DTYPE))
 
     @property
     def size(self) -> int:
@@ -61,15 +62,15 @@ def hol_mul(x: HolElement, y: HolElement, group: FiniteGroup) -> HolElement:
     hol = holomorph(group)
     a, f = x
     b, g = y
-    return HolElement(group.mul(a, hol.act[f][b]), hol.comp[f][g])
+    return HolElement(group.mul(a, hol.act[f, b]), int(hol.comp[f, g]))
 
 
 def hol_inv(x: HolElement, group: FiniteGroup) -> HolElement:
     """(a,f)^-1 = (f^-1(a^-1), f^-1)."""
     hol = holomorph(group)
     a, f = x
-    fi = hol.ainv[f]
-    return HolElement(hol.act[fi][group.inv(a)], fi)
+    fi = int(hol.ainv[f])
+    return HolElement(int(hol.act[fi, group.inv(a)]), fi)
 
 
 @dataclass(frozen=True, order=True)
@@ -107,18 +108,11 @@ def translate(subset: RegularSubset, a: int, group: FiniteGroup) -> RegularSubse
     hol = holomorph(group)
     if not (0 <= a < group.order):
         raise InputError(f"element {a} out of range for order {group.order}")
-    fa = subset.assignment[a]
-    fi = hol.ainv[fa]
-    act_fi = hol.act[fi]
-    comp_fi = hol.comp[fi]
-    inv_a = group.inv(a)
-    row = group.table[inv_a]
-    out = [-1] * group.order
-    for b, fb in enumerate(subset.assignment):
-        c = act_fi[row[b]]
-        out[c] = comp_fi[fb]
-    assert all(f >= 0 for f in out), "translation image failed regularity"
-    return RegularSubset(tuple(out))
+    fi = hol.ainv[subset.assignment[a]]
+    out = np.full(group.order, -1, dtype=LABEL_DTYPE)
+    out[hol.act[fi, group.table[group.inverses[a]]]] = hol.comp[fi, list(subset.assignment)]
+    assert (out >= 0).all(), "translation image failed regularity"
+    return RegularSubset(tuple(out.tolist()))
 
 
 def orbit_closure(

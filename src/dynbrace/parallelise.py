@@ -256,7 +256,7 @@ def _parallelise(
     bounds = np.concatenate(([0], np.cumsum(np.bincount(vertex_law, minlength=len(keys)))))
     structures = []
     for k, key in enumerate(keys):
-        group = make_group(key[:-1].reshape(n, n).tolist(), name="parallelised", identity=int(key[-1]))
+        group = make_group(key[:-1].reshape(n, n), name="parallelised", identity=int(key[-1]))
         members = grouped[bounds[k]:bounds[k + 1]]
         dsb = make_dsb(
             group,
@@ -386,14 +386,8 @@ def verify_heap(heap: TernaryHeap) -> Report:
 
 def heap_from_group(group: FiniteGroup) -> TernaryHeap:
     """The ternary table a * b^-1 * c of a group."""
-    m = group.order
-    M = np.array(group.table, dtype=LABEL_DTYPE)
-    I = np.array(group.inverses, dtype=np.intp)
-    a3 = np.arange(m, dtype=np.intp)[:, None, None]
-    b3 = np.arange(m, dtype=np.intp)[None, :, None]
-    c3 = np.arange(m, dtype=np.intp)[None, None, :]
-    T = M[M[a3, I[b3]], c3]
-    return make_heap(group.names, T)
+    M = group.table
+    return make_heap(group.names, M[M[:, group.inverses]])
 
 
 def group_from_pointed_heap(heap: TernaryHeap, base: int | str) -> FiniteGroup:
@@ -402,8 +396,7 @@ def group_from_pointed_heap(heap: TernaryHeap, base: int | str) -> FiniteGroup:
     zeta = heap.index(base) if isinstance(base, str) else int(base)
     if not (0 <= zeta < heap.size):
         raise InputError(f"base element {base!r} out of range")
-    table = [[int(heap.table[a, zeta, b]) for b in range(heap.size)] for a in range(heap.size)]
-    return make_group(table, name=f"pointed:{heap.names[zeta]}", names=heap.names, identity=zeta)
+    return make_group(heap.table[:, zeta, :], name=f"pointed:{heap.names[zeta]}", names=heap.names, identity=zeta)
 
 
 def ternary_of_braiding(bracoid: SkewBracoid, braiding: QuiverBraiding) -> TernaryHeap:

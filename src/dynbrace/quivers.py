@@ -48,7 +48,8 @@ def int_array(data, what: str, shape: tuple[int | None, ...], low: int, high: in
         except ValueError:
             raise InputError(f"{what} is not a rectangular array") from None
     if arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape)):
-        raise InputError(f"{what} has shape {arr.shape}, expected {shape}")
+        expected = str(tuple(shape)).replace("None", "*")
+        raise InputError(f"{what} has shape {arr.shape}, expected {expected}")
     if arr.size:
         if arr.dtype.kind not in "iu" or not exact and _holds_bool(data, arr.ndim):
             raise InputError(f"{what} entries must be integers")
@@ -103,6 +104,14 @@ def name_tuple(names, what: str) -> tuple[str, ...]:
     return tuple(names)
 
 
+def distinct_names(names: tuple[str, ...], kind: str) -> tuple[str, ...]:
+    """``names``, or an input error naming the first name listed twice."""
+    if len(set(names)) != len(names):
+        dup = next(v for v, count in Counter(names).items() if count > 1)
+        raise InputError(f"duplicate {kind} name {dup!r}")
+    return names
+
+
 def validate_phi(vertices, phi, label_count: int | None = None) -> tuple[tuple[str, ...], np.ndarray]:
     """Unique vertex names and the read-only int32 ``(L, n)`` transition array.
 
@@ -113,9 +122,7 @@ def validate_phi(vertices, phi, label_count: int | None = None) -> tuple[tuple[s
     names = name_tuple(vertices, "vertices")
     if not names:
         raise InputError("a quiver needs at least one vertex")
-    if len(set(names)) != len(names):
-        dup = next(v for v, count in Counter(names).items() if count > 1)
-        raise InputError(f"duplicate vertex name {dup!r}")
+    distinct_names(names, "vertex")
     phi = int_array(phi, "phi", (len(names), label_count), 0, len(names), VERTEX_DTYPE)
     if phi.shape[1] == 0:
         raise InputError("a quiver needs at least one label")
@@ -233,7 +240,7 @@ def quiver_of_dynamical_set(
     phi,
 ) -> LabelledQuiver:
     """Wrap a total transition map as a labelled quiver, validated."""
-    labels = name_tuple(labels, "labels")
+    labels = distinct_names(name_tuple(labels, "labels"), "label")
     names, phi = validate_phi(vertices, phi, len(labels))
     return LabelledQuiver(vertices=names, labels=labels, phi=phi)
 

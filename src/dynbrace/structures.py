@@ -14,24 +14,18 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InputError
-from .groups import FiniteGroup, group_from_json
+from .groups import LABEL_DTYPE, FiniteGroup, _frozen, group_from_json
 from .holomorph import RegularSubset, holomorph, translate
 from .quivers import (
     VERTEX_DTYPE,
     LabelledQuiver,
     QuiverBase,
+    distinct_names,
     int_array,
     name_tuple,
     restrict_phi,
     validate_phi,
 )
-
-LABEL_DTYPE = np.int16
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +195,9 @@ def dsb_ops(group: FiniteGroup, digits: np.ndarray) -> np.ndarray:
     subsets whose automorphism indices are the rows of the ``(L, n)``
     ``digits``, f_a the automorphism assigned at a.  Filled per block of
     rows, so the ``(L, n, n)`` result is the only table of that size."""
-    act = np.array([aut.images for aut in holomorph(group).auts], dtype=LABEL_DTYPE)
-    mul = np.array(group.table, dtype=LABEL_DTYPE)
+    act = holomorph(group).act
     rows = np.arange(group.order, dtype=np.intp)[:, None]
-    return _blockwise(lambda s, t: mul[rows, act[digits[s:t]]], *digits.shape)
+    return _blockwise(lambda s, t: group.table[rows, act[digits[s:t]]], *digits.shape)
 
 
 def make_dsb(group, vertex_names, phi, ops) -> DynamicalSkewBrace:
@@ -261,8 +254,7 @@ def verify_dsb(dsb: DynamicalSkewBrace) -> Report:
     brace compatibility; zero-symmetry is reported as a fact, not a failure."""
     O, phi = dsb.ops, dsb.phi
     n = dsb.label_count
-    M = np.array(dsb.group.table, dtype=LABEL_DTYPE)
-    I = np.array(dsb.group.inverses, dtype=LABEL_DTYPE)
+    M, I = dsb.group.table, dsb.group.inverses
     e = dsb.group.identity
     names = dsb.vertex_names
     a, b, c = _axes(n, 4)
@@ -310,8 +302,7 @@ def verify_computation_rules(dsb: DynamicalSkewBrace) -> Report:
     """The two derived product rules that follow from brace compatibility."""
     O = dsb.ops
     n = dsb.label_count
-    M = np.array(dsb.group.table, dtype=LABEL_DTYPE)
-    I = np.array(dsb.group.inverses, dtype=LABEL_DTYPE)
+    M, I = dsb.group.table, dsb.group.inverses
     names = dsb.vertex_names
     a, b, c = _axes(n, 4)
 
@@ -391,7 +382,7 @@ class SkewBracoid(QuiverBase):
 
 
 def make_bracoid(vertex_names, label_names, phi, bullet, dot, units) -> SkewBracoid:
-    labels = name_tuple(label_names, "labels")
+    labels = distinct_names(name_tuple(label_names, "labels"), "label")
     return _bracoid(*validate_phi(vertex_names, phi, len(labels)), labels, bullet, dot, units)
 
 
@@ -421,7 +412,7 @@ def semiloopoid_of_dsb(dsb: DynamicalSkewBrace) -> SkewBracoid:
     unital = (dsb.ops[:, e, :] == np.arange(n)).all(axis=1) & (dsb.phi[:, e] == np.arange(L))
     units = np.where(unital, e, -1).astype(LABEL_DTYPE)
     # a contiguous copy, which _take reads through ravel() without copying
-    dot = np.broadcast_to(np.array(dsb.group.table, dtype=LABEL_DTYPE), (L, n, n)).copy()
+    dot = np.broadcast_to(dsb.group.table, (L, n, n)).copy()
     return SkewBracoid(dsb.vertex_names, dsb.group.names, dsb.phi, dsb.ops, _frozen(dot), _frozen(units))
 
 
@@ -824,7 +815,7 @@ def bracoid_from_json(data: Mapping) -> SkewBracoid:
     units = [unit_of.get(v, -1) for v in names]
     bullet = _per_vertex(data, "ops", names)
     dot = _per_vertex(data, "dot", names)
-    bracoid = _bracoid(names, phi, name_tuple(labels, "labels"), bullet, dot, units)
+    bracoid = _bracoid(names, phi, distinct_names(name_tuple(labels, "labels"), "label"), bullet, dot, units)
     # the vertices listed in 'units' are the unital ones, so none may list -1
     if np.count_nonzero(bracoid.unital) != len(unit_of):
         raise InputError("every unital vertex needs a unit label")

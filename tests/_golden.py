@@ -1,5 +1,7 @@
-"""Frozen expected values for the worked order-3 and order-4 families, and
-the list-form JSON encoders that serve as the stdlib oracle.
+"""Frozen expected values for the worked order-3 and order-4 families, the
+list-form JSON encoders that serve as the stdlib oracle, and the pure-Python
+group-table checks, isomorphism search and holomorph tables that the array
+code in ``groups`` and ``holomorph`` must agree with.
 
 The per-vertex product tables are derived from the reference subset listings
 (product of a with the assigned automorphism applied to b) and cross-checked
@@ -11,7 +13,10 @@ byte, what the CLI's array writer must emit for a structure; likewise for
 the bracoid and quiver encoders.  They build every table as nested lists, so
 they are kept for tests on small families only.
 """
-from dynbrace.groups import group_to_json
+import itertools
+
+from dynbrace.errors import InputError
+from dynbrace.groups import MAX_ORDER, group_to_json
 
 
 def dsb_to_json(dsb) -> dict:
@@ -49,6 +54,139 @@ def quiver_to_json(quiver) -> dict:
         "labels": list(quiver.labels),
         "phi": quiver.phi.tolist(),
     }
+
+
+def validate_table(table, identity=None) -> int:
+    """The identity index of a raw table, checked cell by cell, or the
+    InputError naming the first violation."""
+    if not isinstance(table, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in table):
+        raise InputError("group table must be a list of rows")
+    n = len(table)
+    if n == 0:
+        raise InputError("empty table")
+    if n > MAX_ORDER:
+        raise InputError(f"group order {n} exceeds supported maximum {MAX_ORDER}")
+    for i, row in enumerate(table):
+        if len(row) != n:
+            raise InputError(f"row {i} has length {len(row)}, expected {n}")
+        for j, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < n):
+                raise InputError(f"cell [{i}][{j}] = {v!r} out of range [0,{n})")
+    for i in range(n):
+        seen_row: dict[int, int] = {}
+        seen_col: dict[int, int] = {}
+        for j in range(n):
+            v = table[i][j]
+            if v in seen_row:
+                raise InputError(
+                    f"not a Latin square: row {i} repeats value {v} at columns {seen_row[v]} and {j}"
+                )
+            seen_row[v] = j
+            w = table[j][i]
+            if w in seen_col:
+                raise InputError(
+                    f"not a Latin square: column {i} repeats value {w} at rows {seen_col[w]} and {j}"
+                )
+            seen_col[w] = j
+    if identity is None:
+        identity = -1
+        for e in range(n):
+            if all(table[e][a] == a and table[a][e] == a for a in range(n)):
+                identity = e
+                break
+        if identity < 0:
+            raise InputError("no two-sided identity element")
+    else:
+        for a in range(n):
+            if table[identity][a] != a or table[a][identity] != a:
+                raise InputError(f"element {identity} is not an identity: fails at {a}")
+    for a in range(n):
+        for b in range(n):
+            ab = table[a][b]
+            for c in range(n):
+                if table[ab][c] != table[a][table[b][c]]:
+                    raise InputError(f"not associative at triple ({a},{b},{c})")
+    for a in range(n):
+        if not any(table[a][b] == identity and table[b][a] == identity for b in range(n)):
+            raise InputError(f"element {a} has no two-sided inverse")
+    return identity
+
+
+def _element_orders(table, identity):
+    out = []
+    for a in range(len(table)):
+        x, k = a, 1
+        while x != identity:
+            x = table[x][a]
+            k += 1
+        out.append(k)
+    return out
+
+
+def _generating_words(table, identity):
+    """Greedy generators and a derivation ("gen", j) or ("mul", y, j) per element."""
+    n = len(table)
+    gens, parent, known = [], {}, {identity}
+    while len(known) < n:
+        g = min(x for x in range(n) if x not in known)
+        gens.append(g)
+        parent[g] = ("gen", len(gens) - 1)
+        known.add(g)
+        frontier = [g]
+        while frontier:
+            new = []
+            for y in list(known):
+                for jj, gg in enumerate(gens):
+                    z = table[y][gg]
+                    if z not in known:
+                        parent[z] = ("mul", y, jj)
+                        known.add(z)
+                        new.append(z)
+            frontier = new
+    return gens, parent
+
+
+def _extend_images(n, identity, other, other_identity, parent, gen_images):
+    img = [-1] * n
+    img[identity] = other_identity
+
+    def resolve(x):
+        if img[x] < 0:
+            kind = parent[x]
+            img[x] = gen_images[kind[1]] if kind[0] == "gen" else other[resolve(kind[1])][gen_images[kind[2]]]
+        return img[x]
+
+    for x in range(n):
+        resolve(x)
+    return img
+
+
+def isomorphisms(group, other) -> tuple[tuple[int, ...], ...]:
+    """Every group -> other isomorphism: each choice of generator images of
+    matching orders extended one element at a time, then checked on the whole
+    table; lexicographic order."""
+    if group.order != other.order:
+        return ()
+    t, u, n = group.table.tolist(), other.table.tolist(), group.order
+    gens, parent = _generating_words(t, group.identity)
+    orders_g, orders_h = _element_orders(t, group.identity), _element_orders(u, other.identity)
+    candidates = [[x for x in range(n) if orders_h[x] == orders_g[g]] for g in gens]
+    found = set()
+    for gen_images in itertools.product(*candidates):
+        img = _extend_images(n, group.identity, u, other.identity, parent, gen_images)
+        if len(set(img)) == n and all(img[t[a][b]] == u[img[a]][img[b]] for a in range(n) for b in range(n)):
+            found.add(tuple(img))
+    return tuple(sorted(found))
+
+
+def holomorph_tables(images):
+    """``(comp, ainv)`` of the automorphisms ``images`` (sorted image tuples),
+    by looking each composite up in a dict."""
+    n, k = len(images[0]), len(images)
+    index = {img: f for f, img in enumerate(images)}
+    comp = [[index[tuple(images[f][images[g][x]] for x in range(n))] for g in range(k)] for f in range(k)]
+    ainv = [comp[f].index(0) for f in range(k)]
+    return comp, ainv
 
 
 # per-vertex product tables over the order-3 family

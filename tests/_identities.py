@@ -2,6 +2,7 @@
 import numpy as np
 
 from dynbrace.enumeration import KEY_DTYPE, KeySpace
+from dynbrace.holomorph import holomorph
 
 
 def check_translation_composition(space: KeySpace, tables: np.ndarray) -> None:
@@ -11,11 +12,11 @@ def check_translation_composition(space: KeySpace, tables: np.ndarray) -> None:
     """
     keys = np.arange(space.size, dtype=KEY_DTYPE)
     digits = space.digits(keys)
-    mul = np.asarray(space.group.table, dtype=np.intp)
+    mul, act = space.group.table, holomorph(space.group).act
     for a in range(space.n):
         fa = digits[a].astype(np.intp)
         for b in range(space.n):
-            ab = mul[a][space._act[fa, b]]
+            ab = mul[a][act[fa, b]]
             lhs = tables[b][tables[a]]
             rhs = tables[ab, keys]
             if not np.array_equal(lhs, rhs):
@@ -35,11 +36,11 @@ def check_inverse_lemma(space: KeySpace) -> None:
     digits = space.digits(keys)
     tables = space.translation_table()
     unital = digits[space.group.identity] == 0
-    inv = np.array(space.group.inverses, dtype=np.intp)
+    hol = holomorph(space.group)
     for a in range(space.n):
         fa = digits[a].astype(np.intp)
-        fi = space._ainv[fa].astype(np.intp)
-        pos = inv[space._act[fi, a].astype(np.intp)]
+        fi = hol.ainv[fa].astype(np.intp)
+        pos = space.group.inverses[hol.act[fi, a]]
         w = space.weights[pos]
         observed = np.where(w > 0, (tables[a] // np.where(w > 0, w, 1)) % space.radix, 0)
         ok = ~unital | (observed.astype(np.intp) == fi)

@@ -563,6 +563,7 @@ MALFORMED = {
     "bool-group-order": ("dsb", ("group", "order"), True),
     "group-duplicate-names": ("dsb", ("group", "names"), ["0", "1", "0"]),
     "bracoid-initial-unit": ("bracoid", ("units", "s1"), -1),
+    "bracoid-duplicate-label": ("bracoid", ("labels", 1), "0"),
 }
 
 MALFORMED_COMMANDS = {
@@ -604,6 +605,26 @@ def test_malformed_input_is_input_error(tmp_path, capsys, cyclic3_documents, mut
     assert code == 2, err
     assert err.startswith("error:") and "Traceback" not in err
     assert out == "" and not (tmp_path / "out.json").exists()
+
+
+def test_duplicate_label_names_are_input_errors(tmp_path, capsys, cyclic3_documents):
+    bracoid = copy.deepcopy(cyclic3_documents["bracoid"])
+    bracoid["labels"] = ["0", "0", "2"]
+    quiver = {"vertices": bracoid["vertices"], "labels": ["x", "x", "z"], "phi": bracoid["phi"]}
+    for data, argv, name in ((bracoid, ("verify",), "0"), (quiver, ("export-dot",), "x")):
+        src = tmp_path / "dup.json"
+        src.write_text(json.dumps(data))
+        code, out, err = run(capsys, *argv, "--input", str(src))
+        assert (code, out, err) == (2, "", f"error: duplicate label name {name!r}\n")
+
+
+def test_a_flat_phi_names_its_free_length(tmp_path, capsys, cyclic3_documents):
+    data = copy.deepcopy(cyclic3_documents["bracoid"])
+    data["phi"] = [v for row in data["phi"] for v in row]
+    src = tmp_path / "flat.json"
+    src.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--input", str(src))
+    assert (code, out, err) == (2, "", "error: phi has shape (12,), expected (4, *)\n")
 
 
 def test_readme_synopsis_lists_every_option():

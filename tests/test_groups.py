@@ -1,10 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dynbrace.errors import InputError
 from dynbrace.groups import (
+    _REPORT_PRESETS,
     automorphism_group,
     build_group,
     find_isomorphism,
@@ -14,6 +16,7 @@ from dynbrace.groups import (
     isomorphisms,
     make_group,
 )
+from tests import _golden
 
 PRESET_ORDERS = {
     "trivial": 1,
@@ -45,12 +48,12 @@ def test_preset_orders_and_identity(name, order):
 
 def test_cyclic_table_is_addition():
     g = build_group("cyclic:3")
-    assert g.table == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    assert np.array_equal(g.table, [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 
 
 def test_trivial_group():
     g = build_group("trivial")
-    assert g.order == 1 and g.table == ((0,),)
+    assert g.order == 1 and np.array_equal(g.table, [[0]])
 
 
 @pytest.mark.parametrize(
@@ -184,7 +187,7 @@ def test_isomorphisms_dihedral3_sym3():
 
 
 def test_klein4_equals_product():
-    assert build_group("klein4").table == build_group("prod:cyclic:2,cyclic:2").table
+    assert np.array_equal(build_group("klein4").table, build_group("prod:cyclic:2,cyclic:2").table)
 
 
 @given(st.sampled_from(["cyclic:4", "klein4", "sym:3", "cyclic:6"]), st.randoms())
@@ -212,7 +215,7 @@ def test_group_json_round_trip():
     data = group_to_json(g)
     assert sorted(data) == ["identity", "name", "order", "table"]
     h = group_from_json(data)
-    assert h.table == g.table and h.identity == 0
+    assert np.array_equal(h.table, g.table) and h.identity == 0
 
 
 @pytest.mark.parametrize("key,value", [
@@ -259,3 +262,116 @@ def test_pointed_identity_preserved_by_make_group():
     g = make_group(table, identity=1)
     assert g.identity == 1
     assert find_isomorphism(g, build_group("klein4")) is not None
+
+
+# -- the array checks against the cell-by-cell oracle of tests/_golden.py
+
+
+def _cyclic_isotope(n, rows, cols, symbols):
+    """The Latin square symbols[(rows[i] + cols[j]) % n]: an isotope of C_n,
+    a group table only for some choices of the three permutations."""
+    return [[symbols[(rows[i] + cols[j]) % n] for j in range(n)] for i in range(n)]
+
+
+def _reduced_latin_square(n, rng):
+    """A random Latin square with row 0 and column 0 in natural order, by
+    backtracking: the table of a loop with identity 0, rarely associative."""
+    table = [list(range(n))] + [[i] + [-1] * (n - 1) for i in range(1, n)]
+
+    def fill(cell):
+        if cell == n * n:
+            return True
+        i, j = divmod(cell, n)
+        if table[i][j] >= 0:
+            return fill(cell + 1)
+        used = set(table[i]) | {table[r][j] for r in range(n)}
+        for v in rng.sample(range(n), n):
+            if v not in used:
+                table[i][j] = v
+                if fill(cell + 1):
+                    return True
+        table[i][j] = -1
+        return False
+
+    fill(0)
+    return table
+
+
+@st.composite
+def raw_tables(draw):
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["cells", "isotope", "loop"]))
+    if kind == "cells":
+        cell = st.integers(-1, n) if draw(st.booleans()) else st.integers(0, n - 1)
+        return draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    if kind == "isotope":
+        perm = st.permutations(range(n))
+        return _cyclic_isotope(n, draw(perm), draw(perm), draw(perm))
+    return _reduced_latin_square(n, draw(st.randoms(use_true_random=False)))
+
+
+@settings(max_examples=300)
+@given(raw_tables(), st.data())
+def test_make_group_agrees_with_the_cell_by_cell_oracle(table, data):
+    identity = data.draw(st.none() | st.integers(0, len(table) - 1))
+    try:
+        expected = _golden.validate_table(table, identity)
+    except InputError as exc:
+        with pytest.raises(InputError) as info:
+            make_group(table, identity=identity)
+        assert str(info.value) == str(exc)
+    else:
+        group = make_group(table, identity=identity)
+        assert group.table.tolist() == table and group.identity == expected
+        assert group.table.dtype == np.int16 and not group.table.flags.writeable
+        assert group.inverses.dtype == np.int16 and not group.inverses.flags.writeable
+
+
+_LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize("table,identity,message", [
+    (_LOOP5, None, "not associative at triple (1,1,2)"),
+    (_LOOP5, 1, "element 1 is not an identity: fails at 0"),
+    ([[0, 1, 2], [1, 2, 0], [0, 2, 1]], None, "not a Latin square: column 0 repeats value 0 at rows 0 and 2"),
+    ([[0, 1], [1, 0], [0, 1]], None, "row 0 has length 2, expected 3"),
+])
+def test_first_violation_messages(table, identity, message):
+    with pytest.raises(InputError) as oracle:
+        _golden.validate_table(table, identity)
+    with pytest.raises(InputError) as info:
+        make_group(table, identity=identity)
+    assert str(info.value) == str(oracle.value) == message
+
+
+@pytest.mark.parametrize("name", [n for n in _REPORT_PRESETS if build_group(n).order <= 12])
+def test_automorphisms_agree_with_the_oracle(name):
+    g = build_group(name)
+    assert tuple(a.images for a in automorphism_group(g)) == _golden.isomorphisms(g, g)
+
+
+@pytest.mark.parametrize("name", ["cyclic:6", "sym:3", "dihedral:4", "quaternion8", "prod:cyclic:2,cyclic:4"])
+def test_isomorphisms_to_a_relabelled_copy_agree_with_the_oracle(name):
+    g = build_group(name)
+    perm = np.roll(np.arange(g.order), -1)  # x -> x + 1 mod n: the identity moves to 1
+    h = make_group(perm[g.table][np.ix_(np.argsort(perm), np.argsort(perm))])
+    assert h.identity == 1
+    found = isomorphisms(g, h)
+    assert found == _golden.isomorphisms(g, h) and tuple(perm.tolist()) in found
+
+
+ORDER_16_AUT_COUNTS = {
+    "prod:cyclic:2,cyclic:2,cyclic:2,cyclic:2": 20160,
+    "prod:cyclic:2,cyclic:2,cyclic:4": 192,
+    "prod:cyclic:4,cyclic:4": 96,
+    "dihedral:8": 32,
+    "prod:cyclic:2,cyclic:8": 16,
+    "cyclic:16": 8,
+}
+
+
+@pytest.mark.parametrize("name,count", sorted(ORDER_16_AUT_COUNTS.items()))
+def test_order_16_automorphism_counts(name, count):
+    auts = automorphism_group(build_group(name))
+    assert len(auts) == count and auts[0].images == tuple(range(16))
+    assert [a.images for a in auts] == sorted(a.images for a in auts)

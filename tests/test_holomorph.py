@@ -1,10 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from dynbrace.errors import InputError, ResourceCapError
-from dynbrace.groups import build_group
+from dynbrace.groups import _REPORT_PRESETS, build_group
 from dynbrace.holomorph import (
     HolElement,
     RegularSubset,
@@ -15,6 +16,7 @@ from dynbrace.holomorph import (
     orbit_closure,
     translate,
 )
+from tests import _golden
 
 
 def identity_subset(group):
@@ -204,3 +206,13 @@ def test_subset_json_round_trip():
     assert subset_from_json(data, Z3) == S3
     with pytest.raises(InputError):
         subset_from_json({"assignment": [0, 9, 0]}, Z3)
+
+
+@pytest.mark.parametrize("name", [n for n in _REPORT_PRESETS if build_group(n).order <= 8])
+def test_holomorph_tables_agree_with_the_dict_lookup_oracle(name):
+    hol = holomorph(build_group(name))
+    comp, ainv = _golden.holomorph_tables([a.images for a in hol.auts])
+    assert hol.act.tolist() == [list(a.images) for a in hol.auts]
+    assert hol.comp.tolist() == comp and hol.ainv.tolist() == ainv
+    for table in (hol.act, hol.comp, hol.ainv):
+        assert table.dtype == np.int16 and not table.flags.writeable

@@ -315,7 +315,7 @@ def test_group_from_pointed_heap_round_trip():
         group = build_group(name)
         heap = heap_from_group(group)
         back = group_from_pointed_heap(heap, group.identity)
-        assert back.table == group.table
+        assert np.array_equal(back.table, group.table)
 
 
 def test_heap_from_group_properties():

@@ -195,7 +195,7 @@ def test_checks_run_once_per_family_and_group_law(monkeypatch):
     monkeypatch.setattr(SkewBracoid, "derived_action", action)
     bracoid = semiloopoid_of_dsb(cached_unital("cyclic:6").dsb)
     _, structures = par.parallelise(bracoid)
-    laws = {(dsb.group.table, dsb.group.identity) for dsb in structures}
+    laws = {(dsb.group.table.tobytes(), dsb.group.identity) for dsb in structures}
     assert len(structures) == cached_unital("cyclic:6").components.count
     assert 1 < len(laws) < len(structures)
     assert calls == {"verify_bracoid": 1, "derived_action": 1, "schurian_transversal": 1,
