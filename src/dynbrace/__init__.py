@@ -5,21 +5,12 @@ into dynamical data."""
 
 from .errors import InputError, ResourceCapError
 from .groups import (
-    Automorphism,
     FiniteGroup,
     automorphism_group,
     build_group,
     is_abelian,
 )
-from .holomorph import (
-    DEFAULT_CAP,
-    HolElement,
-    RegularSubset,
-    hol_inv,
-    hol_mul,
-    orbit_closure,
-    translate,
-)
+from .holomorph import DEFAULT_CAP
 from .quivers import (
     ComponentReport,
     LabelledQuiver,
@@ -35,7 +26,6 @@ from .structures import (
     Report,
     SkewBracoid,
     braiding_of_qtsb,
-    dsb_from_subgroup_family,
     semiloopoid_of_dsb,
     verify_bracoid,
     verify_braiding,
@@ -48,7 +38,6 @@ from .enumeration import (
     enumerate_unital,
     initial_counts,
     invariants,
-    partition_profile,
 )
 from .parallelise import (
     ParallelLabelling,

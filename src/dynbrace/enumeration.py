@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ResourceCapError
 from .groups import FiniteGroup, automorphism_group
-from .holomorph import DEFAULT_CAP, RegularSubset, holomorph
+from .holomorph import DEFAULT_CAP, holomorph
 from .quivers import ComponentReport, LabelledQuiver, component_report, restrict_phi, uneven_rows, validate_phi
 from .structures import (
     LABEL_DTYPE,
@@ -127,16 +127,17 @@ class KeySpace:
         """The ``(n, radix, W)`` low and ``(n, radix, K/W)`` high share tables.
 
         (a, f)^-1 * (b, d) = (f^-1(a^-1 b), f^-1 o d), so pair b contributes
-        digit ``comp[f^-1, d]`` at position ``act[f^-1, a^-1 b]``; pair a itself
+        digit f^-1 o d at position ``act[f^-1, a^-1 b]``; pair a itself
         lands on the identity pair, whose digit is 0.  The identity pair of a
         unital S has weight 0 and digit 0, so its share sits in every high row.
         """
         n, radix = self.n, self.radix
-        hol = holomorph(self.group)  # only below the cap: its composition table has |Aut|^2 entries
+        hol = holomorph(self.group)
         fi = hol.ainv.astype(np.intp)
         quotient = self.group.table[self.group.inverses]  # (a, b) -> a^-1 b
         pos = hol.act[fi][:, quotient].transpose(1, 2, 0)  # (a, b, f) -> position
-        digit = hol.comp[fi].astype(KEY_DTYPE)  # (f, d) -> digit
+        # (f, d) -> digit; below the cap, so |Aut|^2 is small
+        digit = hol.compose(fi[:, None], np.arange(radix)).astype(KEY_DTYPE)
         share = self.weights[pos][:, :, :, None] * digit[None, None, :, :]  # (a, b, f, d)
         low = np.zeros((n, radix, self.low_size), dtype=KEY_DTYPE)
         high = np.zeros((n, radix, self.high_size), dtype=KEY_DTYPE)
@@ -262,14 +263,6 @@ def component_labels(space: KeySpace) -> np.ndarray:
                 np.copyto(block, least)
                 changed = True
     return comp
-
-
-def partition_profile(subset: RegularSubset, group: FiniteGroup) -> tuple[int, ...]:
-    """Multiset of automorphism multiplicities in decreasing order."""
-    counts = [0] * len(automorphism_group(group))
-    for f in subset.assignment:
-        counts[f] += 1
-    return tuple(sorted((c for c in counts if c), reverse=True))
 
 
 def _partition_matrix(digits: np.ndarray, radix: int) -> np.ndarray:

@@ -6,10 +6,6 @@ automorphism assignment (index 0 the identity, index 1 the negation map).
 """
 from __future__ import annotations
 
-from .errors import InputError
-from .groups import FiniteGroup, build_group
-from .holomorph import RegularSubset
-
 # unital vertices of the order-3 family
 CYCLIC3_UNITAL = {
     "s0": (0, 0, 0),
@@ -55,17 +51,3 @@ def seeded_names(group_name: str, full: bool) -> dict[tuple[int, ...], str]:
         out.update({tuple(v): k for k, v in initial.items()})
     return out
 
-
-def reference_family(group_name: str, full: bool = False) -> tuple[FiniteGroup, dict[str, RegularSubset]]:
-    """The named family over ``cyclic:3`` or ``cyclic:4``."""
-    entry = _SEEDED.get(group_name)
-    if entry is None:
-        raise InputError(f"no bundled family for group {group_name!r}")
-    unital, initial = entry
-    group = build_group(group_name)
-    family = {name: RegularSubset(tuple(v)) for name, v in unital.items()}
-    if full:
-        if initial is None:
-            raise InputError(f"no bundled initial vertices for {group_name!r}")
-        family.update({name: RegularSubset(tuple(v)) for name, v in initial.items()})
-    return group, family

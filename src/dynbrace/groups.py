@@ -68,16 +68,6 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
-@dataclass(frozen=True)
-class Automorphism:
-    """A group automorphism recorded as the image array on element indices."""
-
-    images: tuple[int, ...]
-
-    def __call__(self, a: int) -> int:
-        return self.images[a]
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -296,15 +286,16 @@ def _generating_words(group: FiniteGroup):
     return gens, steps
 
 
-def isomorphisms(group: FiniteGroup, other: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """All isomorphisms group -> other as image tuples, in lexicographic order.
+def isomorphisms(group: FiniteGroup, other: FiniteGroup) -> np.ndarray:
+    """All isomorphisms group -> other as the image rows of a read-only
+    ``(m, n)`` :data:`LABEL_DTYPE` array, in lexicographic order.
 
     Every choice of generator images of matching element orders is extended
     at once along the derivations of :func:`_generating_words`, one int8 image
     row per choice; adequate for the supported orders (C2^4 has 15^4 choices).
     """
     if group.order != other.order:
-        return ()
+        return _frozen(np.empty((0, group.order), dtype=LABEL_DTYPE))
     gens, steps = _generating_words(group)
     candidates = [np.flatnonzero(other.element_orders == group.element_orders[g]).tolist() for g in gens]
     choices = np.fromiter(itertools.chain.from_iterable(itertools.product(*candidates)), np.int8)
@@ -317,22 +308,24 @@ def isomorphisms(group: FiniteGroup, other: FiniteGroup) -> tuple[tuple[int, ...
     ok = (np.sort(img, axis=1) == np.arange(group.order)).all(axis=1)
     for g in gens:
         ok &= (img[:, group.table[:, g]] == other.table[img, img[:, [g]]]).all(axis=1)
-    return tuple(sorted(map(tuple, img[ok].tolist())))  # distinct: each choice is one map
+    img = img[ok].astype(LABEL_DTYPE)  # distinct rows: each choice is one map
+    return _frozen(img[np.lexsort(img.T[::-1])])  # column 0 the primary key
 
 
 def find_isomorphism(group: FiniteGroup, other: FiniteGroup) -> tuple[int, ...] | None:
     isos = isomorphisms(group, other)
-    return isos[0] if isos else None
+    return tuple(isos[0].tolist()) if len(isos) else None
 
 
 @lru_cache(maxsize=None)
-def automorphism_group(group: FiniteGroup) -> tuple[Automorphism, ...]:
-    """All automorphisms, deduplicated, ordered lexicographically by images.
+def automorphism_group(group: FiniteGroup) -> np.ndarray:
+    """All automorphisms as the rows of the read-only ``(k, n)`` array of
+    :func:`isomorphisms`: ``aut[f, x]`` is f(x), rows in lexicographic order.
 
-    Index 0 is always the identity automorphism.
+    Row 0 is always the identity automorphism, the least permutation.
     """
-    auts = tuple(Automorphism(img) for img in isomorphisms(group, group))
-    assert auts and auts[0].images == tuple(range(group.order))
+    auts = isomorphisms(group, group)
+    assert len(auts) and (auts[0] == np.arange(group.order)).all()
     return auts
 
 

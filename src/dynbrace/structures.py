@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import InputError
 from .groups import LABEL_DTYPE, FiniteGroup, _frozen, group_from_json
-from .holomorph import RegularSubset, holomorph, translate
+from .holomorph import holomorph
 from .quivers import (
     VERTEX_DTYPE,
     LabelledQuiver,
@@ -205,42 +205,6 @@ def make_dsb(group, vertex_names, phi, ops) -> DynamicalSkewBrace:
     names, phi = validate_phi(vertex_names, phi, n)
     ops = int_array(ops, "ops", (len(names), n, n), 0, n, LABEL_DTYPE)
     return DynamicalSkewBrace(group, names, phi, ops)
-
-
-def dsb_from_subgroup_family(
-    group: FiniteGroup,
-    family: Iterable[RegularSubset] | Mapping[str, RegularSubset],
-) -> DynamicalSkewBrace:
-    """Build the dynamical structure carried by a translation-closed family.
-
-    Vertices come out in canonical order (lexicographic on assignments);
-    a mapping input contributes display names, otherwise names are s0, s1, ...
-    A family that is not closed under translation is rejected with a witness.
-    """
-    if isinstance(family, Mapping):
-        name_of = {s.assignment: str(name) for name, s in family.items()}
-        subsets = sorted(set(s.assignment for s in family.values()))
-    else:
-        name_of = {}
-        subsets = sorted(set(s.assignment for s in family))
-    if not subsets:
-        raise InputError("empty family")
-    n = group.order
-    index = {assignment: k for k, assignment in enumerate(subsets)}
-    names = [name_of.get(assignment, f"s{k}") for k, assignment in enumerate(subsets)]
-    phi = np.zeros((len(subsets), n), dtype=VERTEX_DTYPE)
-    for k, assignment in enumerate(subsets):
-        s = RegularSubset(assignment)
-        for a in range(n):
-            t = translate(s, a, group)
-            if t.assignment not in index:
-                label = names[k]
-                raise InputError(
-                    f"family is not closed under translation: translate({label}, {a}) "
-                    f"has assignment {t.describe()}"
-                )
-            phi[k, a] = index[t.assignment]
-    return make_dsb(group, names, phi, dsb_ops(group, np.array(subsets, dtype=LABEL_DTYPE)))
 
 
 def is_zero_symmetric(dsb: DynamicalSkewBrace) -> bool:

@@ -1,7 +1,11 @@
 """Frozen expected values for the worked order-3 and order-4 families, the
-list-form JSON encoders that serve as the stdlib oracle, and the pure-Python
+list-form JSON encoders that serve as the stdlib oracle, the pure-Python
 group-table checks, isomorphism search and holomorph tables that the array
-code in ``groups`` and ``holomorph`` must agree with.
+code in ``groups`` and ``holomorph`` must agree with, and the scalar
+translation of regular subsets that the key-space kernel must agree with.
+
+A regular subset {(a, f_a) : a in A} of Hol(A) is given here by its
+assignment, the tuple of automorphism indices f_a.
 
 The per-vertex product tables are derived from the reference subset listings
 (product of a with the assigned automorphism applied to b) and cross-checked
@@ -14,9 +18,16 @@ the bracoid and quiver encoders.  They build every table as nested lists, so
 they are kept for tests on small families only.
 """
 import itertools
+from collections import Counter
+from collections.abc import Mapping
+from functools import lru_cache
+
+import numpy as np
 
 from dynbrace.errors import InputError
-from dynbrace.groups import MAX_ORDER, group_to_json
+from dynbrace.families import seeded_names
+from dynbrace.groups import MAX_ORDER, automorphism_group, build_group, group_to_json
+from dynbrace.structures import LABEL_DTYPE, VERTEX_DTYPE, dsb_ops, make_dsb
 
 
 def dsb_to_json(dsb) -> dict:
@@ -187,6 +198,79 @@ def holomorph_tables(images):
     comp = [[index[tuple(images[f][images[g][x]] for x in range(n))] for g in range(k)] for f in range(k)]
     ainv = [comp[f].index(0) for f in range(k)]
     return comp, ainv
+
+
+@lru_cache(maxsize=None)
+def _automorphisms(group):
+    """The image tuples of Aut(group) and the index of each."""
+    images = [tuple(row) for row in automorphism_group(group).tolist()]
+    return images, {img: f for f, img in enumerate(images)}
+
+
+def translate(assignment, a, group) -> tuple[int, ...]:
+    """The assignment of {(a, f_a)^-1 * (b, f_b) : b in A}, pair by pair:
+    (a, f)^-1 * (b, d) = (f^-1(a^-1 b), f^-1 o d)."""
+    images, index = _automorphisms(group)
+    f = images[assignment[a]]
+    fi = [0] * group.order
+    for x, y in enumerate(f):
+        fi[y] = x
+    out = [None] * group.order
+    for b, d in enumerate(assignment):
+        out[fi[group.mul(group.inv(a), b)]] = index[tuple(fi[y] for y in images[d])]
+    assert None not in out, "translation image failed regularity"
+    return tuple(out)
+
+
+def orbit_closure(seed, group) -> tuple[tuple[int, ...], ...]:
+    """The least translation-closed set of assignments holding ``seed``, sorted."""
+    seen = {tuple(seed)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for a in range(group.order):
+                t = translate(s, a, group)
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
+def dsb_from_subgroup_family(group, family):
+    """The dynamical skew brace of a translation-closed family of assignments,
+    its arrows found by :func:`translate`.
+
+    Vertices come out in lexicographic order of assignments; a mapping from
+    names to assignments supplies the names, otherwise they are s0, s1, ...
+    A family that is not closed under translation is rejected with a witness.
+    """
+    name_of = {tuple(v): str(name) for name, v in family.items()} if isinstance(family, Mapping) else {}
+    subsets = sorted(set(map(tuple, family.values() if isinstance(family, Mapping) else family)))
+    index = {s: k for k, s in enumerate(subsets)}
+    names = [name_of.get(s, f"s{k}") for k, s in enumerate(subsets)]
+    phi = np.zeros((len(subsets), group.order), dtype=VERTEX_DTYPE)
+    for k, s in enumerate(subsets):
+        for a in range(group.order):
+            t = translate(s, a, group)
+            if t not in index:
+                raise InputError(
+                    f"family is not closed under translation: translate({names[k]}, {a}) has assignment {t}"
+                )
+            phi[k, a] = index[t]
+    return make_dsb(group, names, phi, dsb_ops(group, np.array(subsets, dtype=LABEL_DTYPE)))
+
+
+def partition_profile(assignment) -> tuple[int, ...]:
+    """The multiplicities of the automorphisms of an assignment, decreasing."""
+    return tuple(sorted(Counter(assignment).values(), reverse=True))
+
+
+def reference_family(group_name, full=False):
+    """The group and the bundled family over ``cyclic:3`` or ``cyclic:4``, as
+    name -> assignment."""
+    return build_group(group_name), {name: v for v, name in seeded_names(group_name, full).items()}
 
 
 # per-vertex product tables over the order-3 family

@@ -10,17 +10,16 @@ import numpy as np
 
 from dynbrace.enumeration import (
     KeySpace,
+    _partition_matrix,
     check_partition_constancy,
     component_dsb,
     enumerate_full,
     enumerate_unital,
     initial_counts,
     invariants,
-    partition_profile,
 )
 from dynbrace.families import seeded_names
 from dynbrace.groups import automorphism_group, build_group
-from dynbrace.holomorph import RegularSubset
 from dynbrace.parallelise import (
     find_braiding_isomorphism,
     group_from_pointed_heap,
@@ -323,13 +322,12 @@ def test_criterion_13_partition_constancy():
         for name in ("trivial", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5",
                      "cyclic:6", "klein4", "sym:3", "dihedral:3"):
             check_partition_constancy(enumerate_full(build_group(name)))
-        # non-converse witness over cyclic:4
+        # non-converse witness over cyclic:4, with the profiles invariants prints
         group, result = seeded_unital("cyclic:4")
-        s1 = RegularSubset((0, 1, 0, 1))
-        s2 = RegularSubset((0, 0, 1, 1))
-        assert partition_profile(s1, group) == partition_profile(s2, group) == (2, 2)
+        profiles = _partition_matrix(result.assignments, len(automorphism_group(group))).tolist()
         rows = result.assignments.tolist()
-        i1 = rows.index(list(s1.assignment))
-        i2 = rows.index(list(s2.assignment))
+        i1 = rows.index([0, 1, 0, 1])
+        i2 = rows.index([0, 0, 1, 1])
+        assert profiles[i1] == profiles[i2] == [2, 2]
         assert result.components.component_of[i1] != result.components.component_of[i2]
-        assert partition_profile(RegularSubset((0, 1, 1, 1)), group) == (3, 1)
+        assert profiles[rows.index([0, 1, 1, 1])] == [3, 1]

@@ -5,9 +5,12 @@ translated keys from the arrays it returns, on every call; a traced census run w
 ``enumeration.translation_table`` or ``enumeration.component_labels`` spans is
 marked incorrect, and so is a traced transport pass without calls to
 ``parallelise.parallelise``, ``parallelise.schurian_transversal``,
-``groups.make_group`` or ``quivers.connected_components``.  A rewrite that
-breaks either contract fails here, and so does one that doubles or drops a
-verifier call of ``heap``.
+``groups.make_group`` or ``quivers.connected_components``.  Every traced run
+must also record a call in each layer, and the ``holomorph`` layer's only
+public function is ``holomorph.holomorph``: the census and the family that
+the transport workload reads must each reach the tables through it.  A rewrite
+that breaks either contract fails here, and so does one that doubles or drops
+a verifier call of ``heap``.
 """
 import json
 import os
@@ -31,7 +34,7 @@ def test_tracer_sees_the_census_kernel(tmp_path):
     assert proc.returncode == 0, proc.stderr
     record = json.loads(spans_path.read_text(encoding="utf-8"))
     names = {span["name"] for span in record["spans"]}
-    assert {"enumeration.translation_table", "enumeration.component_labels"} <= names
+    assert {"enumeration.translation_table", "enumeration.component_labels", "holomorph.holomorph"} <= names
     # The census streams the kernel: each pass calls it once per key block and
     # the tracer counts every call.  The 6^3 = 216 unital keys are one block,
     # and a unital census makes two passes (the gather-free first pass and the
@@ -42,16 +45,19 @@ def test_tracer_sees_the_census_kernel(tmp_path):
 def test_tracer_sees_the_transport_layers(tmp_path):
     # ``perfbench/run.py`` marks a traced transport pass incorrect unless it
     # records calls to these functions; the per-component pass must keep
-    # calling them by the names the tracer wraps.
+    # calling them by the names the tracer wraps.  The pass itself reads a
+    # file, so the holomorph-layer calls come from the command that writes it.
     family = tmp_path / "family.json"
     spans_path = tmp_path / "spans.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     subprocess.run(
-        [sys.executable, "-m", "dynbrace.cli", "enumerate", "--group", "cyclic:4", "--json",
-         "--out", str(family)],
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans_path),
+         "--", "enumerate", "--group", "cyclic:4", "--json", "--out", str(family)],
         cwd=ROOT, env=env, check=True, timeout=120,
     )
+    record = json.loads(spans_path.read_text(encoding="utf-8"))
+    assert "holomorph.holomorph" in {span["name"] for span in record["spans"]}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans_path),
          "--", "parallelise", "--input", str(family), "--per-component",

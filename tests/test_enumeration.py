@@ -15,14 +15,14 @@ from dynbrace.enumeration import (
     enumerate_full,
     initial_counts,
     invariants,
-    partition_profile,
 )
 from dynbrace.errors import ResourceCapError
-from dynbrace.holomorph import RegularSubset, translate
+from dynbrace.groups import automorphism_group
 from dynbrace.quivers import component_report, connected_components, is_homogeneous, labels
 from dynbrace.structures import is_zero_symmetric, verify_dsb
 
-from tests._golden import Z3_INITIAL_ARROWS
+from tests import _golden
+from tests._golden import Z3_INITIAL_ARROWS, translate
 from tests._identities import check_inverse_lemma, check_translation_composition
 from tests.conftest import cached_full, cached_group, cached_unital
 
@@ -109,15 +109,12 @@ def test_invariant_relation_and_divisibility():
 
 def test_isolated_vertices_equal_regular_subgroup_count():
     # N_1 counts the one-vertex components: families fixed by all translations
-    from dynbrace.holomorph import holomorph
-
     for name in ("cyclic:3", "cyclic:4", "klein4"):
         group = cached_group(name)
-        k = len(holomorph(group).auts)
         count = 0
         result = cached_unital(name)
         for row in result.assignments.tolist():
-            s = RegularSubset(tuple(row))
+            s = tuple(row)
             if all(translate(s, a, group) == s for a in range(group.order)):
                 count += 1
         assert count == invariants(group).count(1)
@@ -140,33 +137,35 @@ def test_initial_counts_formula_against_full_family():
 
 def test_full_family_size_double_check():
     # sum over components of (s + in_s) * N_s equals the full-space size
-    from dynbrace.holomorph import holomorph
-
     for name in ("cyclic:3", "cyclic:4", "cyclic:5", "klein4", "cyclic:6"):
         group = cached_group(name)
         table = invariants(group)
-        radix = len(holomorph(group).auts)
+        radix = len(automorphism_group(group))
         total = sum((s + table.initial_counts[s]) * c for s, c in table.counts.items())
         assert total == radix**group.order
 
 
+def shipped_profile(result, assignment) -> tuple[int, ...]:
+    """The partition profile of one vertex of a materialised family, as
+    ``invariants`` prints it: its row of the shipped profile matrix."""
+    profiles = enumeration._partition_matrix(result.assignments, len(automorphism_group(result.group)))
+    row = profiles[result.assignments.tolist().index(list(assignment))]
+    return tuple(v for v in row.tolist() if v)
+
+
 def test_partition_profiles():
-    z4 = cached_group("cyclic:4")
-    s7 = RegularSubset((0, 1, 1, 1))
-    assert partition_profile(s7, z4) == (3, 1)
-    s0 = RegularSubset((0, 0, 0, 0))
-    assert partition_profile(s0, z4) == (4,)
+    result = cached_unital("cyclic:4")
+    assert shipped_profile(result, (0, 1, 1, 1)) == (3, 1)
+    assert shipped_profile(result, (0, 0, 0, 0)) == (4,)
 
 
 def test_partition_equal_but_components_distinct():
-    z4 = cached_group("cyclic:4")
-    s1 = RegularSubset((0, 1, 0, 1))
-    s2 = RegularSubset((0, 0, 1, 1))
-    assert partition_profile(s1, z4) == partition_profile(s2, z4) == (2, 2)
+    s1, s2 = (0, 1, 0, 1), (0, 0, 1, 1)
     result = cached_unital("cyclic:4")
+    assert shipped_profile(result, s1) == shipped_profile(result, s2) == (2, 2)
     rows = result.assignments.tolist()
-    idx1 = rows.index(list(s1.assignment))
-    idx2 = rows.index(list(s2.assignment))
+    idx1 = rows.index(list(s1))
+    idx2 = rows.index(list(s2))
     assert result.components.component_of[idx1] != result.components.component_of[idx2]
 
 
@@ -358,8 +357,8 @@ def _assignment_of(space: KeySpace, key: int) -> tuple[int, ...]:
 
 def _scalar_translates(space: KeySpace, key: int) -> list[tuple[int, ...]]:
     """The assignments of the n translates of one key, by the scalar translate."""
-    subset = RegularSubset(_assignment_of(space, key))
-    return [translate(subset, a, space.group).assignment for a in range(space.n)]
+    subset = _assignment_of(space, key)
+    return [translate(subset, a, space.group) for a in range(space.n)]
 
 
 def test_translate_keys_against_scalar_translate():
@@ -503,20 +502,19 @@ def test_lazy_dsb_is_make_dsb_of_the_family_arrays(name, full):
 @pytest.mark.parametrize("name, full", [("cyclic:3", False), ("cyclic:3", True), ("cyclic:4", False)])
 def test_dsb_ops_are_the_subgroup_family_tables(monkeypatch, name, full, block_cells):
     from dynbrace import structures
-    from dynbrace.families import reference_family, seeded_names
-    from dynbrace.holomorph import holomorph
-    from dynbrace.structures import dsb_from_subgroup_family, dsb_ops
+    from dynbrace.families import seeded_names
+    from dynbrace.structures import dsb_ops
 
     if block_cells:
         monkeypatch.setattr(structures, "BLOCK_CELLS", block_cells)
-    group, family = reference_family(name, full)
-    reference = dsb_from_subgroup_family(group, family)
-    digits = np.array(sorted(s.assignment for s in family.values()), dtype=np.int16)
+    group, family = _golden.reference_family(name, full)
+    reference = _golden.dsb_from_subgroup_family(group, family)
+    digits = np.array(sorted(family.values()), dtype=np.int16)
     ops = dsb_ops(group, digits)
     assert np.array_equal(ops, reference.ops)
-    auts, n = holomorph(group).auts, group.order
+    act, n = automorphism_group(group), group.order
     for k, row in enumerate(digits.tolist()):
-        assert ops[k].tolist() == [[group.mul(a, auts[row[a]].images[b]) for b in range(n)] for a in range(n)]
+        assert ops[k].tolist() == [[group.mul(a, act[row[a], b]) for b in range(n)] for a in range(n)]
     # the enumerated family's lazy structure has the same vertices and tables
     result = (enumeration.enumerate_full if full else enumeration.enumerate_unital)(group, seeded_names(name, full))
     assert result.dsb.vertex_names == reference.vertex_names
@@ -611,7 +609,7 @@ def _census_oracle(group):
     partitions = []
     for root, size in zip(roots.tolist(), sizes.tolist()):
         assignment = _assignment_of(space, root)
-        partitions.append((size, assignment, partition_profile(RegularSubset(assignment), group)))
+        partitions.append((size, assignment, _golden.partition_profile(assignment)))
     return counts, tuple(partitions), 0
 
 

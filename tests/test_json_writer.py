@@ -144,7 +144,7 @@ def test_write_components_streams_the_dumps_bytes():
 def _list_document(result, initial=None) -> dict:
     """The ``enumerate --json`` document as plain lists."""
     data = dsb_to_json(result.dsb)
-    data["aut"] = [list(a.images) for a in automorphism_group(result.group)]
+    data["aut"] = automorphism_group(result.group).tolist()
     data["assignments"] = result.assignments.tolist()
     data["unital"] = result.unital_flags.tolist()
     data["components"] = {

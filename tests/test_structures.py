@@ -3,16 +3,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dynbrace.errors import InputError
-from dynbrace.families import reference_family
-from dynbrace.groups import build_group
-from dynbrace.holomorph import RegularSubset
+from dynbrace.groups import automorphism_group, build_group
 from dynbrace.structures import (
     QuiverBraiding,
     bracoid_from_json,
     braiding_of_qtsb,
     braiding_quadruples,
     dsb_from_json,
-    dsb_from_subgroup_family,
     is_zero_symmetric,
     make_bracoid,
     make_dsb,
@@ -25,7 +22,17 @@ from dynbrace.structures import (
     verify_dsb,
 )
 
-from tests._golden import Z3_ARROWS, Z3_OPS, Z4_OPS, bracoid_to_json, dsb_to_json, z4_expected_braiding
+from tests._golden import (
+    Z3_ARROWS,
+    Z3_OPS,
+    Z4_OPS,
+    bracoid_to_json,
+    dsb_from_subgroup_family,
+    dsb_to_json,
+    orbit_closure,
+    reference_family,
+    z4_expected_braiding,
+)
 
 
 @pytest.fixture(scope="module")
@@ -452,11 +459,9 @@ def test_braiding_quadruples_shape(z3):
 
 @given(st.sampled_from(["cyclic:3", "cyclic:4", "cyclic:5", "klein4"]), st.randoms())
 def test_random_orbit_families_verify(name, rng):
-    from dynbrace.holomorph import holomorph, orbit_closure
-
     group = build_group(name)
-    k = len(holomorph(group).auts)
-    seed = RegularSubset(tuple([0] + [rng.randrange(k) for _ in range(group.order - 1)]))
+    k = len(automorphism_group(group))
+    seed = tuple([0] + [rng.randrange(k) for _ in range(group.order - 1)])
     family = orbit_closure(seed, group)
     dsb = dsb_from_subgroup_family(group, family)
     assert verify_dsb(dsb).passed
