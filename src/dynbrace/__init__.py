@@ -16,7 +16,7 @@ from .quivers import (
     LabelledQuiver,
     connected_components,
     export_dot,
-    is_homogeneous,
+    homogeneous_weight,
     quiver_of_dynamical_set,
 )
 from .structures import (

@@ -50,7 +50,7 @@ from .parallelise import (
 from .quivers import (
     connected_components,
     export_dot,
-    is_homogeneous,
+    homogeneous_weight,
     quiver_from_json,
 )
 from .structures import (
@@ -490,9 +490,9 @@ def _cmd_enumerate(args) -> int:
         f"{'full' if args.full else 'unital'} family: {result.vertex_count} vertices, "
         f"{result.components.count} components",
     ]
-    homog = is_homogeneous(result.quiver, result.components)
-    if homog.is_homogeneous:
-        lines.append(f"homogeneous of weight {homog.weight}")
+    weight = homogeneous_weight(result.components)
+    if weight is not None:
+        lines.append(f"homogeneous of weight {weight}")
     else:
         lines.append("not homogeneous")
     for cid, members in enumerate(result.components.members):
@@ -641,7 +641,7 @@ def _cmd_parallelise(args) -> int:
 
 def _cmd_heap(args) -> int:
     bracoid = _load_bracoid(args.input)
-    report = connected_components(bracoid.quiver())
+    report = connected_components(bracoid.phi)
     if report.count > 1:
         if args.point is None:
             raise InputError(
@@ -698,9 +698,9 @@ def _cmd_export_dot(args) -> int:
         if "labels" in data and "ops" not in data:
             quiver = quiver_from_json(data)
         else:
-            quiver = _load_structure(data, "input JSON does not describe a quiver").quiver()
+            quiver = _load_structure(data, "input JSON does not describe a quiver")
     else:
-        quiver = _family(args).quiver
+        quiver = _family(args)
     _emit(export_dot(quiver, collapse_labels=args.collapse_labels), args.out)
     return 0
 

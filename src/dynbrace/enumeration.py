@@ -21,11 +21,12 @@ of the label array sorted in place, counted block by block into a histogram,
 so the census holds that one 4-byte-per-key array and buffers of
 O(n * BLOCK_KEYS); the table of component counts is exact.  Materialising a
 family builds the ``(K, n)`` digits and ``phi`` per key block and the
-component report, and nothing else per vertex but its name; the quiver and
-the unital flags are views of those arrays.  The dynamical skew brace, whose
-``(K, n, n)`` ops (:func:`~dynbrace.structures.dsb_ops` of the digits) are
-the bulk of a family, is built when :attr:`EnumerationResult.dsb` is first
-read, from arrays the materialisation has already validated.  The checks of a
+component report, and nothing else per vertex but its name; the family is
+the quiver of those arrays, and the unital flags are a view of them.  The
+dynamical skew brace, whose ``(K, n, n)`` ops
+(:func:`~dynbrace.structures.dsb_ops` of the digits) are the bulk of a
+family, is built when :attr:`EnumerationResult.dsb` is first read, from
+arrays the materialisation has already validated.  The checks of a
 family read those arrays too, so only the census and materialisation build a
 key space.
 """
@@ -40,7 +41,7 @@ import numpy as np
 from .errors import ResourceCapError
 from .groups import FiniteGroup, automorphism_group
 from .holomorph import DEFAULT_CAP, holomorph
-from .quivers import ComponentReport, LabelledQuiver, component_report, restrict_phi, uneven_rows, validate_phi
+from .quivers import ComponentReport, QuiverBase, component_report, restrict_phi, uneven_rows, validate_phi
 from .structures import (
     LABEL_DTYPE,
     VERTEX_DTYPE,
@@ -433,12 +434,13 @@ def initial_counts(result: EnumerationResult) -> InitialCountsResult:
 
 
 @dataclass(frozen=True, eq=False)
-class EnumerationResult:
+class EnumerationResult(QuiverBase):
     """Materialised family: the ``(K, n)`` assignment digits, the vertex
     names, the transition array ``phi`` and the component report.
 
-    The quiver and the unital flags are views of these; the dynamical skew
-    brace is built when it is first read.
+    The family is its quiver, labelled by the group's elements; the unital
+    flags are a view of the digits, and the dynamical skew brace is built
+    when it is first read.
     """
 
     group: FiniteGroup
@@ -449,12 +451,8 @@ class EnumerationResult:
     full: bool
 
     @property
-    def vertex_count(self) -> int:
-        return self.assignments.shape[0]
-
-    @property
-    def quiver(self) -> LabelledQuiver:
-        return LabelledQuiver(self.vertex_names, self.group.names, self.phi)
+    def label_names(self) -> tuple[str, ...]:
+        return self.group.names
 
     @property
     def unital_flags(self) -> np.ndarray:

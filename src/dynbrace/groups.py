@@ -73,6 +73,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _inverse_rows(perms: np.ndarray) -> np.ndarray:
+    """The inverse of each permutation along the last axis of ``perms``, in its dtype."""
+    inverse = np.zeros_like(perms)
+    np.put_along_axis(inverse, perms, np.arange(perms.shape[-1], dtype=perms.dtype), axis=-1)
+    return inverse
+
+
 def _repeats(rows: np.ndarray) -> np.ndarray:
     """``out[i, j]``: whether ``rows[i, j]`` occurs in ``rows[i, :j]``."""
     return np.tril(rows[:, :, None] == rows[:, None, :], -1).any(axis=2)
@@ -325,7 +332,8 @@ def automorphism_group(group: FiniteGroup) -> np.ndarray:
     Row 0 is always the identity automorphism, the least permutation.
     """
     auts = isomorphisms(group, group)
-    assert len(auts) and (auts[0] == np.arange(group.order)).all()
+    if not (len(auts) and (auts[0] == np.arange(group.order)).all()):
+        raise AssertionError("row 0 of the automorphisms is not the identity")
     return auts
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .groups import LABEL_DTYPE, FiniteGroup, _frozen, automorphism_group
+from .groups import LABEL_DTYPE, FiniteGroup, _frozen, _inverse_rows, automorphism_group
 
 #: Default bound on the size of an assignment key space; CLI-overridable.
 DEFAULT_CAP = 10**8
@@ -43,16 +43,14 @@ class Holomorph:
     def __init__(self, group: FiniteGroup):
         self.act = automorphism_group(group)
         self._keys = _pack(self.act)
-        k, n = self.act.shape
-        inverse = np.empty_like(self.act)
-        inverse[np.arange(k)[:, None], self.act] = np.arange(n, dtype=LABEL_DTYPE)
-        self.ainv = _frozen(self._index(inverse))
+        self.ainv = _frozen(self._index(_inverse_rows(self.act)))
 
     def _index(self, rows: np.ndarray) -> np.ndarray:
         """The automorphism index of each image row in ``rows``."""
         keys = _pack(rows)
         index = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
-        assert (self._keys[index] == keys).all(), "an image row is not an automorphism"
+        if not (self._keys[index] == keys).all():
+            raise AssertionError("an image row is not an automorphism")
         return index.astype(LABEL_DTYPE)
 
     def compose(self, f, g) -> np.ndarray:

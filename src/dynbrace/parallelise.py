@@ -10,7 +10,8 @@ is parallelised in one vectorised pass: each component is transported from
 its own base, every check runs once over the whole family, and the group and
 the output checks run once per distinct transported group law.  The
 components are laid out once, by one ``connected_components`` call, and the
-transversal and the transport both read that layout.  Complete quivers of
+transversal and the transport both read that layout; the transport is one
+:func:`~dynbrace.structures.relabel_bracoid` call.  Complete quivers of
 degree one correspond to ternary operations; pointing one of those at a
 vertex recovers a group.
 """
@@ -23,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InputError
-from .groups import FiniteGroup, make_group
+from .groups import FiniteGroup, _inverse_rows, make_group
 from .quivers import ComponentReport, connected_components, restrict_phi
 from .structures import (
     LABEL_DTYPE,
@@ -39,6 +40,7 @@ from .structures import (
     _take,
     make_bracoid,
     make_dsb,
+    relabel_bracoid,
     restrict_bracoid,
     verify_bracoid,
     verify_dsb,
@@ -79,7 +81,7 @@ def schurian_transversal(bracoid: SkewBracoid, base: int | str | None = None) ->
     L, n = phi.shape
     if not bracoid.unital.all():
         raise InputError(f"vertex {names[np.argmin(bracoid.unital)]} is initial; need a groupoid")
-    report = connected_components(bracoid.quiver())
+    report = connected_components(bracoid.phi)
     order, starts, comp = report.order, report.starts, report.component_of
     if base is None:
         zeta = order[starts[comp]]
@@ -185,7 +187,7 @@ def parallelise(
         return _parallelise(bracoid, None, None)
     except (InputError, AssertionError):
         # every check is local to a component, so one of them fails on its own
-        for members in connected_components(bracoid.quiver()).members:
+        for members in connected_components(bracoid.phi).members:
             parallelise(restrict_bracoid(bracoid, members), 0)
         raise
 
@@ -199,15 +201,15 @@ def _parallelise(
 
     The labelling at each vertex is forced by transporting its base labelling
     through the bracoid's derived action (the braiding's first component)
-    along the transversal arrows.  The
-    transported vertex group laws must coincide on each component; this is
-    verified exhaustively and a failure raises with a witness, since it
-    signals either a bug or an input that is not a bracoid.
+    along the transversal arrows, and :func:`relabel_bracoid` moves every
+    table to the new labels.  The transported vertex group laws must coincide
+    on each component; this is verified exhaustively and a failure raises
+    with a witness, since it signals either a bug or an input that is not a
+    bracoid.
     """
     pg = schurian_transversal(bracoid, base)
     zeta = pg.base
-    phi, B, D, units = bracoid.phi, bracoid.bullet, bracoid.dot, bracoid.units
-    L, n = phi.shape
+    L, n = bracoid.phi.shape
     verify_bracoid(bracoid).require("not a skew bracoid")
     SR = bracoid.derived_action
 
@@ -221,15 +223,8 @@ def _parallelise(
 
     transversal = pg.arrow_label[zeta, pg.components.rank].astype(np.intp)
     maps = np.take_along_axis(maps_base, SR[zeta, transversal].astype(np.intp), axis=1)
-
-    inv_maps = np.zeros_like(maps)
-    lam2 = np.arange(L, dtype=np.intp)[:, None]
-    inv_maps[lam2, maps] = np.arange(n, dtype=LABEL_DTYPE)[None, :]
-
-    lam3 = np.arange(L, dtype=np.intp)[:, None, None]
-    old_x = inv_maps[:, :, None]
-    old_y = inv_maps[:, None, :]
-    transported = maps[lam3, D[lam3, old_x, old_y]]
+    relabelled = relabel_bracoid(bracoid, maps)
+    transported = relabelled.dot
     agree = transported == transported[zeta]
     if not agree.all():
         lam, x, y = (int(v) for v in np.argwhere(~agree)[0])
@@ -239,15 +234,11 @@ def _parallelise(
             f"lhs={int(transported[lam, x, y])} rhs={int(transported[zeta[lam], x, y])}"
         )
 
-    phi_new = phi[lam2, inv_maps]
-    old_b = inv_maps[phi_new[:, :, None], np.arange(n, dtype=np.intp)[None, None, :]]
-    ops_new = maps[lam3, B[lam3, old_x, old_b]]
-
     # one group and one structure per distinct (law, identity) of the bases
     order, starts, comp = pg.components.order, pg.components.starts, pg.components.component_of
     bases = zeta[order[starts[:-1]]]
     laws = np.concatenate(
-        [transported[bases].reshape(bases.size, n * n), maps[bases, units[bases]][:, None]], axis=1
+        [transported[bases].reshape(bases.size, n * n), relabelled.units[bases][:, None]], axis=1
     )
     keys, law_of = np.unique(laws, axis=0, return_inverse=True)
     law_of = law_of.reshape(-1)
@@ -261,8 +252,8 @@ def _parallelise(
         dsb = make_dsb(
             group,
             [bracoid.vertex_names[v] for v in members.tolist()],
-            restrict_phi(phi_new, members),
-            ops_new[members],
+            restrict_phi(relabelled.phi, members),
+            relabelled.bullet[members],
         )
         checks = tuple(replace(c, required=True) if c.name == "zero_symmetric" else c
                        for c in verify_dsb(dsb).checks)
@@ -409,10 +400,7 @@ def ternary_of_braiding(bracoid: SkewBracoid, braiding: QuiverBraiding) -> Terna
     aran = np.arange(L, dtype=phi.dtype)
     if not (np.sort(phi, axis=1) == aran).all():
         raise InputError("quiver is not complete of degree 1")
-    lab = np.zeros((L, L), dtype=np.intp)
-    lam2 = np.arange(L, dtype=np.intp)[:, None]
-    lab[lam2, phi.astype(np.intp)] = np.arange(L, dtype=np.intp)[None, :]
-
+    lab = _inverse_rows(phi)
     a3 = np.arange(L, dtype=np.intp)[:, None, None]
     lab_ab = lab[:, :, None]
     lab_bc = lab[None, :, :]
@@ -527,10 +515,7 @@ def find_braiding_isomorphism(
                 x = trans[lam]
                 bx = beta_arr[x]
                 f0[lam] = int(phiB[mu0, bx])
-                row = SRb[mu0, bx].astype(np.intp)
-                inv_row = np.zeros(n, dtype=np.intp)
-                inv_row[row] = a_idx
-                f1[lam] = inv_row[beta_arr[SRa[0, x].astype(np.intp)]]
+                f1[lam] = _inverse_rows(SRb[mu0, bx])[beta_arr[SRa[0, x].astype(np.intp)]]
             if len(set(f0.tolist())) != La:
                 continue
             if not (np.sort(f1, axis=1) == a_idx[None, :]).all():

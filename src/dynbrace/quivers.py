@@ -4,10 +4,11 @@ Every quiver this package produces has one outgoing arrow per (vertex, label)
 pair, i.e. it is the quiver of a transition map; quivers with vertex-dependent
 out-degree are out of scope.  The map is held once, as the read-only int32
 array ``phi`` of shape (vertices, labels): ``phi[v, a]`` is the target of the
-arrow with source v and label a.  The same array is the ``phi`` of the
-dynamical structures and bracoids built on the quiver, and
-:func:`validate_phi` is the one check every constructor and JSON reader
-passes it through (shape, integer cells, range, unique vertex names).
+arrow with source v and label a.  A plain quiver, a dynamical structure, a
+bracoid and an enumerated family each are a :class:`QuiverBase`, which names
+the vertices and the labels of its ``phi``, and :func:`validate_phi` is the
+one check every constructor and JSON reader passes ``phi`` through (shape,
+integer cells, range, unique vertex names).  Components read ``phi`` alone.
 
 Connected components come from one numpy routine: :func:`labels` propagates
 minimal vertex indices along arrows in both directions, and
@@ -142,13 +143,15 @@ def restrict_phi(phi: np.ndarray, members: Sequence[int]) -> np.ndarray:
 
 
 class QuiverBase:
-    """Vertex names and the transition array ``phi``, the part of a quiver that
-    labelled quivers, dynamical structures and bracoids share.
+    """Vertex names, label names and the transition array ``phi``: the labelled
+    quiver that plain quivers, dynamical structures, bracoids and enumerated
+    families each are.
 
     The name-to-index lookup is built once, on first use.
     """
 
     vertex_names: tuple[str, ...]
+    label_names: tuple[str, ...]
     phi: np.ndarray
 
     @property
@@ -177,31 +180,16 @@ class LabelledQuiver(QuiverBase):
     The arrow with source ``v`` and label ``a`` has target ``phi[v, a]``.
     """
 
-    vertices: tuple[str, ...]
-    labels: tuple[str, ...]
+    vertex_names: tuple[str, ...]
+    label_names: tuple[str, ...]
     phi: np.ndarray
-
-    @property
-    def vertex_names(self) -> tuple[str, ...]:
-        return self.vertices
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LabelledQuiver)
-            and (self.vertices, self.labels) == (other.vertices, other.labels)
+            and (self.vertex_names, self.label_names) == (other.vertex_names, other.label_names)
             and np.array_equal(self.phi, other.phi)
         )
-
-    @property
-    def arrow_count(self) -> int:
-        return self.phi.size
-
-    def arrow_counts(self) -> dict[tuple[int, int], int]:
-        """Number of parallel arrows per ordered (source, target) pair."""
-        nv = self.vertex_count
-        sources = np.repeat(np.arange(nv, dtype=np.int64), self.label_count)
-        pairs, counts = np.unique(sources * nv + self.phi.ravel(), return_counts=True)
-        return {(p // nv, p % nv): c for p, c in zip(pairs.tolist(), counts.tolist())}
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,7 +230,7 @@ def quiver_of_dynamical_set(
     """Wrap a total transition map as a labelled quiver, validated."""
     labels = distinct_names(name_tuple(labels, "labels"), "label")
     names, phi = validate_phi(vertices, phi, len(labels))
-    return LabelledQuiver(vertices=names, labels=labels, phi=phi)
+    return LabelledQuiver(vertex_names=names, label_names=labels, phi=phi)
 
 
 def labels(phi: np.ndarray) -> np.ndarray:
@@ -308,55 +296,36 @@ def component_report(phi: np.ndarray, labels: np.ndarray) -> ComponentReport:
     )
 
 
-def connected_components(quiver: LabelledQuiver) -> ComponentReport:
-    """Undirected connectivity; components numbered by smallest member vertex."""
-    return component_report(quiver.phi, labels(quiver.phi))
+def connected_components(phi: np.ndarray) -> ComponentReport:
+    """Undirected connectivity of ``phi``; components numbered by smallest member vertex."""
+    return component_report(phi, labels(phi))
 
 
-@dataclass(frozen=True)
-class HomogeneityResult:
-    weight: int | None
-    failing_component: int | None
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return self.weight is not None
+def homogeneous_weight(report: ComponentReport) -> int | None:
+    """The weight n when every component is complete with degree * size == n, else None."""
+    weights = {None if d is None else d * size for d, size in zip(report.degrees, report.sizes())}
+    return weights.pop() if len(weights) == 1 else None
 
 
-def is_homogeneous(quiver: LabelledQuiver, report: ComponentReport | None = None) -> HomogeneityResult:
-    """Weight n if every component is complete with degree*size == n, else the failure."""
-    if report is None:
-        report = connected_components(quiver)
-    weight = None
-    for cid, (d, size) in enumerate(zip(report.degrees, report.sizes())):
-        if d is None:
-            return HomogeneityResult(None, cid)
-        w = d * size
-        if weight is None:
-            weight = w
-        elif w != weight:
-            return HomogeneityResult(None, cid)
-    return HomogeneityResult(weight, None)
+def export_dot(quiver: QuiverBase, collapse_labels: bool = False) -> str:
+    """Deterministic DOT text; byte-identical across runs for identical input.
 
-
-def export_dot(quiver: LabelledQuiver, collapse_labels: bool = False, name: str = "quiver") -> str:
-    """Deterministic DOT text; byte-identical across runs for identical input."""
-    lines = [f"digraph {name} {{"]
-    for v in quiver.vertices:
-        lines.append(f'  "{v}";')
+    Collapsed, each ordered (source, target) pair with arrows gets one edge
+    labelled with its number of parallel arrows.
+    """
+    names = quiver.vertex_names
+    lines = ["digraph quiver {"]
+    lines.extend(f'  "{v}";' for v in names)
     if collapse_labels:
-        counts = quiver.arrow_counts()
-        for (v, w), k in sorted(counts.items()):
-            lines.append(
-                f'  "{quiver.vertices[v]}" -> "{quiver.vertices[w]}" [label="×{k}"];'
-            )
+        nv = quiver.vertex_count
+        sources = np.repeat(np.arange(nv, dtype=np.int64), quiver.label_count)
+        pairs, counts = np.unique(sources * nv + quiver.phi.ravel(), return_counts=True)
+        for p, k in zip(pairs.tolist(), counts.tolist()):
+            lines.append(f'  "{names[p // nv]}" -> "{names[p % nv]}" [label="×{k}"];')
     else:
         for v, row in enumerate(quiver.phi.tolist()):
             for a, w in enumerate(row):
-                lines.append(
-                    f'  "{quiver.vertices[v]}" -> "{quiver.vertices[w]}" '
-                    f'[label="{quiver.labels[a]}"];'
-                )
+                lines.append(f'  "{names[v]}" -> "{names[w]}" [label="{quiver.label_names[a]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -14,11 +14,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InputError
-from .groups import LABEL_DTYPE, FiniteGroup, _frozen, group_from_json
+from .groups import LABEL_DTYPE, FiniteGroup, _frozen, _inverse_rows, group_from_json
 from .holomorph import holomorph
 from .quivers import (
     VERTEX_DTYPE,
-    LabelledQuiver,
     QuiverBase,
     distinct_names,
     int_array,
@@ -182,8 +181,9 @@ class DynamicalSkewBrace(QuiverBase):
     phi: np.ndarray
     ops: np.ndarray
 
-    def quiver(self) -> LabelledQuiver:
-        return LabelledQuiver(self.vertex_names, self.group.names, self.phi)
+    @property
+    def label_names(self) -> tuple[str, ...]:
+        return self.group.names
 
     def op_table(self, vertex: int | str) -> np.ndarray:
         lam = vertex if isinstance(vertex, int) else self.vertex_index(vertex)
@@ -312,9 +312,6 @@ class SkewBracoid(QuiverBase):
     dot: np.ndarray
     units: np.ndarray
 
-    def quiver(self) -> LabelledQuiver:
-        return LabelledQuiver(self.vertex_names, self.label_names, self.phi)
-
     @cached_property
     def unital(self) -> np.ndarray:
         """Whether each vertex has a unit loop."""
@@ -394,8 +391,11 @@ def semiloopoid_inverse(bracoid: SkewBracoid, vertex: int, label: int) -> tuple[
 def relabel_bracoid(bracoid: SkewBracoid, perms: Sequence[Sequence[int]]) -> SkewBracoid:
     """Apply a per-vertex permutation of out-star labels (old -> new).
 
-    This is the label-erasure device used by round-trip tests: the result has
-    the same arrows but anonymous labels.
+    The result has the same arrows under new labels, named ``"0"``, ``"1"``,
+    ...: its ``phi``, ``bullet``, ``dot`` and ``units`` are the old tables
+    transported along the permutations.  This is the relabelling
+    :func:`~dynbrace.parallelise.parallelise` makes its out-star labellings
+    with, and the label-erasure device of the round-trip tests.
     """
     L, n = bracoid.phi.shape
     P = np.ascontiguousarray(perms, dtype=LABEL_DTYPE)
@@ -403,15 +403,13 @@ def relabel_bracoid(bracoid: SkewBracoid, perms: Sequence[Sequence[int]]) -> Ske
         raise InputError(f"need {L}x{n} permutations, got {P.shape}")
     if not (np.sort(P, axis=1) == np.arange(n, dtype=P.dtype)).all():
         raise InputError("each vertex relabelling must be a permutation")
-    Q = np.empty_like(P)
-    lam2 = np.arange(L, dtype=np.intp)[:, None]
-    Q[lam2, P] = np.arange(n, dtype=P.dtype)[None, :]
+    Q = _inverse_rows(P)
 
+    lam2 = np.arange(L, dtype=np.intp)[:, None]
     phi = bracoid.phi[lam2, Q]
-    lam3 = np.arange(L, dtype=np.intp)[:, None, None]
+    lam3 = lam2[:, :, None]
     old_a = Q[:, :, None]
-    mu = bracoid.phi[lam2, Q][:, :, None]
-    old_b = Q[mu, np.arange(n, dtype=np.intp)[None, None, :]]
+    old_b = Q[phi[:, :, None], np.arange(n, dtype=np.intp)[None, None, :]]
     bullet = P[lam3, bracoid.bullet[lam3, old_a, old_b]]
     dot = P[lam3, bracoid.dot[lam3, old_a, Q[:, None, :]]]
     units = np.where(bracoid.unital, P[lam2[:, 0], np.where(bracoid.unital, bracoid.units, 0)], -1)
@@ -593,9 +591,7 @@ def braiding_of_qtsb(bracoid: SkewBracoid) -> QuiverBraiding:
 
     def left(s, t):
         # the c with right[lam, a, b] bullet c = a bullet b, by left division
-        ldiv = np.zeros_like(B[s:t])
-        np.put_along_axis(ldiv, B[s:t], np.arange(n, dtype=B.dtype), axis=2)
-        return _take(ldiv, _block(0, t - s, 3), right[s:t], B[s:t])
+        return _take(_inverse_rows(B[s:t]), _block(0, t - s, 3), right[s:t], B[s:t])
 
     return QuiverBraiding(right, _frozen(_blockwise(left, L, n)))
 

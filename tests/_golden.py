@@ -61,8 +61,8 @@ def bracoid_to_json(bracoid, group=None) -> dict:
 
 def quiver_to_json(quiver) -> dict:
     return {
-        "vertices": list(quiver.vertices),
-        "labels": list(quiver.labels),
+        "vertices": list(quiver.vertex_names),
+        "labels": list(quiver.label_names),
         "phi": quiver.phi.tolist(),
     }
 

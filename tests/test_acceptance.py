@@ -246,7 +246,7 @@ def test_criterion_11_parallelisation_round_trip():
                     _, recovered = parallelise(scrambled, base)
                     assert verify_dsb(recovered).passed
                     assert is_zero_symmetric(recovered)
-                    report = connected_components(recovered.quiver())
+                    report = connected_components(recovered.phi)
                     assert report.count == 1
                     assert len(report.members[0]) == size
                     assert report.degrees[0] == degree

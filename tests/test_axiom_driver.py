@@ -60,7 +60,7 @@ def documents():
     klein4 = dsb_to_json(cached_unital("klein4").dsb)          # 216 vertices: blocks of 7 end at 210..215
     cyclic4 = dsb_to_json(cached_full("cyclic:4").dsb)         # 16 vertices, 8 of them initial
     sym3 = cached_unital("sym:3").dsb                          # non-abelian: involutivity fails
-    report = connected_components(sym3.quiver())
+    report = connected_components(sym3.phi)
     members = [v for m in report.members[:12] for v in m]      # 61 vertices
     sym3_part = bracoid_to_json(restrict_bracoid(semiloopoid_of_dsb(sym3), members))
     docs = {"klein4": (klein4, None), "cyclic4-full": (cyclic4, None), "sym3-part": (sym3_part, None)}

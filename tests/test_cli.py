@@ -390,6 +390,44 @@ def test_export_dot_seeded_names(capsys):
     assert '"s1" -> "s3" [label="1"];' in out
 
 
+def _export_dot_pair(tmp_path, capsys, document, labels, *flags):
+    """DOT of a structure or bracoid file, and of the quiver file holding its
+    vertices, ``phi`` and ``labels``."""
+    structure, quiver = tmp_path / "structure.json", tmp_path / "quiver.json"
+    structure.write_text(json.dumps(document))
+    quiver.write_text(json.dumps({"vertices": document["vertices"], "labels": labels, "phi": document["phi"]}))
+    results = [run(capsys, "export-dot", "--input", str(path), *flags) for path in (structure, quiver)]
+    assert results[0][0] == results[1][0] == 0
+    return results[0][1], results[1][1]
+
+
+def test_export_dot_of_structure_file_is_labelled_by_group_names(tmp_path, capsys):
+    from dynbrace.groups import build_group
+
+    src = tmp_path / "k4.json"
+    run(capsys, "enumerate", "--group", "klein4", "--json", "--out", str(src))
+    document = json.loads(src.read_text())
+    names = list(build_group("klein4").names)
+    document["group"]["names"] = names
+    structure_dot, quiver_dot = _export_dot_pair(tmp_path, capsys, document, names)
+    assert structure_dot == quiver_dot
+    assert '[label="(0,1)"];' in structure_dot
+
+
+@pytest.mark.parametrize("flags", [(), ("--collapse-labels",)])
+def test_export_dot_of_bracoid_file_keeps_its_labels(tmp_path, capsys, flags):
+    from dynbrace.enumeration import enumerate_unital
+    from dynbrace.groups import build_group
+    from dynbrace.structures import semiloopoid_of_dsb
+    from tests._golden import bracoid_to_json
+
+    document = bracoid_to_json(semiloopoid_of_dsb(enumerate_unital(build_group("cyclic:4")).dsb))
+    document["labels"] = labels = ["e", "x", "x2", "x3"]
+    bracoid_dot, quiver_dot = _export_dot_pair(tmp_path, capsys, document, labels, *flags)
+    assert bracoid_dot == quiver_dot
+    assert ('[label="x2"];' in bracoid_dot) == (not flags)
+
+
 def test_parallelise_single_component_with_base(tmp_path, capsys):
     from dynbrace.structures import semiloopoid_of_dsb
     from tests._golden import bracoid_to_json

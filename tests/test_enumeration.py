@@ -18,7 +18,7 @@ from dynbrace.enumeration import (
 )
 from dynbrace.errors import ResourceCapError
 from dynbrace.groups import automorphism_group
-from dynbrace.quivers import component_report, connected_components, is_homogeneous, labels
+from dynbrace.quivers import component_report, connected_components, homogeneous_weight, labels
 from dynbrace.structures import is_zero_symmetric, verify_dsb
 
 from tests import _golden
@@ -29,16 +29,16 @@ from tests.conftest import cached_full, cached_group, cached_unital
 
 def test_unital_sizes():
     assert cached_unital("cyclic:3").vertex_count == 4
-    assert cached_unital("cyclic:3").quiver.arrow_count == 12
+    assert cached_unital("cyclic:3").phi.size == 12
     assert cached_unital("cyclic:4").vertex_count == 8
-    assert cached_unital("cyclic:4").quiver.arrow_count == 32
+    assert cached_unital("cyclic:4").phi.size == 32
     assert cached_unital("klein4").vertex_count == 216
 
 
 def test_full_sizes():
     assert cached_full("cyclic:3").vertex_count == 8
     assert cached_full("trivial").vertex_count == 1
-    assert cached_full("trivial").quiver.arrow_count == 1
+    assert cached_full("trivial").phi.size == 1
 
 
 def test_vertices_in_canonical_order():
@@ -51,8 +51,7 @@ def test_unital_enumeration_is_zero_symmetric_and_homogeneous():
     for name in ("cyclic:3", "cyclic:4", "klein4"):
         result = cached_unital(name)
         assert is_zero_symmetric(result.dsb)
-        homog = is_homogeneous(result.quiver, result.components)
-        assert homog.weight == result.group.order
+        assert homogeneous_weight(result.components) == result.group.order
 
 
 def test_full_enumeration_marks_initial_vertices():
@@ -178,7 +177,7 @@ def test_component_labels_match_union_find():
     # the vectorised component labelling agrees with the generic union-find
     for name in ("cyclic:4", "klein4", "cyclic:5"):
         result = cached_unital(name)
-        report = connected_components(result.quiver)
+        report = connected_components(result.phi)
         for field in ("component_of", "order", "starts", "rank"):
             assert np.array_equal(getattr(report, field), getattr(result.components, field))
         assert report.degrees == result.components.degrees
@@ -473,8 +472,8 @@ def test_inverse_lemma_vectorised():
 
 def test_dsb_is_built_when_first_read():
     result = enumeration.enumerate_unital(cached_group("cyclic:4"))
-    # the text outputs read the quiver, the flags and the components only
-    assert result.quiver.arrow_count == 32 and result.unital_flags.all()
+    # the text outputs read phi, the flags and the components only
+    assert result.phi.size == 32 and result.unital_flags.all()
     assert result.components.count == 4
     assert "dsb" not in result.__dict__
     dsb = result.dsb
@@ -529,7 +528,7 @@ def test_component_dsb_extraction():
     for cid in range(result.components.count):
         sub = component_dsb(result, cid)
         assert verify_dsb(sub).passed
-        report = connected_components(sub.quiver())
+        report = connected_components(sub.phi)
         assert report.count == 1
         bracoid = semiloopoid_of_dsb(sub)
         braiding = braiding_of_qtsb(bracoid)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dynbrace.errors import InputError
 from dynbrace.groups import (
+    _inverse_rows,
     _REPORT_PRESETS,
     automorphism_group,
     build_group,
@@ -376,3 +377,13 @@ def test_order_16_automorphism_counts(name, count):
     auts = automorphism_group(build_group(name)).tolist()
     assert len(auts) == count and auts[0] == list(range(16))
     assert auts == sorted(auts)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.intp])
+@pytest.mark.parametrize("shape", [(7, 5), (3, 4, 6)])
+def test_inverse_rows_is_argsort(shape, dtype):
+    rng = np.random.default_rng(11)
+    perms = rng.permuted(np.broadcast_to(np.arange(shape[-1]), shape), axis=-1).astype(dtype)
+    inverse = _inverse_rows(perms)
+    assert inverse.dtype == dtype
+    assert np.array_equal(inverse, np.argsort(perms, axis=-1))

@@ -234,3 +234,22 @@ def test_holomorph_of_c2_4_fits_in_two_gib():
     assert proc.returncode == 0, proc.stderr
     cpu_s, rss_growth_mb = map(float, proc.stdout.split())
     assert cpu_s < 1.0 and rss_growth_mb < 50
+
+
+def test_automorphism_lookup_check_survives_optimised_python():
+    # python -O strips assert statements; the lookup check must still raise
+    child = (
+        "import numpy as np\n"
+        "from dynbrace.groups import build_group\n"
+        "from dynbrace.holomorph import holomorph\n"
+        "try:\n"
+        "    holomorph(build_group('cyclic:4'))._index(np.zeros((1, 4), np.int16))\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", child], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "an image row is not an automorphism\n"

@@ -182,7 +182,7 @@ def test_parallelise_shape_preserved(k4567):
     _, dsb = parallelise(bracoid, 0)
     from dynbrace.quivers import connected_components
 
-    report = connected_components(dsb.quiver())
+    report = connected_components(dsb.phi)
     assert report.count == 1
     assert report.degrees[0] == 1
     assert dsb.vertex_count == 4

@@ -51,7 +51,7 @@ PINNED = {
 
 def reference_components(bracoid) -> str:
     outputs = []
-    for members in connected_components(bracoid.quiver()).members:
+    for members in connected_components(bracoid.phi).members:
         _, dsb = par.parallelise(restrict_bracoid(bracoid, members), 0)
         outputs.append(dsb_to_json(dsb))
     return json.dumps({"components": outputs}, indent=2, sort_keys=True) + "\n"
@@ -209,9 +209,9 @@ def test_one_component_layout_per_call(monkeypatch):
     # reads the same report, with or without a base
     calls = []
 
-    def counted(quiver):
-        calls.append(quiver)
-        return connected_components(quiver)
+    def counted(phi):
+        calls.append(phi)
+        return connected_components(phi)
 
     monkeypatch.setattr(par, "connected_components", counted)
     result = cached_unital("cyclic:4")

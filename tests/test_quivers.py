@@ -12,7 +12,7 @@ from dynbrace.quivers import (
     component_report,
     connected_components,
     export_dot,
-    is_homogeneous,
+    homogeneous_weight,
     labels,
     quiver_from_json,
     quiver_of_dynamical_set,
@@ -35,12 +35,12 @@ Z3_QUIVER = quiver_of_dynamical_set(["s0", "s1", "s2", "s3"], ["0", "1", "2"], Z
 
 def test_quiver_shape():
     assert Z3_QUIVER.vertex_count == 4
-    assert Z3_QUIVER.arrow_count == 12
+    assert Z3_QUIVER.phi.size == 12
 
 
 def test_singleton_vertex_is_loop_bundle():
     q = quiver_of_dynamical_set(["v"], ["a", "b", "c"], [[0, 0, 0]])
-    assert q.arrow_count == 3
+    assert q.phi.size == 3
     assert all(t == 0 for t in q.phi[0])
 
 
@@ -50,24 +50,24 @@ def test_phi_out_of_range_rejected():
 
 
 def test_components_of_worked_family():
-    report = connected_components(Z3_QUIVER)
+    report = connected_components(Z3_QUIVER.phi)
     assert [m.tolist() for m in report.members] == [[0], [1, 2, 3]]
     assert report.component_of.tolist() == [0, 1, 1, 1]
 
 
 def test_component_numbering_by_smallest_vertex():
     q = quiver_of_dynamical_set(["a", "b", "c"], ["x"], [[2], [1], [0]])
-    report = connected_components(q)
+    report = connected_components(q.phi)
     assert [m.tolist() for m in report.members] == [[0, 2], [1]]
 
 
 def test_two_loop_bundles_are_two_components():
     q = quiver_of_dynamical_set(["a", "b"], ["x", "y"], [[0, 0], [1, 1]])
-    assert connected_components(q).count == 2
+    assert connected_components(q.phi).count == 2
 
 
 def test_completeness_degrees():
-    report = connected_components(Z3_QUIVER)
+    report = connected_components(Z3_QUIVER.phi)
     assert report.degrees == (3, 1)
 
 
@@ -76,13 +76,13 @@ def test_degree_two_component():
     q = quiver_of_dynamical_set(
         ["s2", "s3"], ["0", "1", "2", "3"], [[0, 1, 1, 0], [1, 0, 0, 1]]
     )
-    report = connected_components(q)
+    report = connected_components(q.phi)
     assert report.degrees == (2,)
 
 
 def test_not_complete_degree():
     q = quiver_of_dynamical_set(["a", "b"], ["x", "y"], [[0, 1], [1, 1]])
-    report = connected_components(q)
+    report = connected_components(q.phi)
     assert report.degrees == (None,)
 
 
@@ -93,27 +93,26 @@ def test_uneven_rows():
 
 
 def test_homogeneous_weights():
-    assert is_homogeneous(Z3_QUIVER).weight == 3
+    assert homogeneous_weight(connected_components(Z3_QUIVER.phi)) == 3
     loops = quiver_of_dynamical_set(["v"], ["a", "b", "c"], [[0, 0, 0]])
-    assert is_homogeneous(loops).weight == 3
+    assert homogeneous_weight(connected_components(loops.phi)) == 3
 
 
 def test_inhomogeneous_with_initial_vertices():
     # attach an initial vertex feeding the triangle: no longer homogeneous
     phi = [row + [] for row in Z3_PHI] + [[1, 2, 3]]
     q = quiver_of_dynamical_set(["s0", "s1", "s2", "s3", "r"], ["0", "1", "2"], phi)
-    result = is_homogeneous(q)
-    assert result.weight is None
+    assert homogeneous_weight(connected_components(q.phi)) is None
 
 
 def test_homogeneity_failure_reports_component():
     q = quiver_of_dynamical_set(["a", "b"], ["x", "y"], [[0, 0], [1, 1]])
     # two loop bundles of degree 2: homogeneous of weight 2
-    assert is_homogeneous(q).weight == 2
-    # b and c swap without loops: their component is not complete
+    assert homogeneous_weight(connected_components(q.phi)) == 2
+    # b and c swap without loops: their component, component 1, is not complete
     q2 = quiver_of_dynamical_set(["a", "b", "c"], ["x", "y"], [[0, 0], [2, 2], [1, 1]])
-    result = is_homogeneous(q2)
-    assert result.weight is None and result.failing_component == 1
+    report = connected_components(q2.phi)
+    assert homogeneous_weight(report) is None and report.degrees == (2, None)
 
 
 def test_export_dot_single_loop():
@@ -185,7 +184,7 @@ def _reference_components(phi):
 def test_random_functional_quivers_partition(nv, nl, rng):
     phi = [[rng.randrange(nv) for _ in range(nl)] for _ in range(nv)]
     q = quiver_of_dynamical_set([f"v{i}" for i in range(nv)], [str(a) for a in range(nl)], phi)
-    report = connected_components(q)
+    report = connected_components(q.phi)
     component_of, members, degrees = _reference_components(phi)
     assert [m.tolist() for m in report.members] == list(map(list, members))
     assert report.component_of.tolist() == list(component_of)
@@ -206,10 +205,10 @@ def test_random_complete_quivers_have_degree(s, d, rng):
             rng.shuffle(row)
             phi[perm[b * s + v]] = row
     q = quiver_of_dynamical_set([str(i) for i in range(blocks * s)], [str(a) for a in range(s * d)], phi)
-    report = connected_components(q)
+    report = connected_components(q.phi)
     assert report.count == blocks
     assert report.degrees == (d,) * blocks
-    assert is_homogeneous(q, report).weight == s * d
+    assert homogeneous_weight(report) == s * d
 
 
 def test_component_report_holds_no_per_vertex_objects():

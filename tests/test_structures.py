@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dynbrace.errors import InputError
-from dynbrace.groups import automorphism_group, build_group
+from dynbrace.groups import _inverse_rows, automorphism_group, build_group
 from dynbrace.structures import (
     QuiverBraiding,
     bracoid_from_json,
@@ -33,6 +33,7 @@ from tests._golden import (
     reference_family,
     z4_expected_braiding,
 )
+from tests.conftest import cached_unital
 
 
 @pytest.fixture(scope="module")
@@ -468,3 +469,14 @@ def test_random_orbit_families_verify(name, rng):
     bracoid = semiloopoid_of_dsb(dsb)
     braiding = braiding_of_qtsb(bracoid)
     assert verify_braiding(bracoid, braiding).passed
+
+
+@pytest.mark.parametrize("name", ["cyclic:4", "klein4", "sym:3"])
+def test_relabel_bracoid_inverse_restores_the_tables(name):
+    bracoid = semiloopoid_of_dsb(cached_unital(name).dsb)
+    L, n = bracoid.phi.shape
+    rng = np.random.default_rng(5)
+    perms = rng.permuted(np.broadcast_to(np.arange(n), (L, n)), axis=1)
+    back = relabel_bracoid(relabel_bracoid(bracoid, perms), _inverse_rows(perms))
+    for table in ("phi", "bullet", "dot", "units"):
+        assert np.array_equal(getattr(back, table), getattr(bracoid, table)), table
