@@ -7,11 +7,14 @@ keys and fixed formatting, tables carry no timestamps or addresses.
 
 A JSON document has the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``
 of its plain-list form, but its tables are laid out straight from the numpy
-arrays by one primitive (:func:`_array_items`): numbers come from a bounded
-table of decimal strings and each level is grouped by C-level joins.  A
-document larger than one block is written key by key and its long tables
-block by block, so neither the whole text nor a list copy of a table is ever
-built.
+arrays: numbers come from a bounded table of decimal strings
+(:func:`_decimals`), and an array's levels are grouped by C-level joins
+(:func:`_array_items`).  A table that is more than one array (the name-keyed
+``ops``, the ragged component members, the braiding, the per-component
+documents) is one :class:`_Rows`, whose layout gives the text of any range
+of its items.  A document larger than one block is written key by key and
+its long tables block by block, so neither the whole text nor a list copy of
+a table is ever built.
 """
 from __future__ import annotations
 
@@ -19,7 +22,6 @@ import argparse
 import gc
 import itertools
 import json
-import math
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -56,7 +58,6 @@ from .quivers import (
 from .structures import (
     SkewBracoid,
     braiding_of_qtsb,
-    braiding_quadruples,
     bracoid_from_json,
     dsb_from_json,
     restrict_bracoid,
@@ -85,8 +86,8 @@ class _IndentedEncoder(json.JSONEncoder):
     The stdlib encodes every indented document in pure Python, one generator
     step per token.  Here dicts and mixed lists are laid out in Python, a list
     of numbers, bools and nulls is one compact C encoding, and int and bool
-    arrays (plus the table types below) are laid out from the arrays by
-    :func:`_array_items`.  Keys must be strings.  ``newline`` starts the line
+    arrays are laid out by :func:`_array_items` and a :class:`_Rows` table by
+    its own layout.  Keys must be strings.  ``newline`` starts the line
     the value begins on, so a piece of a larger document can be encoded on
     its own.  Passing the class as ``cls`` keeps one ``json.dumps`` call per
     document or block, the call perfbench's tracer times as JSON output.
@@ -116,7 +117,7 @@ def _layout(o, newline: str) -> str:
         return text
     if isinstance(o, np.ndarray):
         return _list_text(*_array_items(_decimals(o), o.shape, newline), newline)
-    if isinstance(o, (_Keyed, _Ragged, _Braiding, _Components)):
+    if isinstance(o, _Rows):
         return o.text(newline)
     if type(o) is int:
         return repr(o)
@@ -215,110 +216,104 @@ def _empty_text(shape: tuple, newline: str) -> str:
     return "[" + inner + ("," + inner).join([_empty_text(shape[1:], inner)] * shape[0]) + newline + "]"
 
 
-class _Keyed:
-    """The JSON object ``{names[i]: table[i]}`` of a name-keyed int table,
-    laid out from the array in sorted name order; ``order`` selects rows."""
+class _Rows:
+    """A JSON list or object of ``count`` rows, laid out from arrays by
+    ``layout(lo, hi, newline)``: the text of rows lo .. hi - 1 alone.  A row
+    is one item, or for the braiding the items of one source vertex.
+    ``cells`` counts the entries, by which the writer sizes its blocks; a
+    slice is a window of rows on the same layout."""
 
-    def __init__(self, names, table: np.ndarray, order: np.ndarray | None = None):
-        self.names = np.asarray(names, dtype=object)
-        self.table = table
-        self.order = np.argsort(self.names, kind="stable") if order is None else order
-        self.size = self.order.size * math.prod(table.shape[1:])
+    def __init__(self, count: int, cells: int, layout, start: int = 0):
+        self.count, self.size, self.layout, self.start = count, cells, layout, start
 
     def __len__(self) -> int:
-        return self.order.size
+        return self.count
 
-    def __getitem__(self, rows: slice) -> "_Keyed":
-        return _Keyed(self.names, self.table, self.order[rows])
+    def __getitem__(self, rows: slice) -> "_Rows":
+        lo, hi, _ = rows.indices(self.count)
+        return _Rows(hi - lo, self.size * (hi - lo) // self.count, self.layout, self.start + lo)
 
     def text(self, newline: str) -> str:
-        rows = self.table[self.order]
-        keys = map(encode_basestring_ascii, self.names[self.order].tolist())
+        return self.layout(self.start, self.start + self.count, newline)
+
+
+def _keyed(names, table: np.ndarray) -> _Rows:
+    """The JSON object ``{names[i]: table[i]}`` of a name-keyed int table,
+    laid out from the array in sorted name order."""
+    names = np.asarray(names, dtype=object)
+    order = np.argsort(names, kind="stable")
+
+    def layout(lo: int, hi: int, newline: str) -> str:
+        rows = table[order[lo:hi]]
+        keys = map(encode_basestring_ascii, names[order[lo:hi]].tolist())
         return _keyed_text(keys, *_array_items(_decimals(rows), rows.shape, newline), newline)
 
+    return _Rows(order.size, table.size, layout)
 
-class _Ragged:
+
+def _ragged(flat: np.ndarray, starts: np.ndarray) -> _Rows:
     """The JSON list of the non-empty int rows ``flat[starts[i]:starts[i + 1]]``."""
 
-    def __init__(self, flat: np.ndarray, starts: np.ndarray):
-        self.flat, self.starts = flat, starts
-        self.size = int(starts[-1] - starts[0])
-
-    def __len__(self) -> int:
-        return self.starts.size - 1
-
-    def __getitem__(self, rows: slice) -> "_Ragged":
-        lo, hi, _ = rows.indices(len(self))
-        return _Ragged(self.flat, self.starts[lo:hi + 1])
-
-    def text(self, newline: str) -> str:
-        lo = self.starts[0]
-        texts = _decimals(self.flat[lo:self.starts[-1]]).tolist()
-        bounds = (self.starts - lo).tolist()
+    def layout(lo: int, hi: int, newline: str) -> str:
+        texts = _decimals(flat[starts[lo]:starts[hi]]).tolist()
+        bounds = (starts[lo:hi + 1] - starts[lo]).tolist()
         inner = newline + _STEP
         bodies = map(("," + inner + _STEP).join, map(texts.__getitem__, map(slice, bounds[:-1], bounds[1:])))
         return _list_text("[" + inner + _STEP, bodies, inner + "]", newline)
 
+    return _Rows(starts.size - 1, int(starts[-1] - starts[0]), layout)
 
-class _Braiding:
-    """``verify``'s braiding, the quadruples of :func:`braiding_quadruples`
-    with each arrow laid out as ``[vertex name, label]``; built per block of
-    source vertices ``lo .. hi - 1``."""
 
-    def __init__(self, bracoid, braiding, lo: int = 0, hi: int | None = None, names=None):
-        self.bracoid, self.braiding = bracoid, braiding
-        self.lo, self.hi = lo, bracoid.vertex_count if hi is None else hi
-        if names is None:
-            names = np.array(list(map(encode_basestring_ascii, bracoid.vertex_names)), dtype=object)
-        self.names = names
-        self.size = (self.hi - self.lo) * bracoid.label_count ** 2 * 8
+def _braiding(bracoid, braiding) -> _Rows:
+    """``verify``'s braiding: one quadruple [x, y, x->y, x<-y] per composable
+    pair, each arrow laid out as ``[vertex name, label]``, ordered by source
+    vertex and the labels of x and y; a block is a range of source vertices."""
+    phi = bracoid.phi
+    n = phi.shape[1]
+    names = np.array(list(map(encode_basestring_ascii, bracoid.vertex_names)), dtype=object)
 
-    def __len__(self) -> int:
-        return self.hi - self.lo
-
-    def __getitem__(self, rows: slice) -> "_Braiding":
-        lo, hi, _ = rows.indices(len(self))
-        return _Braiding(self.bracoid, self.braiding, self.lo + lo, self.lo + hi, self.names)
-
-    def text(self, newline: str) -> str:
-        codes = braiding_quadruples(self.bracoid, self.braiding, self.lo, self.hi)
+    def layout(lo: int, hi: int, newline: str) -> str:
+        m = hi - lo
+        right, left = braiding.right[lo:hi], braiding.left[lo:hi]
+        codes = np.empty((m, n, n, 4, 2), dtype=np.intp)  # [.., arrow, (vertex, label)]
+        codes[..., 0, 0] = codes[..., 2, 0] = np.arange(lo, hi)[:, None, None]
+        codes[..., 0, 1] = np.arange(n)[:, None]
+        codes[..., 1, 0] = phi[lo:hi, :, None]
+        codes[..., 1, 1] = np.arange(n)
+        codes[..., 2, 1] = right
+        codes[..., 3, 0] = np.take_along_axis(phi[lo:hi], right.reshape(m, n * n), axis=1).reshape(m, n, n)
+        codes[..., 3, 1] = left
+        codes = codes.reshape(m * n * n, 4, 2)
         texts = np.empty(codes.size, dtype=object)
-        texts[0::2] = self.names[codes[..., 0].ravel()]
+        texts[0::2] = names[codes[..., 0].ravel()]
         texts[1::2] = _decimals(codes[..., 1])
         return _list_text(*_array_items(texts, codes.shape, newline), newline)
 
+    return _Rows(phi.shape[0], phi.shape[0] * n * n * 8, layout)
 
-class _Components:
+
+def _components(structures) -> _Rows:
     """``parallelise --per-component``'s list of structure documents (the
     text of :func:`_dsb_json` of each).  Components that share a group law
     are laid out together, one array pass per law, and sliced per component."""
 
-    def __init__(self, structures):
-        self.structures = structures
-        self.size = sum(dsb.phi.size + dsb.ops.size for dsb in structures)
-
-    def __len__(self) -> int:
-        return len(self.structures)
-
-    def __getitem__(self, rows: slice) -> "_Components":
-        return _Components(self.structures[rows])
-
-    def text(self, newline: str) -> str:
+    def layout(lo: int, hi: int, newline: str) -> str:
+        block = structures[lo:hi]
         at = newline + _STEP * 2  # where a component's keys start
-        texts = [""] * len(self.structures)
+        texts = [""] * len(block)
         laws: dict[int, list[int]] = {}
-        for i, dsb in enumerate(self.structures):
+        for i, dsb in enumerate(block):
             laws.setdefault(id(dsb.group), []).append(i)
         for law in laws.values():
-            group = _layout(_group_json(self.structures[law[0]].group), at)
-            phi = np.concatenate([self.structures[i].phi for i in law])
-            ops = np.concatenate([self.structures[i].ops for i in law])
+            group = _layout(group_to_json(block[law[0]].group), at)
+            phi = np.concatenate([block[i].phi for i in law])
+            ops = np.concatenate([block[i].ops for i in law])
             phi_head, phi_bodies, phi_tail = _array_items(_decimals(phi), phi.shape, at)
             ops_head, ops_bodies, ops_tail = _array_items(_decimals(ops), ops.shape, at)
             phi_bodies, ops_bodies = list(phi_bodies), list(ops_bodies)
             start = 0
             for i in law:
-                names = self.structures[i].vertex_names
+                names = block[i].vertex_names
                 stop = start + len(names)
                 order = sorted(range(len(names)), key=names.__getitem__)
                 fields = {
@@ -331,6 +326,8 @@ class _Components:
                 texts[i] = _dict_text(sorted(fields.items()), newline + _STEP)
                 start = stop
         return _list_text("", texts, "", newline)
+
+    return _Rows(len(structures), sum(dsb.phi.size + dsb.ops.size for dsb in structures), layout)
 
 
 def _cells(value) -> int:
@@ -404,17 +401,13 @@ def _write(out: str | None, write) -> None:
         raise InputError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
-def _group_json(group) -> dict:
-    return dict(group_to_json(group), table=group.table)
-
-
 def _dsb_json(dsb) -> dict:
     """The structure document read by :func:`dsb_from_json`, its tables as arrays."""
     return {
-        "group": _group_json(dsb.group),
+        "group": group_to_json(dsb.group),
         "vertices": dsb.vertex_names,
         "phi": dsb.phi,
-        "ops": _Keyed(dsb.vertex_names, dsb.ops),
+        "ops": _keyed(dsb.vertex_names, dsb.ops),
     }
 
 
@@ -431,6 +424,8 @@ def _load_json(path: str):
         raise InputError(f"{path} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise InputError(f"invalid JSON in {path}: nested too deeply") from None
     finally:
         if collecting:
             gc.enable()
@@ -467,7 +462,7 @@ def _enumeration_json(result: EnumerationResult) -> dict:
     data["assignments"] = result.assignments
     data["unital"] = result.unital_flags
     data["components"] = {
-        "members": _Ragged(result.components.order, result.components.starts),
+        "members": _ragged(result.components.order, result.components.starts),
         "degrees": list(result.components.degrees),
     }
     return data
@@ -607,7 +602,7 @@ def _cmd_verify(args) -> int:
             },
         }
         if braiding is not None and not failed:
-            payload["braiding"] = _Braiding(bracoid, braiding)
+            payload["braiding"] = _braiding(bracoid, braiding)
         _emit_json(payload, args.out)
         return 1 if failed else 0
 
@@ -631,7 +626,7 @@ def _cmd_parallelise(args) -> int:
     bracoid = _load_bracoid(args.input)
     if args.per_component:
         _, structures = parallelise(bracoid)
-        _emit_json({"components": _Components(structures)}, args.out)
+        _emit_json({"components": _components(structures)}, args.out)
         return 0
 
     _, dsb = parallelise(bracoid, args.base)

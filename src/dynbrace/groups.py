@@ -250,6 +250,9 @@ def _group_from_preset(text: str) -> FiniteGroup:
             raise InputError(f"bad preset parameter in {text!r}") from None
         if k < 1:
             raise InputError(f"preset parameter must be positive in {text!r}")
+        order = {"cyclic": k, "dihedral": 2 * k}.get(head, 0)
+        if order > MAX_ORDER:  # before the table is built
+            raise InputError(f"group order {order} exceeds supported maximum {MAX_ORDER}")
         if head == "cyclic":
             return make_group(_cyclic_table(k), name=spec, identity=0)
         if head == "dihedral":
@@ -338,12 +341,9 @@ def automorphism_group(group: FiniteGroup) -> np.ndarray:
 
 
 def group_to_json(group: FiniteGroup) -> dict:
-    return {
-        "name": group.name,
-        "order": group.order,
-        "identity": group.identity,
-        "table": group.table.tolist(),
-    }
+    """The document :func:`group_from_json` reads, its ``table`` the group's
+    read-only array, which the CLI's writer lays out as the list of rows."""
+    return {"name": group.name, "order": group.order, "identity": group.identity, "table": group.table}
 
 
 def group_from_json(data: Mapping) -> FiniteGroup:

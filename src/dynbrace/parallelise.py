@@ -59,7 +59,6 @@ class PairSubgroupoid:
     ``arrow_label`` the (L, L) table.
     """
 
-    vertex_names: tuple[str, ...]
     components: ComponentReport
     base: np.ndarray
     arrow_label: np.ndarray
@@ -131,7 +130,7 @@ def schurian_transversal(bracoid: SkewBracoid, base: int | str | None = None) ->
         diagonal = np.arange(s)
         if not (sub[:, diagonal, diagonal] == units[members]).all():
             raise AssertionError("pair subgroupoid misses a unit")
-    return PairSubgroupoid(names, report, zeta, arr)
+    return PairSubgroupoid(report, zeta, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,13 +139,10 @@ class ParallelLabelling:
     the law at its component's base.
 
     ``maps[lam, old_label]`` is the common label assigned to the arrow
-    [lam|old_label]; ``base[lam]`` is the base of lam's component and
-    ``transversal[lam]`` the label at that base of the chosen arrow base -> lam.
+    [lam|old_label].
     """
 
-    base: np.ndarray
     maps: np.ndarray
-    transversal: np.ndarray
 
 
 def default_base_labelling(bracoid: SkewBracoid, zeta) -> np.ndarray:
@@ -269,12 +265,7 @@ def _parallelise(
         _vertex_range(structures[k], lo, lo + s)
         for k, lo, s in zip(law_of.tolist(), offset.tolist(), np.diff(starts).tolist())
     )
-    labelling = ParallelLabelling(
-        base=zeta,
-        maps=maps,
-        transversal=np.ascontiguousarray(transversal, dtype=LABEL_DTYPE),
-    )
-    return labelling, components
+    return ParallelLabelling(maps), components
 
 
 def _vertex_range(dsb: DynamicalSkewBrace, lo: int, hi: int) -> DynamicalSkewBrace:

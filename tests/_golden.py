@@ -30,9 +30,13 @@ from dynbrace.groups import MAX_ORDER, automorphism_group, build_group, group_to
 from dynbrace.structures import LABEL_DTYPE, VERTEX_DTYPE, dsb_ops, make_dsb
 
 
+def group_list_json(group) -> dict:
+    return dict(group_to_json(group), table=group.table.tolist())
+
+
 def dsb_to_json(dsb) -> dict:
     return {
-        "group": group_to_json(dsb.group),
+        "group": group_list_json(dsb.group),
         "vertices": list(dsb.vertex_names),
         "phi": dsb.phi.tolist(),
         "ops": dict(zip(dsb.vertex_names, dsb.ops.tolist())),
@@ -55,7 +59,7 @@ def bracoid_to_json(bracoid, group=None) -> dict:
         },
     }
     if group is not None:
-        out["group"] = group_to_json(group)
+        out["group"] = group_list_json(group)
     return out
 
 

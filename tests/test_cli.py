@@ -519,6 +519,22 @@ def test_unreadable_input_is_input_error(tmp_path, capsys, content):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["verify", "export-dot"])
+def test_deeply_nested_json_is_input_error(tmp_path, capsys, command):
+    # json.loads recurses once per level, far past the interpreter's limit here
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 200_000 + "]" * 200_000)
+    assert run(capsys, command, "--input", str(src)) == (
+        2, "", f"error: invalid JSON in {src}: nested too deeply\n")
+
+
+@pytest.mark.parametrize("spec,order", [("cyclic:100000000", 100_000_000), ("dihedral:100000000", 200_000_000)])
+def test_oversized_preset_is_rejected_before_its_table(capsys, spec, order):
+    # a table of 10^16 cells or more cannot be allocated, so the order is checked first
+    assert run(capsys, "invariants", "--group", spec) == (
+        2, "", f"error: group order {order} exceeds supported maximum 16\n")
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(("verify", "--input", ""), id="verify"),
     pytest.param(("heap", "--input", ""), id="heap"),

@@ -2,7 +2,7 @@
 
 ``cli._write_json`` lays out dicts and mixed lists in Python, lists of scalars
 through one compact C encoding, and int and bool arrays (and the keyed,
-ragged, braiding and component tables built on them) straight from the
+ragged, braiding and component tables, each a ``_Rows``) straight from the
 arrays; documents too large for one block are written key by key and block by
 block.  Whatever shape a JSON tree has, the bytes must be the stdlib's for the
 lists the arrays stand for.
@@ -123,11 +123,11 @@ def test_keyed_table_matches_the_stdlib_dict():
     names = (ESCAPED, "s10", "s2", "", "\x00", "ü")
     table = np.arange(6 * 2 * 3, dtype=np.int16).reshape(6, 2, 3) - 20
     want = {name: row.tolist() for name, row in zip(names, table)}
-    keyed = cli._Keyed(names, table)
+    keyed = cli._keyed(names, table)
     assert json.dumps(keyed, cls=cli._IndentedEncoder) == json.dumps(want, indent=2, sort_keys=True)
     for block_cells in (None, 6, 1):
         assert _written({"ops": keyed}, block_cells) == _stdlib({"ops": want})
-    flat = cli._Keyed(names, np.arange(6))
+    flat = cli._keyed(names, np.arange(6))
     assert json.dumps(flat, cls=cli._IndentedEncoder) == json.dumps(
         dict(zip(names, range(6))), indent=2, sort_keys=True)
 
@@ -138,7 +138,7 @@ def test_write_components_streams_the_dumps_bytes():
         structures += parallelise(semiloopoid_of_dsb(family.dsb))[1]
     want = _stdlib({"components": [dsb_to_json(dsb) for dsb in structures]})
     for block_cells in (None, 50, 1):
-        assert _written({"components": cli._Components(tuple(structures))}, block_cells) == want
+        assert _written({"components": cli._components(tuple(structures))}, block_cells) == want
 
 
 def _list_document(result, initial=None) -> dict:
@@ -171,18 +171,23 @@ def test_dumps_of_enumeration_json_matches_the_stdlib(tmp_path):
             _assert_same_text(path.read_text(), want)
 
 
-def test_verify_json_braiding_is_the_pair_map(tmp_path):
-    result = cached_full("cyclic:4")
-    bracoid = semiloopoid_of_dsb(result.dsb)
-    braiding = braiding_of_qtsb(bracoid)
+def _pair_map(bracoid, braiding) -> list:
+    """The braiding as plain lists: [x, y, x->y, x<-y] per composable pair."""
     names = bracoid.vertex_names
-    want = []
+    quadruples = []
     for lam in range(bracoid.vertex_count):
         for a in range(bracoid.label_count):
             for b in range(bracoid.label_count):
                 _, r, w, l = braiding.apply(bracoid, lam, a, b)
                 mu = int(bracoid.phi[lam, a])
-                want.append([[names[lam], a], [names[mu], b], [names[lam], r], [names[w], l]])
+                quadruples.append([[names[lam], a], [names[mu], b], [names[lam], r], [names[w], l]])
+    return quadruples
+
+
+def test_verify_json_braiding_is_the_pair_map(tmp_path):
+    result = cached_full("cyclic:4")
+    bracoid = semiloopoid_of_dsb(result.dsb)
+    want = _pair_map(bracoid, braiding_of_qtsb(bracoid))
     path = tmp_path / "verify.json"
     with mock.patch.object(cli, "_BLOCK_CELLS", 1000):
         assert cli.main(["verify", "--group", "cyclic:4", "--full", "--json", "--out", str(path)]) == 0
@@ -190,6 +195,20 @@ def test_verify_json_braiding_is_the_pair_map(tmp_path):
     data = json.loads(text)
     assert data["braiding"] == want
     assert text == _stdlib(data)
+
+
+def test_ragged_and_braiding_tables_at_one_cell_blocks():
+    # one block per row (a source vertex for the braiding), so every block
+    # starts at a new lo
+    result = cached_full("cyclic:4")
+    bracoid = semiloopoid_of_dsb(result.dsb)
+    braiding = braiding_of_qtsb(bracoid)
+    members = cli._ragged(result.components.order, result.components.starts)
+    want = {"members": [m.tolist() for m in result.components.members]}
+    for block_cells in (None, 1):
+        assert _written({"members": members}, block_cells) == _stdlib(want)
+        assert _written({"braiding": cli._braiding(bracoid, braiding)}, block_cells) == _stdlib(
+            {"braiding": _pair_map(bracoid, braiding)})
 
 
 def test_writer_never_holds_the_whole_document():

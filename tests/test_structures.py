@@ -8,7 +8,6 @@ from dynbrace.structures import (
     QuiverBraiding,
     bracoid_from_json,
     braiding_of_qtsb,
-    braiding_quadruples,
     dsb_from_json,
     is_zero_symmetric,
     make_bracoid,
@@ -440,22 +439,6 @@ def test_listed_unit_must_not_be_minus_one(z4):
     bracoid = bracoid_from_json(data)
     assert bracoid.units[bracoid.vertex_index("s2")] == -1
     assert bracoid.unital.sum() == bracoid.vertex_count - 1
-
-
-def test_braiding_quadruples_shape(z3):
-    _, dsb = z3
-    bracoid = semiloopoid_of_dsb(dsb)
-    braiding = braiding_of_qtsb(bracoid)
-    quads = braiding_quadruples(bracoid, braiding)
-    assert quads.shape == (dsb.vertex_count * 9, 4, 2)
-    # one quadruple per composable pair, by source vertex and the two labels
-    for k, (x, y, r, l) in enumerate(quads.tolist()):
-        lam, a, b = k // 9, k // 3 % 3, k % 3
-        assert x == [lam, a] and y == [int(bracoid.phi[lam, a]), b]
-        assert (x[0], r[1], l[0], l[1]) == braiding.apply(bracoid, lam, a, b)
-        assert r[0] == lam
-    # a range of source vertices is that slice of the whole
-    assert np.array_equal(braiding_quadruples(bracoid, braiding, 1, 2), quads[9:18])
 
 
 @given(st.sampled_from(["cyclic:3", "cyclic:4", "cyclic:5", "klein4"]), st.randoms())
