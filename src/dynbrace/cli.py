@@ -220,10 +220,11 @@ class _Rows:
     """A JSON list or object of ``count`` rows, laid out from arrays by
     ``layout(lo, hi, newline)``: the text of rows lo .. hi - 1 alone.  A row
     is one item, or for the braiding the items of one source vertex.
-    ``cells`` counts the entries, by which the writer sizes its blocks; a
-    slice is a window of rows on the same layout."""
+    ``cells`` counts the whole table's entries, by which the writer sizes
+    its blocks; a slice is a window of rows on the same layout and has no
+    cell count (its ``size`` is None)."""
 
-    def __init__(self, count: int, cells: int, layout, start: int = 0):
+    def __init__(self, count: int, cells: int | None, layout, start: int = 0):
         self.count, self.size, self.layout, self.start = count, cells, layout, start
 
     def __len__(self) -> int:
@@ -231,7 +232,7 @@ class _Rows:
 
     def __getitem__(self, rows: slice) -> "_Rows":
         lo, hi, _ = rows.indices(self.count)
-        return _Rows(hi - lo, self.size * (hi - lo) // self.count, self.layout, self.start + lo)
+        return _Rows(hi - lo, None, self.layout, self.start + lo)
 
     def text(self, newline: str) -> str:
         return self.layout(self.start, self.start + self.count, newline)

@@ -102,8 +102,7 @@ def validate_table(
     n = len(table)
     if n == 0:
         raise InputError("empty table")
-    if n > MAX_ORDER:
-        raise InputError(f"group order {n} exceeds supported maximum {MAX_ORDER}")
+    _check_order(n)
     for i, row in enumerate(table if raw else ()):
         if len(row) != n:
             raise InputError(f"row {i} has length {len(row)}, expected {n}")
@@ -224,6 +223,11 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, name: str | None = None) -> F
     return make_group(table, name=name or f"prod:{g.name},{h.name}", names=names, identity=0)
 
 
+def _check_order(n: int) -> None:
+    if n > MAX_ORDER:
+        raise InputError(f"group order {n} exceeds supported maximum {MAX_ORDER}")
+
+
 def _group_from_preset(text: str) -> FiniteGroup:
     spec = text.strip()
     if spec == "trivial":
@@ -240,6 +244,7 @@ def _group_from_preset(text: str) -> FiniteGroup:
         groups = [_group_from_preset(p.strip()) for p in parts]
         out = groups[0]
         for h in groups[1:]:
+            _check_order(out.order * h.order)  # before the product table is built
             out = direct_product(out, h)
         return replace(out, name=spec)
     if ":" in spec:
@@ -250,9 +255,7 @@ def _group_from_preset(text: str) -> FiniteGroup:
             raise InputError(f"bad preset parameter in {text!r}") from None
         if k < 1:
             raise InputError(f"preset parameter must be positive in {text!r}")
-        order = {"cyclic": k, "dihedral": 2 * k}.get(head, 0)
-        if order > MAX_ORDER:  # before the table is built
-            raise InputError(f"group order {order} exceeds supported maximum {MAX_ORDER}")
+        _check_order({"cyclic": k, "dihedral": 2 * k}.get(head, 0))  # before the table is built
         if head == "cyclic":
             return make_group(_cyclic_table(k), name=spec, identity=0)
         if head == "dihedral":

@@ -528,9 +528,14 @@ def test_deeply_nested_json_is_input_error(tmp_path, capsys, command):
         2, "", f"error: invalid JSON in {src}: nested too deeply\n")
 
 
-@pytest.mark.parametrize("spec,order", [("cyclic:100000000", 100_000_000), ("dihedral:100000000", 200_000_000)])
+@pytest.mark.parametrize("spec,order", [
+    ("cyclic:100000000", 100_000_000),
+    ("dihedral:100000000", 200_000_000),
+    ("prod:cyclic:16,cyclic:16,cyclic:16,cyclic:16", 256),
+])
 def test_oversized_preset_is_rejected_before_its_table(capsys, spec, order):
-    # a table of 10^16 cells or more cannot be allocated, so the order is checked first
+    # a table of 10^16 cells or more cannot be allocated, so the order is checked first;
+    # a product names the first partial product past the cap
     assert run(capsys, "invariants", "--group", spec) == (
         2, "", f"error: group order {order} exceeds supported maximum 16\n")
 

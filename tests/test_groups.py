@@ -252,6 +252,12 @@ def test_order_cap():
         build_group("cyclic:17")
 
 
+def test_oversized_product_builds_no_product_table(monkeypatch):
+    monkeypatch.setattr("dynbrace.groups.direct_product", lambda *args: pytest.fail("product table built"))
+    with pytest.raises(InputError, match="^group order 256 exceeds supported maximum 16$"):
+        build_group("prod:cyclic:16,cyclic:16,cyclic:16")
+
+
 def test_unknown_spec():
     with pytest.raises(InputError):
         build_group("tetrahedral:12")
