@@ -40,7 +40,6 @@ from .enumeration import (
     invariants,
 )
 from .parallelise import (
-    ParallelLabelling,
     TernaryHeap,
     braiding_from_heap,
     group_from_pointed_heap,

@@ -35,7 +35,7 @@ from .enumeration import (
     initial_counts,
     invariants,
 )
-from .errors import InputError, ResourceCapError
+from .errors import InputError, ResourceCapError, quote
 from .families import seeded_names
 from .groups import (
     automorphism_group,
@@ -453,8 +453,8 @@ def _family(args) -> EnumerationResult:
     if getattr(args, "seed_examples", False):
         named = seeded_names(group.name, args.full)
         if not named:
-            raise InputError(f"no bundled example family for group {group.name!r}")
-    return (enumerate_full if args.full else enumerate_unital)(group, named, cap=args.cap)
+            raise InputError(f"no bundled example family for group {quote(group.name)}")
+    return (enumerate_full if args.full else enumerate_unital)(group, named, cap=args.cap or DEFAULT_CAP)
 
 
 def _enumeration_json(result: EnumerationResult) -> dict:
@@ -507,7 +507,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_invariants(args) -> int:
     group = build_group(args.group)
-    table = invariants(group, cap=args.cap)
+    table = invariants(group, cap=args.cap or DEFAULT_CAP)
 
     if args.json:
         data = {
@@ -630,7 +630,7 @@ def _cmd_parallelise(args) -> int:
         _emit_json({"components": _components(structures)}, args.out)
         return 0
 
-    _, dsb = parallelise(bracoid, args.base)
+    _, (dsb,) = parallelise(bracoid, args.base)
     _emit_json(_dsb_json(dsb), args.out)
     return 0
 
@@ -705,7 +705,7 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {quote(text)}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
@@ -735,8 +735,9 @@ def build_parser() -> argparse.ArgumentParser:
             source.add_argument("--input", type=_path, required=not either, help="input JSON path")
         p.add_argument("--out", type=_path, help="output path (default stdout)")
         if group_opt:  # only the commands that enumerate read a cap
-            p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
-                           help="enumeration size cap")
+            p.add_argument("--cap", type=_positive_int, help="enumeration size cap (default 10^8)")
+        if either:  # main refuses the --group flags on an --input run, which would ignore them
+            p.set_defaults(usage_error=p.error)
 
     p = sub.add_parser("enumerate", help="materialise a maximal family as a quiver")
     common(p)
@@ -785,6 +786,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "input", None) is not None:
+        for flag in ("--full", "--seed-examples", "--cap"):
+            if getattr(args, flag[2:].replace("-", "_"), None):
+                args.usage_error(f"argument {flag}: not allowed with argument --input")
     try:
         return args.func(args)
     except InputError as exc:

@@ -14,8 +14,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InputError
-from .quivers import distinct_names
+from .errors import InputError, quote
+from .quivers import distinct_names, name_tuple
 
 #: Orders above this are out of scope for the exhaustive machinery downstream.
 MAX_ORDER = 16
@@ -108,7 +108,7 @@ def validate_table(
             raise InputError(f"row {i} has length {len(row)}, expected {n}")
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < n):
-                raise InputError(f"cell [{i}][{j}] = {v!r} out of range [0,{n})")
+                raise InputError(f"cell [{i}][{j}] = {quote(v)} out of range [0,{n})")
     T = np.array(table, dtype=LABEL_DTYPE)
     # violations ordered by (i, j, row before column), as a cell-by-cell scan meets them
     repeats = np.stack([_repeats(T), _repeats(T.T)], axis=2)
@@ -151,9 +151,7 @@ def make_group(
     if names is None:
         names = tuple(str(i) for i in range(n))
     else:
-        if not isinstance(names, (list, tuple)) or not all(isinstance(x, str) for x in names):
-            raise InputError("group names must be a list of strings")
-        names = tuple(names)
+        names = name_tuple(names, "group names")
         if len(names) != n:
             raise InputError(f"{len(names)} element names for order {n}")
         distinct_names(names, "group element")
@@ -173,7 +171,7 @@ def build_group(spec: str | Mapping) -> FiniteGroup:
     elif isinstance(spec, Mapping):
         group = group_from_json(spec)
     else:
-        raise InputError(f"unsupported group spec {spec!r}")
+        raise InputError(f"unsupported group spec {quote(spec)}")
     if group.identity != 0:
         swap = np.arange(group.order)  # exchanges 0 and the identity, its own inverse
         swap[[0, group.identity]] = group.identity, 0
@@ -240,7 +238,7 @@ def _group_from_preset(text: str) -> FiniteGroup:
     if spec.startswith("prod:"):
         parts = spec[len("prod:"):].split(",")
         if len(parts) < 2:
-            raise InputError(f"product spec needs at least two factors: {text!r}")
+            raise InputError(f"product spec needs at least two factors: {quote(text)}")
         groups = [_group_from_preset(p.strip()) for p in parts]
         out = groups[0]
         for h in groups[1:]:
@@ -252,9 +250,9 @@ def _group_from_preset(text: str) -> FiniteGroup:
         try:
             k = int(arg)
         except ValueError:
-            raise InputError(f"bad preset parameter in {text!r}") from None
+            raise InputError(f"bad preset parameter in {quote(text)}") from None
         if k < 1:
-            raise InputError(f"preset parameter must be positive in {text!r}")
+            raise InputError(f"preset parameter must be positive in {quote(text)}")
         _check_order({"cyclic": k, "dihedral": 2 * k}.get(head, 0))  # before the table is built
         if head == "cyclic":
             return make_group(_cyclic_table(k), name=spec, identity=0)
@@ -265,7 +263,7 @@ def _group_from_preset(text: str) -> FiniteGroup:
                 raise InputError(f"sym:{k} has order {math.factorial(k)}, beyond the supported range")
             table, names = _sym_table(k)
             return make_group(table, name=spec, names=names, identity=0)
-    raise InputError(f"unknown group spec {text!r}")
+    raise InputError(f"unknown group spec {quote(text)}")
 
 
 def is_abelian(group: FiniteGroup) -> bool:
@@ -362,7 +360,7 @@ def group_from_json(data: Mapping) -> FiniteGroup:
     for key in ("order", "identity"):
         value, actual = data.get(key, getattr(group, key)), getattr(group, key)
         if type(value) is not int or value != actual:
-            raise InputError(f"group {key} is {value!r}, but its table has {key} {actual}")
+            raise InputError(f"group {key} is {quote(value)}, but its table has {key} {actual}")
     return group
 
 

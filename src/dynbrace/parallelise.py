@@ -23,9 +23,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InputError
-from .groups import FiniteGroup, _inverse_rows, make_group
-from .quivers import ComponentReport, connected_components, restrict_phi
+from .errors import InputError, quote
+from .groups import FiniteGroup, _frozen, _inverse_rows, make_group
+from .quivers import ComponentReport, connected_components, int_array, restrict_phi
 from .structures import (
     LABEL_DTYPE,
     VERTEX_DTYPE,
@@ -133,18 +133,6 @@ def schurian_transversal(bracoid: SkewBracoid, base: int | str | None = None) ->
     return PairSubgroupoid(report, zeta, arr)
 
 
-@dataclass(frozen=True, eq=False)
-class ParallelLabelling:
-    """Per-vertex out-star bijections making every vertex group law agree with
-    the law at its component's base.
-
-    ``maps[lam, old_label]`` is the common label assigned to the arrow
-    [lam|old_label].
-    """
-
-    maps: np.ndarray
-
-
 def default_base_labelling(bracoid: SkewBracoid, zeta) -> np.ndarray:
     """Out-star of the base ordered by (target vertex, label); unit loop -> 0.
 
@@ -163,20 +151,22 @@ def parallelise(
     bracoid: SkewBracoid,
     base: int | str | None = None,
     base_labelling: Sequence[int] | None = None,
-) -> tuple[ParallelLabelling, DynamicalSkewBrace | tuple[DynamicalSkewBrace, ...]]:
+) -> tuple[np.ndarray, tuple[DynamicalSkewBrace, ...]]:
     """Relabel a zero-symmetric groupoid bracoid into dynamical structures.
 
-    With ``base`` the bracoid must be connected, and the result is its
-    labelling and its structure.  Without one, every component is based at
-    its smallest vertex and the second item is the tuple of per-component
-    structures, in component order.  The checks then run once over the whole
-    family and once per distinct group law; when one fails, the components
-    are re-run one at a time, so the error raised is the one the first
-    failing component raises on its own.
+    Returns ``(maps, structures)``.  ``maps`` is the read-only (L, n)
+    labelling: ``maps[lam, old_label]`` is the common label of the arrow
+    [lam|old_label], so every vertex group law agrees with the law at its
+    component's base.  ``structures`` holds the per-component structures, in
+    component order.  With ``base`` the bracoid must be connected, and there
+    is one structure.  Without one, every component is based at its smallest
+    vertex; the checks then run once over the whole family and once per
+    distinct group law, and when one fails, the components are re-run one at
+    a time, so the error raised is the one the first failing component raises
+    on its own.
     """
     if base is not None:
-        labelling, (dsb,) = _parallelise(bracoid, base, base_labelling)
-        return labelling, dsb
+        return _parallelise(bracoid, base, base_labelling)
     if base_labelling is not None:
         raise InputError("a base labelling needs a base vertex")
     try:
@@ -192,7 +182,7 @@ def _parallelise(
     bracoid: SkewBracoid,
     base: int | str | None,
     base_labelling: Sequence[int] | None,
-) -> tuple[ParallelLabelling, tuple[DynamicalSkewBrace, ...]]:
+) -> tuple[np.ndarray, tuple[DynamicalSkewBrace, ...]]:
     """The transport of every component at once; see :func:`parallelise`.
 
     The labelling at each vertex is forced by transporting its base labelling
@@ -212,13 +202,13 @@ def _parallelise(
     if base_labelling is None:
         maps_base = default_base_labelling(bracoid, zeta)
     else:
-        given = np.ascontiguousarray(base_labelling, dtype=LABEL_DTYPE)
-        if given.shape != (n,) or sorted(given.tolist()) != list(range(n)):
+        given = int_array(base_labelling, "base labelling", (n,), 0, n, LABEL_DTYPE)
+        if sorted(given.tolist()) != list(range(n)):
             raise InputError("base labelling must be a permutation of the labels")
         maps_base = np.broadcast_to(given, (L, n))
 
     transversal = pg.arrow_label[zeta, pg.components.rank].astype(np.intp)
-    maps = np.take_along_axis(maps_base, SR[zeta, transversal].astype(np.intp), axis=1)
+    maps = _frozen(np.take_along_axis(maps_base, SR[zeta, transversal].astype(np.intp), axis=1))
     relabelled = relabel_bracoid(bracoid, maps)
     transported = relabelled.dot
     agree = transported == transported[zeta]
@@ -265,7 +255,7 @@ def _parallelise(
         _vertex_range(structures[k], lo, lo + s)
         for k, lo, s in zip(law_of.tolist(), offset.tolist(), np.diff(starts).tolist())
     )
-    return ParallelLabelling(maps), components
+    return maps, components
 
 
 def _vertex_range(dsb: DynamicalSkewBrace, lo: int, hi: int) -> DynamicalSkewBrace:
@@ -297,19 +287,13 @@ class TernaryHeap:
         try:
             return self.names.index(name)
         except ValueError:
-            raise InputError(f"unknown element {name!r}") from None
+            raise InputError(f"unknown element {quote(name)}") from None
 
 
 def make_heap(names: Sequence[str], table) -> TernaryHeap:
     names = tuple(str(x) for x in names)
-    arr = np.ascontiguousarray(table, dtype=LABEL_DTYPE)
     m = len(names)
-    if arr.shape != (m, m, m):
-        raise InputError(f"ternary table shape {arr.shape}, expected {(m, m, m)}")
-    if m and (arr.min() < 0 or arr.max() >= m):
-        raise InputError("ternary table entries out of range")
-    arr.setflags(write=False)
-    return TernaryHeap(names, arr)
+    return TernaryHeap(names, int_array(table, "ternary table", (m, m, m), 0, m, LABEL_DTYPE))
 
 
 def verify_heap(heap: TernaryHeap) -> Report:
@@ -489,39 +473,33 @@ def find_braiding_isomorphism(
     pg = schurian_transversal(bracoid_a, 0)
     schurian_transversal(bracoid_b, 0)
     trans = pg.arrow_label[0].astype(np.intp)
-    phiA, phiB = bracoid_a.phi, bracoid_b.phi
-    SRa, SLa = braiding_a.right, braiding_a.left
+    phiA, phiB = bracoid_a.phi.astype(np.intp), bracoid_b.phi
+    SRa, SLa = braiding_a.right.astype(np.intp), braiding_a.left.astype(np.intp)
     SRb, SLb = braiding_b.right, braiding_b.left
 
-    lam2 = np.arange(La, dtype=np.intp)[:, None]
     lam3 = np.arange(La, dtype=np.intp)[:, None, None]
     a_idx = np.arange(n, dtype=np.intp)
+    wA = phiA[lam3, SRa]
 
     for mu0 in range(Lb):
         for beta in itertools.permutations(range(n)):
-            beta_arr = np.array(beta, dtype=np.intp)
-            f0 = np.zeros(La, dtype=np.intp)
-            f1 = np.zeros((La, n), dtype=np.intp)
-            for lam in range(La):
-                x = trans[lam]
-                bx = beta_arr[x]
-                f0[lam] = int(phiB[mu0, bx])
-                f1[lam] = _inverse_rows(SRb[mu0, bx])[beta_arr[SRa[0, x].astype(np.intp)]]
+            beta = np.array(beta, dtype=np.intp)
+            bx = beta[trans]
+            f0 = phiB[mu0, bx]
+            f1 = np.take_along_axis(_inverse_rows(SRb[mu0, bx]), beta[SRa[0, trans]], 1)
             if len(set(f0.tolist())) != La:
                 continue
-            if not (np.sort(f1, axis=1) == a_idx[None, :]).all():
+            if not (np.sort(f1, axis=1) == a_idx).all():
                 continue
-            if not (phiB[f0[:, None], f1] == f0[phiA.astype(np.intp)]).all():
+            if not (phiB[f0[:, None], f1] == f0[phiA]).all():
                 continue
             # sigma intertwining on all composable pairs
-            mu = phiA.astype(np.intp)
-            fy = f1[mu[:, :, None], a_idx[None, None, :]]
+            fy = f1[phiA]
             got_r = SRb[f0[lam3], f1[:, :, None], fy]
-            want_r = f1[lam3, SRa.astype(np.intp)]
+            want_r = f1[lam3, SRa]
             if not (got_r == want_r).all():
                 continue
-            wA = phiA[lam3, SRa.astype(np.intp)].astype(np.intp)
-            want_l = f1[wA, SLa.astype(np.intp)]
+            want_l = f1[wA, SLa]
             got_l = SLb[f0[lam3], f1[:, :, None], fy]
             if not (got_l == want_l).all():
                 continue

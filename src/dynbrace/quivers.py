@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, quote
 
 VERTEX_DTYPE = np.int32
 #: Rows of ``phi`` per block of the completeness test of :func:`component_report`.
@@ -101,7 +101,7 @@ def name_tuple(names, what: str) -> tuple[str, ...]:
         raise InputError(f"{what} must be a list of names")
     if not all(map(isinstance, names, repeat(str))):
         k, v = next((k, v) for k, v in enumerate(names) if not isinstance(v, str))
-        raise InputError(f"{what}[{k}] = {v!r} is not a string")
+        raise InputError(f"{what}[{k}] = {quote(v)} is not a string")
     return tuple(names)
 
 
@@ -109,7 +109,7 @@ def distinct_names(names: tuple[str, ...], kind: str) -> tuple[str, ...]:
     """``names``, or an input error naming the first name listed twice."""
     if len(set(names)) != len(names):
         dup = next(v for v, count in Counter(names).items() if count > 1)
-        raise InputError(f"duplicate {kind} name {dup!r}")
+        raise InputError(f"duplicate {kind} name {quote(dup)}")
     return names
 
 
@@ -170,7 +170,7 @@ class QuiverBase:
         try:
             return self._index_of_name[name]
         except KeyError:
-            raise InputError(f"unknown vertex {name!r}") from None
+            raise InputError(f"unknown vertex {quote(name)}") from None
 
 
 @dataclass(frozen=True, eq=False)

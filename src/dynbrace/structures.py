@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, quote
 from .groups import LABEL_DTYPE, FiniteGroup, _frozen, _inverse_rows, group_from_json
 from .holomorph import holomorph
 from .quivers import (
@@ -398,9 +398,7 @@ def relabel_bracoid(bracoid: SkewBracoid, perms: Sequence[Sequence[int]]) -> Ske
     with, and the label-erasure device of the round-trip tests.
     """
     L, n = bracoid.phi.shape
-    P = np.ascontiguousarray(perms, dtype=LABEL_DTYPE)
-    if P.shape != (L, n):
-        raise InputError(f"need {L}x{n} permutations, got {P.shape}")
+    P = int_array(perms, "permutations", (L, n), 0, n, LABEL_DTYPE)
     if not (np.sort(P, axis=1) == np.arange(n, dtype=P.dtype)).all():
         raise InputError("each vertex relabelling must be a permutation")
     Q = _inverse_rows(P)
@@ -722,7 +720,7 @@ def _per_vertex(data: Mapping, key: str, names: Sequence[str]) -> list:
         table = {}
     missing = [v for v in names if v not in table]
     if missing:
-        raise InputError(f"{key!r} has no entry for vertex {missing[0]!r}")
+        raise InputError(f"{key!r} has no entry for vertex {quote(missing[0])}")
     return [table[v] for v in names]
 
 
@@ -748,7 +746,7 @@ def bracoid_from_json(data: Mapping) -> SkewBracoid:
         raise InputError("'units' must map vertex names to labels")
     unknown = set(unit_of) - set(names)
     if unknown:
-        raise InputError(f"units refer to unknown vertex {min(unknown)!r}")
+        raise InputError(f"units refer to unknown vertex {quote(min(unknown))}")
     units = [unit_of.get(v, -1) for v in names]
     bullet = _per_vertex(data, "ops", names)
     dot = _per_vertex(data, "dot", names)

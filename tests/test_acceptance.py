@@ -243,7 +243,7 @@ def test_criterion_11_parallelisation_round_trip():
                 )
                 scrambled = relabel_bracoid(bracoid, perms)
                 for base in range(size):
-                    _, recovered = parallelise(scrambled, base)
+                    _, (recovered,) = parallelise(scrambled, base)
                     assert verify_dsb(recovered).passed
                     assert is_zero_symmetric(recovered)
                     report = connected_components(recovered.phi)

@@ -478,6 +478,18 @@ def test_seed_examples_unknown_group(capsys):
                  "argument --group: not allowed with argument --input", id="verify-input-and-group"),
     pytest.param(("export-dot", "--group", "sym:3", "--input", "f.json"),
                  "argument --input: not allowed with argument --group", id="export-dot-input-and-group"),
+    # the enumeration flags of --group, which a run from --input would ignore
+    pytest.param(("verify", "--input", "f.json", "--full"),
+                 "argument --full: not allowed with argument --input", id="verify-input-and-full"),
+    pytest.param(("verify", "--input", "f.json", "--cap", "1"),
+                 "argument --cap: not allowed with argument --input", id="verify-input-and-cap"),
+    pytest.param(("export-dot", "--input", "f.json", "--full"),
+                 "argument --full: not allowed with argument --input", id="export-dot-input-and-full"),
+    pytest.param(("export-dot", "--input", "f.json", "--seed-examples"),
+                 "argument --seed-examples: not allowed with argument --input",
+                 id="export-dot-input-and-seed-examples"),
+    pytest.param(("export-dot", "--input", "f.json", "--cap", "1"),
+                 "argument --cap: not allowed with argument --input", id="export-dot-input-and-cap"),
 ])
 def test_parser_refuses_bad_flags(capsys, argv, message):
     with pytest.raises(SystemExit) as info:
@@ -705,3 +717,46 @@ def test_readme_synopsis_lists_every_option():
         options = {o for a in sub._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
         assert options - synopsis[name] - common == set(), name
         assert synopsis[name] <= options, name
+
+
+def _nested(depth: int):
+    cell = 0
+    for _ in range(depth):
+        cell = [cell]
+    return cell
+
+
+@pytest.mark.parametrize("path,value,stderr", [
+    (("vertices", 0), "x" * 10**6, "error: 'ops' has no entry for vertex '" + "x" * 79 + "...\n"),
+    (("group", "table", 0, 0), _nested(900), "error: cell [0][0] = " + "[" * 80 + "... out of range [0,3)\n"),
+], ids=["long-vertex-name", "deep-group-cell"])
+def test_error_messages_cut_long_values(tmp_path, capsys, cyclic3_documents, path, value, stderr):
+    # a message quotes at most QUOTE_LIMIT characters of a value read from a file
+    data = copy.deepcopy(cyclic3_documents["dsb"])
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    src = tmp_path / "long.json"
+    src.write_text(json.dumps(data))
+    assert run(capsys, "verify", "--input", str(src)) == (2, "", stderr)
+
+
+def test_readme_examples_print_what_they_show(capsys):
+    # every `$ dynbrace ...` example of the README that shows output prints exactly that
+    import shlex
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = 0
+    for block in readme.split("```")[1::2]:
+        for example in block.split("\n$ ")[1:]:
+            command, *shown = example.split("\n")
+            output = [line for line in shown if not line.lstrip().startswith("#")]
+            if not any(output):
+                continue
+            argv = shlex.split(command, comments=True)
+            assert argv[0] == "dynbrace", command
+            code, out, err = run(capsys, *argv[1:])
+            assert (code, out, err) == (0, "\n".join(output).strip("\n") + "\n", ""), command
+            examples += 1
+    assert examples

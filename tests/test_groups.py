@@ -243,6 +243,18 @@ def test_duplicate_element_names_are_rejected():
         group_from_json({"table": _cyclic3(), "names": ["a", "b", "b"]})
 
 
+@pytest.mark.parametrize("names,message", [
+    ("ab", "group names must be a list of names"),
+    (["a", 5], "group names[1] = 5 is not a string"),
+    # the length is checked before the duplicates, as before
+    (["a", "a", "b"], "3 element names for order 2"),
+], ids=["a-string", "a-non-string", "too-many"])
+def test_element_names_are_checked_like_vertex_names(names, message):
+    with pytest.raises(InputError) as info:
+        make_group([[0, 1], [1, 0]], names=names)
+    assert str(info.value) == message
+
+
 def _cyclic3():
     return [[(i + j) % 3 for j in range(3)] for i in range(3)]
 

@@ -136,7 +136,7 @@ def test_parallelise_identity_on_single_vertex():
     from dynbrace.structures import make_bracoid
 
     bracoid = make_bracoid(["v"], group.names, phi, table, table, [0])
-    labelling, dsb = parallelise(bracoid, 0)
+    _, (dsb,) = parallelise(bracoid, 0)
     assert dsb.vertex_count == 1
     assert verify_dsb(dsb).passed
     assert np.array_equal(dsb.ops[0], bracoid.bullet[0])
@@ -145,7 +145,7 @@ def test_parallelise_identity_on_single_vertex():
 
 def test_parallelise_isolated_vertex_recovers_group():
     bracoid = component_bracoid("cyclic:3", {"s0"})
-    _, dsb = parallelise(bracoid, 0)
+    _, (dsb,) = parallelise(bracoid, 0)
     assert find_isomorphism(dsb.group, build_group("cyclic:3")) is not None
     assert np.array_equal(dsb.ops[0], np.array(dsb.group.table))
 
@@ -167,7 +167,7 @@ def test_parallelise_round_trip_after_label_erasure(group_name, members):
     perms = np.stack([rng.permutation(n) for _ in range(bracoid.vertex_count)])
     scrambled = relabel_bracoid(bracoid, perms)
     for base in range(bracoid.vertex_count):
-        labelling, dsb = parallelise(scrambled, base)
+        _, (dsb,) = parallelise(scrambled, base)
         assert verify_dsb(dsb).passed
         assert is_zero_symmetric(dsb)
         new_bracoid = semiloopoid_of_dsb(dsb)
@@ -179,7 +179,7 @@ def test_parallelise_round_trip_after_label_erasure(group_name, members):
 
 def test_parallelise_shape_preserved(k4567):
     bracoid, braiding = k4567
-    _, dsb = parallelise(bracoid, 0)
+    _, (dsb,) = parallelise(bracoid, 0)
     from dynbrace.quivers import connected_components
 
     report = connected_components(dsb.phi)
@@ -361,6 +361,24 @@ def test_heap_consumers_name_every_failure(build):
     with pytest.raises(InputError) as info:
         build(make_heap(heap.names, table))
     assert str(info.value) == TAMPERED_HEAP
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda heap, bracoid: make_heap(heap.names, [[[0.4, 1, 2]] * 3] * 3), "ternary table entries must be integers"),
+    (lambda heap, bracoid: make_heap(heap.names, heap.table.astype(bool)), "ternary table entries must be integers"),
+    (lambda heap, bracoid: relabel_bracoid(bracoid, np.tile(np.arange(4.0), (4, 1))),
+     "permutations entries must be integers"),
+    (lambda heap, bracoid: parallelise(bracoid, 0, [0.0, 1.7, 2.2, 3.0]), "base labelling entries must be integers"),
+    (lambda heap, bracoid: parallelise(bracoid, 0, [True, False, 2, 3]), "base labelling entries must be integers"),
+], ids=["heap-float-cell", "heap-bool-table", "float-permutations", "float-base-labelling",
+        "bool-base-labelling"])
+def test_caller_tables_need_integer_cells(call, message):
+    # these tables were cast to int16, so 0.4 read as 0 and True as 1
+    heap = heap_from_group(build_group("cyclic:3"))
+    bracoid = component_bracoid("cyclic:4", {"s4", "s5", "s6", "s7"})
+    with pytest.raises(InputError) as info:
+        call(heap, bracoid)
+    assert str(info.value) == message
 
 
 def test_braiding_from_heap_round_trips():

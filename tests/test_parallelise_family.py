@@ -52,7 +52,7 @@ PINNED = {
 def reference_components(bracoid) -> str:
     outputs = []
     for members in connected_components(bracoid.phi).members:
-        _, dsb = par.parallelise(restrict_bracoid(bracoid, members), 0)
+        _, (dsb,) = par.parallelise(restrict_bracoid(bracoid, members), 0)
         outputs.append(dsb_to_json(dsb))
     return json.dumps({"components": outputs}, indent=2, sort_keys=True) + "\n"
 
@@ -263,7 +263,25 @@ def test_base_labelling_fixes_the_identity():
         unit = int(scrambled.units[base])
         labelling = list(range(4))
         labelling[unit], labelling[2] = 2, unit
-        parallel, dsb = par.parallelise(scrambled, base, labelling)
-        assert parallel.maps[base].tolist() == labelling
+        maps, (dsb,) = par.parallelise(scrambled, base, labelling)
+        assert maps[base].tolist() == labelling
         assert dsb.group.identity == 2
         assert verify_dsb(dsb).passed and is_zero_symmetric(dsb)
+
+
+@pytest.mark.parametrize("name", ["cyclic:4", "sym:3", "klein4", "cyclic:6"])
+def test_the_labelling_relabels_each_component_into_its_structure(name):
+    # relabelled by maps, every component has the tables of its structure
+    family = semiloopoid_of_dsb(cached_unital(name).dsb)
+    rng = np.random.default_rng(7)
+    n = family.label_count
+    scrambled = relabel_bracoid(family, np.stack([rng.permutation(n) for _ in range(family.vertex_count)]))
+    maps, structures = par.parallelise(scrambled)
+    assert maps.shape == (family.vertex_count, n) and not maps.flags.writeable
+    relabelled = relabel_bracoid(scrambled, maps)
+    members = connected_components(scrambled.phi).members
+    assert len(members) == len(structures)
+    for vertices, dsb in zip(members, structures):
+        got, want = restrict_bracoid(relabelled, vertices), semiloopoid_of_dsb(dsb)
+        for table in ("phi", "bullet", "dot", "units"):
+            assert np.array_equal(getattr(got, table), getattr(want, table)), (name, table)
