@@ -412,3 +412,35 @@ Z4_K4567_ARROWS = {
     "s6": {0: "s6", 1: "s5", 2: "s4", 3: "s7"},
     "s7": {0: "s7", 1: "s4", 2: "s5", 3: "s6"},
 }
+
+
+def braiding_isomorphism(bracoid_a, braiding_a, bracoid_b, braiding_b, trans):
+    """``find_braiding_isomorphism`` as the vertex-by-vertex loop over lists:
+    the first (vertex 0 image, out-star bijection) candidate whose transport
+    along ``trans`` (``trans[lam]`` labels the chosen arrow 0 -> lam)
+    intertwines the braidings, as (vertex map, label map rows), or None."""
+    phiA, phiB = bracoid_a.phi.tolist(), bracoid_b.phi.tolist()
+    SRa, SLa = braiding_a.right.tolist(), braiding_a.left.tolist()
+    SRb, SLb = braiding_b.right.tolist(), braiding_b.left.tolist()
+    L, n = len(phiA), len(phiA[0])
+    if (len(phiB), len(phiB[0])) != (L, n):
+        return None
+    for mu0 in range(len(phiB)):
+        for beta in itertools.permutations(range(n)):
+            f0, f1 = [], []
+            for lam in range(L):
+                x = beta[trans[lam]]
+                row = SRb[mu0][x]
+                f0.append(phiB[mu0][x])
+                f1.append([row.index(beta[c]) for c in SRa[0][trans[lam]]])
+            if len(set(f0)) != L or any(sorted(r) != list(range(n)) for r in f1):
+                continue
+            if any(phiB[f0[lam]][f1[lam][a]] != f0[phiA[lam][a]] for lam in range(L) for a in range(n)):
+                continue
+            if all(
+                SRb[f0[lam]][f1[lam][a]][f1[phiA[lam][a]][b]] == f1[lam][SRa[lam][a][b]]
+                and SLb[f0[lam]][f1[lam][a]][f1[phiA[lam][a]][b]] == f1[phiA[lam][SRa[lam][a][b]]][SLa[lam][a][b]]
+                for lam in range(L) for a in range(n) for b in range(n)
+            ):
+                return tuple(f0), f1
+    return None

@@ -28,6 +28,7 @@ from dynbrace.structures import (
     verify_dsb,
 )
 
+from tests import _golden
 from tests._golden import (
     HEAP_LETTER_TO_VERTEX,
     Z4_HEAP_CANDIDATE_LABELLINGS,
@@ -175,6 +176,27 @@ def test_parallelise_round_trip_after_label_erasure(group_name, members):
         assert verify_braiding(new_bracoid, new_braiding).passed
         iso = find_braiding_isomorphism(bracoid, braiding, new_bracoid, new_braiding)
         assert iso is not None
+
+
+@pytest.mark.parametrize("name", ["cyclic:3", "cyclic:4", "klein4", "sym:3"])
+def test_braiding_isomorphism_matches_the_vertex_loop(name):
+    # the array search returns the first candidate the vertex-by-vertex loop finds
+    result = cached_unital(name)
+    rng = np.random.default_rng(5)
+    bracoids = [semiloopoid_of_dsb(component_dsb(result, c)) for c in range(min(result.components.count, 6))]
+    pairs = list(zip(bracoids, bracoids[1:]))
+    for bracoid in bracoids:
+        n = bracoid.label_count
+        scrambled = relabel_bracoid(bracoid, np.stack([rng.permutation(n) for _ in range(bracoid.vertex_count)]))
+        pairs += [(bracoid, scrambled), (scrambled, bracoid)]
+    for a, b in pairs:
+        braidings = braiding_of_qtsb(a), braiding_of_qtsb(b)
+        got = find_braiding_isomorphism(a, braidings[0], b, braidings[1])
+        trans = schurian_transversal(a, 0).arrow_label[0].tolist()
+        want = _golden.braiding_isomorphism(a, braidings[0], b, braidings[1], trans)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[0] == want[0] and got[1].tolist() == want[1] and got[1].dtype == np.int16
 
 
 def test_parallelise_shape_preserved(k4567):
