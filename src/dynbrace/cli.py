@@ -22,6 +22,7 @@ import argparse
 import gc
 import itertools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -385,12 +386,18 @@ def _write(out: str | None, write) -> None:
     """Call ``write`` on the ``--out`` file, or on stdout when there is none.
 
     Writers stream, so a failure can come after the first bytes; the file is
-    then removed rather than left truncated.
+    then removed rather than left truncated, and stdout, flushed here, is
+    pointed at the null device so the interpreter's flush at exit is silent.
     """
-    if out is None:
-        write(sys.stdout)
-        return
     try:
+        if out is None:
+            try:
+                write(sys.stdout)
+                sys.stdout.flush()
+            except OSError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                raise
+            return
         with open(out, "w", encoding="utf-8") as fh:
             try:
                 write(fh)
@@ -399,7 +406,7 @@ def _write(out: str | None, write) -> None:
                 Path(out).unlink(missing_ok=True)
                 raise
     except OSError as exc:
-        raise InputError(f"cannot write {out}: {exc.strerror or exc}") from None
+        raise InputError(f"cannot write {'<stdout>' if out is None else out}: {exc.strerror or exc}") from None
 
 
 def _dsb_json(dsb) -> dict:

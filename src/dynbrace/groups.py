@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InputError, quote
-from .quivers import distinct_names, name_tuple
+from .quivers import distinct_names, int_array, name_tuple
 
 #: Orders above this are out of scope for the exhaustive machinery downstream.
 MAX_ORDER = 16
@@ -88,28 +88,17 @@ def _repeats(rows: np.ndarray) -> np.ndarray:
 def validate_table(
     table: Sequence[Sequence[int]] | np.ndarray, identity: int | None = None
 ) -> tuple[np.ndarray, int]:
-    """Check the group axioms on a table, returning it as a read-only
-    :data:`LABEL_DTYPE` array together with the identity index.
-
-    ``table`` is a list of rows read from outside the program, or a square
-    integer array with entries in range built inside it.  Raises
-    :class:`InputError` for a table that is not a list of rows, an order above
-    :data:`MAX_ORDER`, or naming the first violating cell or triple.
-    """
-    raw = not isinstance(table, np.ndarray)
-    if raw and (not isinstance(table, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in table)):
+    """The list of rows or array ``table`` as a read-only :data:`LABEL_DTYPE`
+    array, with its identity index.  Its order is bounded first, then
+    :func:`~dynbrace.quivers.int_array` reads it, then the axioms are checked;
+    an :class:`InputError` names the first defect, cell or triple."""
+    if not isinstance(table, (list, tuple)) and getattr(table, "ndim", 0) == 0:
         raise InputError("group table must be a list of rows")
     n = len(table)
     if n == 0:
         raise InputError("empty table")
     _check_order(n)
-    for i, row in enumerate(table if raw else ()):
-        if len(row) != n:
-            raise InputError(f"row {i} has length {len(row)}, expected {n}")
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < n):
-                raise InputError(f"cell [{i}][{j}] = {quote(v)} out of range [0,{n})")
-    T = np.array(table, dtype=LABEL_DTYPE)
+    T = int_array(table, "group table", (n, n), 0, n, LABEL_DTYPE)
     # violations ordered by (i, j, row before column), as a cell-by-cell scan meets them
     repeats = np.stack([_repeats(T), _repeats(T.T)], axis=2)
     if repeats.any():
@@ -136,7 +125,7 @@ def validate_table(
         raise InputError(f"not associative at triple ({a},{b},{c})")
     # Inverses need no check: in a Latin square with an identity every element
     # has a left and a right inverse, and associativity makes them equal.
-    return _frozen(T), identity
+    return T, identity
 
 
 def make_group(

@@ -10,6 +10,12 @@ the vertices and the labels of its ``phi``, and :func:`validate_phi` is the
 one check every constructor and JSON reader passes ``phi`` through (shape,
 integer cells, range, unique vertex names).  Components read ``phi`` alone.
 
+Every table from a caller or a file, a group's included, is read by
+:func:`int_array` in one pass: a nest level by level, each level's lengths
+compared with the expected shape before the next is gathered, so an oversized
+or ragged nest is refused before its cells are read.  The first defect is the
+error; the input is never changed: an array is copied, and the copy frozen.
+
 Connected components come from one numpy routine: :func:`labels` propagates
 minimal vertex indices along arrows in both directions, and
 :func:`component_report` numbers the components by their smallest vertex and
@@ -38,61 +44,56 @@ ROW_BLOCK = 1 << 14
 
 
 def int_array(data, what: str, shape: tuple[int | None, ...], low: int, high: int, dtype) -> np.ndarray:
-    """``data`` as a read-only ``dtype`` array of ``shape`` (None matches any
-    length) with integer entries in [low, high); anything else, a bool cell
-    included, is an input error."""
-    arr = data if isinstance(data, np.ndarray) else _int_nest(data, len(shape), dtype)
-    exact = arr is not None
-    if not exact:
-        try:
-            arr = np.asarray(data)
-        except ValueError:
-            raise InputError(f"{what} is not a rectangular array") from None
-    if arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape)):
-        expected = str(tuple(shape)).replace("None", "*")
-        raise InputError(f"{what} has shape {arr.shape}, expected {expected}")
-    if arr.size:
-        if arr.dtype.kind not in "iu" or not exact and _holds_bool(data, arr.ndim):
-            raise InputError(f"{what} entries must be integers")
-        if arr.min() < low or arr.max() >= high:
-            bad = tuple(int(i) for i in np.argwhere((arr < low) | (arr >= high))[0])
-            cell = "".join(f"[{i}]" for i in bad)
-            raise InputError(f"{what}{cell} = {arr[bad]} is not in [{low}, {high})")
-    out = np.ascontiguousarray(arr, dtype=dtype)
+    """``data``, an array or a nest of lists and tuples, as a read-only
+    ``dtype`` array of ``shape`` (None matches any length) with integer
+    entries in [low, high), which ``dtype`` must hold; anything else is an
+    input error naming its first defect."""
+    array = isinstance(data, np.ndarray)
+    if array:
+        got, integers = data.shape, not data.size or data.dtype.kind in "iu"
+    else:
+        got, cells, types = _levels(data, what, shape)
+        integers = bool not in types and all(issubclass(t, (int, np.integer)) for t in types)
+    if len(got) != len(shape) or _differs(got, shape):
+        raise InputError(f"{what} has shape {got}, expected {str(tuple(shape)).replace('None', '*')}")
+    if not integers:
+        raise InputError(f"{what} entries must be integers")
+    try:
+        arr = data if array else np.fromiter(cells if types <= {int} else map(int, cells), dtype, len(cells))
+    except OverflowError:  # a cell beyond dtype, so out of range
+        arr = np.array(cells, dtype=object)
+    arr = arr.reshape(got)
+    if arr.size and (arr.min() < low or arr.max() >= high):
+        bad = tuple(int(i) for i in np.argwhere((arr < low) | (arr >= high))[0])
+        raise InputError(f"{what}{''.join(f'[{i}]' for i in bad)} = {arr[bad]} is not in [{low}, {high})")
+    out = np.array(arr, dtype=dtype) if array else arr
     out.setflags(write=False)
     return out
 
 
-def _int_nest(data, depth: int, dtype) -> np.ndarray | None:
-    """The non-empty rectangular nest of lists ``data``, ``depth`` deep with
-    exact int cells that fit ``dtype``, as a ``dtype`` array; None for any
-    other input.
-
-    Each level is one pass at C speed, about as fast as ``np.asarray``, which
-    would also fold JSON ``true``/``false`` cells into an int array and build
-    an int64 temporary.
-    """
-    shape, cells = [], [data]
-    for _ in range(depth):
-        lengths = set(map(len, cells)) if set(map(type, cells)) == {list} else ()
-        if len(lengths) != 1 or 0 in lengths:
-            return None
-        shape.append(lengths.pop())
+def _levels(data, what: str, shape: tuple) -> tuple[tuple[int, ...], list, set]:
+    """The lengths of the levels of the nest ``data``, the cells under them and
+    their types, read to the depth of ``shape`` once a length differs."""
+    got, cells = [], [data]
+    while True:
+        types = set(map(type, cells))
+        if np.ndarray in types:  # an array inside a nest counts as its list
+            cells = [c.tolist() if type(c) is np.ndarray else c for c in cells]
+            types = set(map(type, cells))
+        if not types & {list, tuple}:
+            break
+        lengths = set(map(len, cells)) if types <= {list, tuple} else ()
+        if len(lengths) != 1:
+            raise InputError(f"{what} is not a rectangular array")
+        got.append(lengths.pop())
+        if len(got) >= len(shape) and _differs(got, shape):
+            break
         cells = list(chain.from_iterable(cells))
-    if set(map(type, cells)) != {int}:
-        return None
-    try:
-        return np.fromiter(cells, dtype, len(cells)).reshape(shape)
-    except OverflowError:
-        return None
+    return tuple(got), cells, types
 
 
-def _holds_bool(data, depth: int) -> bool:
-    """Whether the nested sequences ``data`` hold a bool cell."""
-    cells = data
-    for _ in range(depth - 1):
-        cells = chain.from_iterable(cells)
-    return bool in set(map(type, cells))
+def _differs(got, shape) -> bool:
+    return any(want not in (None, n) for want, n in zip(shape, got))
 
 
 def name_tuple(names, what: str) -> tuple[str, ...]:

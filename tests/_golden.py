@@ -1,6 +1,7 @@
 """Frozen expected values for the worked order-3 and order-4 families, the
-list-form JSON encoders that serve as the stdlib oracle, the pure-Python
-group-table checks, isomorphism search and holomorph tables that the array
+list-form JSON encoders that serve as the stdlib oracle, the parent's
+validator of every other caller table, the pure-Python group-table checks,
+isomorphism search and holomorph tables that the array
 code in ``groups`` and ``holomorph`` must agree with, and the scalar
 translation of regular subsets that the key-space kernel must agree with.
 
@@ -72,21 +73,28 @@ def quiver_to_json(quiver) -> dict:
 
 
 def validate_table(table, identity=None) -> int:
-    """The identity index of a raw table, checked cell by cell, or the
+    """The identity index of a raw list of rows, checked cell by cell, or the
     InputError naming the first violation."""
-    if not isinstance(table, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in table):
+    if not isinstance(table, (list, tuple)):
         raise InputError("group table must be a list of rows")
     n = len(table)
     if n == 0:
         raise InputError("empty table")
     if n > MAX_ORDER:
         raise InputError(f"group order {n} exceeds supported maximum {MAX_ORDER}")
+    rows = [isinstance(row, (list, tuple)) for row in table]
+    if not any(rows):
+        raise InputError(f"group table has shape {(n,)}, expected {(n, n)}")
+    if not all(rows) or len({len(row) for row in table}) > 1:
+        raise InputError("group table is not a rectangular array")
+    if len(table[0]) != n:
+        raise InputError(f"group table has shape {(n, len(table[0]))}, expected {(n, n)}")
+    if not all(type(v) is int for row in table for v in row):
+        raise InputError("group table entries must be integers")
     for i, row in enumerate(table):
-        if len(row) != n:
-            raise InputError(f"row {i} has length {len(row)}, expected {n}")
         for j, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < n):
-                raise InputError(f"cell [{i}][{j}] = {v!r} out of range [0,{n})")
+            if not 0 <= v < n:
+                raise InputError(f"group table[{i}][{j}] = {v} is not in [0, {n})")
     for i in range(n):
         seen_row: dict[int, int] = {}
         seen_col: dict[int, int] = {}
@@ -125,6 +133,54 @@ def validate_table(table, identity=None) -> int:
         if not any(table[a][b] == identity and table[b][a] == identity for b in range(n)):
             raise InputError(f"element {a} has no two-sided inverse")
     return identity
+
+
+def int_array(data, what, shape, low, high, dtype):
+    """The validator every caller table went through before group tables
+    did, kept as the reference for the array or message of any other table:
+    an exact pass over non-empty nests of lists of ints, else ``np.asarray``
+    with a separate search for bool cells."""
+    arr = data if isinstance(data, np.ndarray) else _int_nest(data, len(shape), dtype)
+    exact = arr is not None
+    if not exact:
+        try:
+            arr = np.asarray(data)
+        except ValueError:
+            raise InputError(f"{what} is not a rectangular array") from None
+    if arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape)):
+        expected = str(tuple(shape)).replace("None", "*")
+        raise InputError(f"{what} has shape {arr.shape}, expected {expected}")
+    if arr.size:
+        if arr.dtype.kind not in "iu" or not exact and _holds_bool(data, arr.ndim):
+            raise InputError(f"{what} entries must be integers")
+        if arr.min() < low or arr.max() >= high:
+            bad = tuple(int(i) for i in np.argwhere((arr < low) | (arr >= high))[0])
+            cell = "".join(f"[{i}]" for i in bad)
+            raise InputError(f"{what}{cell} = {arr[bad]} is not in [{low}, {high})")
+    return np.ascontiguousarray(arr, dtype=dtype)
+
+
+def _int_nest(data, depth, dtype):
+    shape, cells = [], [data]
+    for _ in range(depth):
+        lengths = set(map(len, cells)) if set(map(type, cells)) == {list} else ()
+        if len(lengths) != 1 or 0 in lengths:
+            return None
+        shape.append(lengths.pop())
+        cells = list(itertools.chain.from_iterable(cells))
+    if set(map(type, cells)) != {int}:
+        return None
+    try:
+        return np.fromiter(cells, dtype, len(cells)).reshape(shape)
+    except OverflowError:
+        return None
+
+
+def _holds_bool(data, depth):
+    cells = data
+    for _ in range(depth - 1):
+        cells = itertools.chain.from_iterable(cells)
+    return bool in set(map(type, cells))
 
 
 def _element_orders(table, identity):

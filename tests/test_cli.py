@@ -119,6 +119,31 @@ def test_out_of_memory_child_exits_3_without_a_traceback(tmp_path):
     assert not path.exists()
 
 
+def _child(*argv, **kwargs):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "dynbrace.cli", *argv], env=env, stderr=subprocess.PIPE,
+                            text=True, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_a_full_stdout_is_an_input_error():
+    with open("/dev/full", "w") as full:
+        proc = _child("invariants", "--group", "cyclic:3", stdout=full)
+        _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (2, "error: cannot write <stdout>: No space left on device\n")
+
+
+def test_a_closed_stdout_pipe_is_an_input_error():
+    # the document is megabytes long, so the writer meets the closed pipe
+    proc = _child("enumerate", "--group", "dihedral:3", "--json", stdout=subprocess.PIPE)
+    assert proc.stdout.readline() == "{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (2, "error: cannot write <stdout>: Broken pipe\n")
+
+
 def test_enumerate_text(capsys):
     code, out, _ = run(capsys, "enumerate", "--group", "cyclic:3")
     assert code == 0
@@ -719,17 +744,10 @@ def test_readme_synopsis_lists_every_option():
         assert synopsis[name] <= options, name
 
 
-def _nested(depth: int):
-    cell = 0
-    for _ in range(depth):
-        cell = [cell]
-    return cell
-
-
 @pytest.mark.parametrize("path,value,stderr", [
     (("vertices", 0), "x" * 10**6, "error: 'ops' has no entry for vertex '" + "x" * 79 + "...\n"),
-    (("group", "table", 0, 0), _nested(900), "error: cell [0][0] = " + "[" * 80 + "... out of range [0,3)\n"),
-], ids=["long-vertex-name", "deep-group-cell"])
+    (("group", "order"), "x" * 10**6, "error: group order is '" + "x" * 79 + "..., but its table has order 3\n"),
+], ids=["long-vertex-name", "long-group-order"])
 def test_error_messages_cut_long_values(tmp_path, capsys, cyclic3_documents, path, value, stderr):
     # a message quotes at most QUOTE_LIMIT characters of a value read from a file
     data = copy.deepcopy(cyclic3_documents["dsb"])

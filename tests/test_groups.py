@@ -319,10 +319,22 @@ def _reduced_latin_square(n, rng):
 @st.composite
 def raw_tables(draw):
     n = draw(st.integers(1, 7))
-    kind = draw(st.sampled_from(["cells", "isotope", "loop"]))
-    if kind == "cells":
-        cell = st.integers(-1, n) if draw(st.booleans()) else st.integers(0, n - 1)
-        return draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["cells", "rows", "isotope", "loop"]))
+    if kind in ("cells", "rows"):
+        cell = (st.integers(-1, n) | st.sampled_from([True, 1.0, None])) if draw(st.booleans()) else st.integers(0, n - 1)
+        table = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+        if kind == "rows":  # one row a cell shorter or longer, or every row of another length
+            row = table[draw(st.integers(0, n - 1))]
+            change = draw(st.sampled_from(["shorter", "longer", "all", "cell"]))
+            if change == "shorter":
+                row.pop()
+            elif change == "longer":
+                row.append(draw(cell))
+            elif change == "all":
+                table = [r + [0] for r in table]
+            else:
+                table[draw(st.integers(0, n - 1))] = draw(cell)
+        return table
     if kind == "isotope":
         perm = st.permutations(range(n))
         return _cyclic_isotope(n, draw(perm), draw(perm), draw(perm))
@@ -353,7 +365,10 @@ _LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4
     (_LOOP5, None, "not associative at triple (1,1,2)"),
     (_LOOP5, 1, "element 1 is not an identity: fails at 0"),
     ([[0, 1, 2], [1, 2, 0], [0, 2, 1]], None, "not a Latin square: column 0 repeats value 0 at rows 0 and 2"),
-    ([[0, 1], [1, 0], [0, 1]], None, "row 0 has length 2, expected 3"),
+    ([[0, 1], [1, 0], [0, 1]], None, "group table has shape (3, 2), expected (3, 3)"),
+    ([[0, 1], [1]], None, "group table is not a rectangular array"),
+    ([[0, 1], [1, 0.0]], None, "group table entries must be integers"),
+    ([[0, 5], [5, 0]], None, "group table[0][1] = 5 is not in [0, 2)"),
 ])
 def test_first_violation_messages(table, identity, message):
     with pytest.raises(InputError) as oracle:
