@@ -37,7 +37,7 @@ from .enumeration import (
     invariants,
 )
 from .errors import InputError, ResourceCapError, quote
-from .families import seeded_names
+from .families import _SEEDED, seeded_names
 from .groups import (
     automorphism_group,
     build_group,
@@ -541,19 +541,11 @@ def _cmd_invariants(args) -> int:
         f"unital family {table.vertex_count}",
         "s    N_s        in_s       representative        partition",
     ]
-    rep_by_size: dict[int, tuple] = {}
-    if table.partitions is not None:
-        for s, rep, profile in table.partitions:
-            if s not in rep_by_size:
-                rep_by_size[s] = (rep, profile)
+    texts = {}  # size -> the texts of its first representative and partition
+    for s, rep, profile in table.partitions or ():
+        texts.setdefault(s, (",".join(map(str, rep)), "+".join(map(str, profile))))
     for s in table.sizes:
-        if s in rep_by_size:
-            rep, profile = rep_by_size[s]
-            rep_text = ",".join(str(v) for v in rep)
-            part_text = "+".join(str(v) for v in profile)
-        else:
-            rep_text = "-"
-            part_text = "-"
+        rep_text, part_text = texts.get(s, ("-", "-"))
         lines.append(
             f"{s:<4} {table.count(s):<10} {table.initial_counts.get(s, 0):<10} "
             f"{rep_text:<21} {part_text}"
@@ -564,20 +556,10 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
-def _report_lines(kind: str, report) -> list[str]:
-    return [f"{kind}: {line}" for line in report.lines()]
-
-
 def _cmd_verify(args) -> int:
-    dsb = bracoid = braiding = None
-    if args.input is not None:
-        structure = _load_structure(_load_json(args.input))
-        if isinstance(structure, SkewBracoid):
-            bracoid = structure
-        else:
-            dsb = structure
-    else:
-        dsb = _family(args).dsb
+    braiding = None
+    structure = _family(args).dsb if args.input is None else _load_structure(_load_json(args.input))
+    bracoid, dsb = (structure, None) if isinstance(structure, SkewBracoid) else (None, structure)
 
     # each stage runs only when the one before it passed
     reports = []
@@ -614,10 +596,7 @@ def _cmd_verify(args) -> int:
         _emit_json(payload, args.out)
         return 1 if failed else 0
 
-    out_lines = []
-    for kind, report in reports:
-        out_lines.extend(_report_lines(kind, report))
-    _emit("\n".join(out_lines) + "\n", args.out)
+    _emit("".join(f"{kind}: {line}\n" for kind, report in reports for line in report.lines()), args.out)
     return 1 if failed else 0
 
 
@@ -750,8 +729,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--full", action="store_true", help="include initial vertices")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed-examples", action="store_true",
-                   help="use the bundled vertex names (s0.., r0..) where available")
+    seeded = f"use the bundled vertex names (s0.., r0..), which exist for {', '.join(_SEEDED)} only"
+    p.add_argument("--seed-examples", action="store_true", help=seeded)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("invariants", help="component-size census of the unital family")
@@ -785,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true")
     p.add_argument("--collapse-labels", action="store_true",
                    help="collapse parallel arrows into counted edges")
-    p.add_argument("--seed-examples", action="store_true")
+    p.add_argument("--seed-examples", action="store_true", help=seeded)
     p.set_defaults(func=_cmd_export_dot)
     return parser
 

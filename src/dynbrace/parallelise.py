@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InputError, quote
 from .groups import FiniteGroup, _frozen, _inverse_rows, make_group
-from .quivers import ComponentReport, connected_components, int_array, restrict_phi
+from .quivers import ComponentReport, connected_components, distinct_names, int_array, name_tuple, restrict_phi
 from .structures import (
     LABEL_DTYPE,
     VERTEX_DTYPE,
@@ -291,7 +291,7 @@ class TernaryHeap:
 
 
 def make_heap(names: Sequence[str], table) -> TernaryHeap:
-    names = tuple(str(x) for x in names)
+    names = distinct_names(name_tuple(names, "heap elements"), "element")
     m = len(names)
     return TernaryHeap(names, int_array(table, "ternary table", (m, m, m), 0, m, LABEL_DTYPE))
 

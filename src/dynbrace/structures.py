@@ -8,7 +8,7 @@ labels, both sides), so the suite doubles as a table-checking tool.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -128,9 +128,9 @@ def _blocks(L: int, n: int, rank: int = 4):
     return ((s, min(s + step, L)) for s in range(0, L, step))
 
 
-def _blockwise(table_of_block, L: int, n: int, dtype=LABEL_DTYPE) -> np.ndarray:
+def _blockwise(table_of_block, L: int, n: int) -> np.ndarray:
     """The (L, n, n) table whose rows s..t-1 are ``table_of_block(s, t)``."""
-    out = np.empty((L, n, n), dtype=dtype)
+    out = np.empty((L, n, n), dtype=LABEL_DTYPE)
     for s, t in _blocks(L, n, 3):
         out[s:t] = table_of_block(s, t)
     return out
@@ -139,16 +139,17 @@ def _blockwise(table_of_block, L: int, n: int, dtype=LABEL_DTYPE) -> np.ndarray:
 def _check(name: str, names: Sequence[str], n: int, *axioms, required: bool = True, rank: int = 4) -> Check:
     """One ``Check`` of axioms run in order, each block by block.
 
-    Each axiom is a block function or a ``(function, witness)`` pair, where
-    ``witness(index, lhs, rhs)`` builds the witness; the default names the
-    vertex, the labels and both sides.  ``rank`` is the largest number of
-    axes of an axiom's block, which sizes the blocks.  The first failing
-    block ends the check, and its first False cell (row-major) is the first
-    failing tuple in global (lam, a, b, c) order, whatever the block size.
+    Each axiom is a block function or a ``(function, witness[, blocks])``
+    tuple, where ``witness(index, lhs, rhs)`` builds the witness (the default
+    names the vertex, the labels and both sides) and ``blocks`` yields the
+    axiom's own vertex blocks.  Otherwise ``rank``, the largest number of
+    axes of an axiom's block, sizes the blocks.  The first failing block ends
+    the check, and its first False cell (row-major) is the first failing
+    tuple in global (lam, a, b, c) order, whatever the block size.
     """
     for axiom in axioms:
-        fn, witness = axiom if isinstance(axiom, tuple) else (axiom, None)
-        for s, t in _blocks(len(names), n, rank):
+        fn, witness, blocks = (axiom + (None,))[:3] if isinstance(axiom, tuple) else (axiom, None, None)
+        for s, t in blocks or _blocks(len(names), n, rank):
             ok, lhs, rhs = fn(s, t)
             if not ok.all():
                 idx = np.unravel_index(np.argmin(ok), ok.shape)
@@ -162,6 +163,20 @@ def _check(name: str, names: Sequence[str], n: int, *axioms, required: bool = Tr
 def _noted(names: Sequence[str], note: str):
     """The default witness with a ``note``."""
     return lambda idx, lhs, rhs: _witness(names, idx, lhs, rhs, note=note)
+
+
+# identities shared by several verifiers, as block functions of their tables
+def _permutation_rows(T: np.ndarray, s: int, t: int):
+    """Every row ``T[lam, a]`` of the vertices s..t-1 is a permutation of the labels."""
+    return (np.sort(T[s:t], axis=2) == np.arange(T.shape[2], dtype=T.dtype)).all(axis=2), None, None
+
+
+def _associativity(T: np.ndarray, phi: np.ndarray, s: int, t: int):
+    """Associativity along ``phi``: a *_lam (b *_phi(lam,a) c) = (a *_lam b) *_lam c."""
+    lam, (a, _, c) = _block(s, t, 4), _axes(T.shape[1], 4)
+    lhs = _take(T, lam, a, T[phi[s:t]])
+    rhs = _take(T, lam, T[s:t, :, :, None], c)
+    return lhs == rhs, lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -224,21 +239,11 @@ def verify_dsb(dsb: DynamicalSkewBrace) -> Report:
     a, b, c = _axes(n, 4)
     aran = np.arange(n, dtype=O.dtype)
 
-    def rows(s, t):
-        return (np.sort(O[s:t], axis=2) == aran).all(axis=2), None, None
-
     def repeated_value(idx, lhs, rhs):
         lam, x = idx
         row = O[lam, x].tolist()
         second = next(k for k, v in enumerate(row) if v in row[:k])
         return _witness(names, (lam, x, row.index(row[second]), second), row[second], row[second])
-
-    def dynamical_associativity(s, t):
-        # a *_lam (b *_phi(lam,a) c) = (a *_lam b) *_lam c
-        lam = _block(s, t, 4)
-        lhs = _take(O, lam, a, O[phi[s:t]])
-        rhs = _take(O, lam, O[s:t, :, :, None], c)
-        return lhs == rhs, lhs, rhs
 
     def brace_compatibility(s, t):
         # a *_lam (b c) = (a *_lam b) a^-1 (a *_lam c)
@@ -251,8 +256,8 @@ def verify_dsb(dsb: DynamicalSkewBrace) -> Report:
         return O[s:t, e, :] == aran, O[s:t, e, :], aran
 
     return Report((
-        _check("left_quasigroup", names, n, (rows, repeated_value)),
-        _check("dynamical_associativity", names, n, dynamical_associativity),
+        _check("left_quasigroup", names, n, (partial(_permutation_rows, O), repeated_value)),
+        _check("dynamical_associativity", names, n, partial(_associativity, O, phi)),
         _check("brace_compatibility", names, n, brace_compatibility),
         _check(
             "zero_symmetric", names, n,
@@ -429,22 +434,13 @@ def verify_bracoid(bracoid: SkewBracoid) -> Report:
     units, unital = bracoid.units, bracoid.unital
     n = bracoid.label_count
     names = bracoid.vertex_names
-    a, b, c = _axes(n, 4)
+    a, _, c = _axes(n, 4)
     aran = np.arange(n, dtype=B.dtype)
     u_here = np.where(unital, units, 0)
 
     def targets(s, t):
         # the composite of [lam|a] and [phi(lam,a)|b] must also end at phi(phi(lam,a),b)
         return _take(phi, _block(s, t, 3), B[s:t]) == phi[phi[s:t]], None, None
-
-    def rows(s, t):
-        return (np.sort(B[s:t], axis=2) == aran).all(axis=2), None, None
-
-    def associativity(s, t):
-        lam = _block(s, t, 4)
-        lhs = _take(B, lam, a, B[phi[s:t]])
-        rhs = _take(B, lam, B[s:t, :, :, None], c)
-        return lhs == rhs, lhs, rhs
 
     # units on unital vertices: loops, left units, and right units
     # (x bullet unit(target) = x whenever the target is unital)
@@ -498,8 +494,8 @@ def verify_bracoid(bracoid: SkewBracoid) -> Report:
         _check(
             "groupoid_or_semiloopoid", names, n,
             (targets, _noted(names, "composite arrow has the wrong target")),
-            (rows, _noted(names, "left multiplication not bijective")),
-            (associativity, _noted(names, "bullet not associative")),
+            (partial(_permutation_rows, B), _noted(names, "left multiplication not bijective")),
+            (partial(_associativity, B, phi), _noted(names, "bullet not associative")),
             (loops, on_unit("unit label is not a loop")),
             (left_units, on_unit("unit is not a left unit")),
             (right_units, _noted(names, "unit is not a right unit")),
@@ -594,18 +590,59 @@ def braiding_of_qtsb(bracoid: SkewBracoid) -> QuiverBraiding:
     return QuiverBraiding(right, _frozen(_blockwise(left, L, n)))
 
 
+def _right_nondegenerate(bracoid: SkewBracoid, braiding: QuiverBraiding) -> Check:
+    """(y, x) -> (y, x <- y) is injective on composable pairs and in-degrees
+    agree along arrows; required only on a groupoid.
+
+    Pairs collide only when they share y = [mu|b], so each block of targets
+    mu sorts the keys (mu - s, b, x <- y) of its in-arrows x = [lam|a], read
+    from ``into``, the stable argsort of ``phi`` counting-sorted as int32 one
+    block of sources at a time.  A block holds the targets whose first
+    in-arrow falls in one window of BLOCK_CELLS // n in-arrows.
+    """
+    phi, SR, SL = bracoid.phi, braiding.right, braiding.left
+    L, n = phi.shape
+    b, arrows = np.arange(n), phi.ravel()
+    indeg = np.bincount(arrows, minlength=L)
+    start = np.concatenate(([0], np.cumsum(indeg)))
+    into, free = np.empty(L * n, np.int32), start[:-1].copy()
+    for s, t in _blocks(L, n, 2):
+        order = np.argsort(arrows[s * n:t * n], kind="stable")
+        mu = arrows[s * n:t * n][order]
+        into[free[mu] + np.arange(len(mu)) - np.searchsorted(mu, mu)] = order + s * n
+        np.add.at(free, mu, 1)
+    edges = np.flatnonzero(np.diff(start[:-1] // max(1, BLOCK_CELLS // max(n, 1)))) + 1
+
+    def injective(s, t):
+        x = into[start[s]:start[t], None]  # lam * n + a
+        pair = x * n + b
+        W = _take(phi, x // n, SR.ravel().take(pair))
+        key = (((arrows[x] - s).astype(np.int64) * n + b) * L + W) * n + SL.ravel().take(pair)
+        key = np.sort(key, axis=None)
+        return key[1:] != key[:-1], None, None
+
+    def indegrees(s, t):
+        return (indeg[s:t, None] == indeg[phi[s:t]]) | (indeg[s:t, None] == 0), None, None
+
+    blocks = zip(np.r_[0, edges], np.r_[edges, L])
+    return _check("right_nondegenerate", bracoid.vertex_names, n, (injective, lambda *_: None, blocks),
+                  (indegrees, lambda *_: None), required=bool(bracoid.unital.all()), rank=2)
+
+
 def verify_braiding(bracoid: SkewBracoid, braiding: QuiverBraiding) -> Report:
     """Exhaustive check of the braid relation, the braided-structure axioms,
-    non-degeneracies and involutivity.
+    non-degeneracies and involutivity, every one on the blocked driver.
 
     The unit axioms are checked on arrows between unital vertices only; right
-    non-degeneracy is required only when the whole structure is a groupoid,
-    and is otherwise reported as a fact.  Involutivity is always informational.
+    non-degeneracy, sorted per block of target vertices with no table of one
+    entry per composable pair, is required only when the whole structure is a
+    groupoid, and is otherwise reported as a fact.  Involutivity is always
+    informational.
     """
     phi, B = bracoid.phi, bracoid.bullet
     SR, SL = braiding.right, braiding.left
     units, unital = bracoid.units, bracoid.unital
-    L, n = phi.shape
+    n = bracoid.label_count
     names = bracoid.vertex_names
     a, b, c = _axes(n, 4)
     a3, b3 = _axes(n, 3)
@@ -673,9 +710,6 @@ def verify_braiding(bracoid: SkewBracoid, braiding: QuiverBraiding) -> Report:
     def bg5(s, t):
         return _take(B, _block(s, t, 3), SR[s:t], SL[s:t]) == B[s:t], None, None
 
-    def left_nondegenerate(s, t):
-        return (np.sort(SR[s:t], axis=2) == aran).all(axis=2), None, None
-
     def involutive(s, t):
         lam = _block(s, t, 3)
         r2 = _take(SR, lam, SR[s:t], SL[s:t])
@@ -687,24 +721,11 @@ def verify_braiding(bracoid: SkewBracoid, braiding: QuiverBraiding) -> Report:
         for name, axiom in (
             ("sigma_quiver_morphism", sigma_quiver_morphism), ("ybe", ybe), ("bg1", bg1),
             ("bg2", bg2), ("bg3", bg3), ("bg4", bg4), ("bg5", bg5),
-            ("left_nondegenerate", left_nondegenerate),
+            ("left_nondegenerate", partial(_permutation_rows, SR)),
         )
     ]
 
-    # right non-degeneracy: (y, x) -> (y, x <- y) is injective on composable
-    # pairs (one in-place sort of the pair keys), and in-degrees agree along arrows
-    def pair_keys(s, t):
-        W = _take(phi, _block(s, t, 3), SR[s:t])
-        return (phi[s:t, :, None] * np.int64(n) + b3) * (L * n) + W * n + SL[s:t]
-
-    key = _blockwise(pair_keys, L, n, np.int64).ravel()
-    key.sort()
-    injective = not (key[1:] == key[:-1]).any()
-    indeg = np.bincount(phi.ravel(), minlength=L)
-    counts_ok = (indeg[:, None] == indeg[phi]) | (indeg[:, None] == 0)
-    checks.append(
-        Check("right_nondegenerate", bool(injective and counts_ok.all()), required=bool(unital.all()))
-    )
+    checks.append(_right_nondegenerate(bracoid, braiding))
     checks.append(_check("involutive", names, n, involutive, required=False))
     return Report(tuple(checks))
 

@@ -1,6 +1,7 @@
 """Frozen expected values for the worked order-3 and order-4 families, the
 list-form JSON encoders that serve as the stdlib oracle, the parent's
-validator of every other caller table, the pure-Python group-table checks,
+validator of every other caller table, the former whole-family sort of
+right non-degeneracy, the pure-Python group-table checks,
 isomorphism search and holomorph tables that the array
 code in ``groups`` and ``holomorph`` must agree with, and the scalar
 translation of regular subsets that the key-space kernel must agree with.
@@ -468,6 +469,21 @@ Z4_K4567_ARROWS = {
     "s6": {0: "s6", 1: "s5", 2: "s4", 3: "s7"},
     "s7": {0: "s7", 1: "s4", 2: "s5", 3: "s6"},
 }
+
+
+def right_nondegenerate(bracoid, braiding) -> tuple[bool, bool]:
+    """The two halves of right non-degeneracy as once checked, whose
+    conjunction is the check: whether (y, x) -> (y, x <- y) is injective on
+    composable pairs, by one sort of an int64 key per pair of the whole
+    family, and whether in-degrees agree along arrows."""
+    phi, SR, SL = bracoid.phi, braiding.right, braiding.left
+    L, n = phi.shape
+    W = phi[np.arange(L)[:, None, None], SR]
+    key = (phi[:, :, None] * np.int64(n) + np.arange(n)) * (L * n) + W * n + SL
+    key = np.sort(key, axis=None)
+    indeg = np.bincount(phi.ravel(), minlength=L)
+    counts_ok = (indeg[:, None] == indeg[phi]) | (indeg[:, None] == 0)
+    return not (key[1:] == key[:-1]).any(), bool(counts_ok.all())
 
 
 def braiding_isomorphism(bracoid_a, braiding_a, bracoid_b, braiding_b, trans):

@@ -7,12 +7,15 @@ one vertex per block, seven vertices per block and the default budget, for
 passing families and for corrupted files whose first failure lies in the
 last, partial block.  The heap verifier runs on the same driver, one element
 of the heap per vertex, its five-element associativity in blocks of
-``BLOCK_CELLS // m**4`` elements.  Memory must follow the budget, not the
-L·n³ tuples.
+``BLOCK_CELLS // m**4`` elements.  Right non-degeneracy runs on it too, by
+blocks of target vertices sized by their in-arrows, and must agree with the
+whole-family sort in ``tests._golden``.  Memory must follow the budget, not
+the L·n³ tuples, nor the L·n² composable pairs.
 """
 import copy
 import json
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -24,13 +27,18 @@ from dynbrace.groups import build_group
 from dynbrace.parallelise import heap_from_group, make_heap, verify_heap
 from dynbrace.quivers import connected_components
 from dynbrace.structures import (
+    Check,
+    QuiverBraiding,
+    braiding_of_qtsb,
+    make_bracoid,
     restrict_bracoid,
     semiloopoid_of_dsb,
     verify_bracoid,
+    verify_braiding,
     verify_dsb,
 )
 
-from tests._golden import bracoid_to_json, dsb_to_json
+from tests._golden import bracoid_to_json, dsb_to_json, right_nondegenerate
 from tests.conftest import cached_full, cached_unital
 
 BLOCK_VERTICES = (1, 7)
@@ -199,3 +207,81 @@ def test_heap_verifier_memory_follows_the_block_budget(monkeypatch):
     budget = 1 << 16
     monkeypatch.setattr(structures, "BLOCK_CELLS", budget)
     assert _traced_peak(lambda: verify_heap(heap)) < 32 * budget
+
+
+# right non-degeneracy
+
+# the presets of order at most 6 that the suite enumerates
+SMALL_GROUPS = ("trivial", "cyclic:2", "cyclic:3", "cyclic:4", "klein4", "prod:cyclic:2,cyclic:2",
+                "cyclic:5", "cyclic:6", "sym:3", "dihedral:3")
+
+
+@lru_cache(maxsize=None)
+def _braided(group: str, full: bool):
+    bracoid = semiloopoid_of_dsb((cached_full if full else cached_unital)(group).dsb)
+    return bracoid, braiding_of_qtsb(bracoid)
+
+
+def _colliding(bracoid, braiding, vertices):
+    """``braiding`` with one cell of ``left`` changed, so that two pairs (x, y)
+    with y = [mu|0], mu the first of ``vertices`` that allows it, share x <- y."""
+    phi, SR, left = bracoid.phi, braiding.right, braiding.left.copy()
+    for mu in vertices:
+        seen = {}
+        for lam, a in np.argwhere(phi == mu):
+            w = int(phi[lam, SR[lam, a, 0]])
+            if w in seen:
+                left[lam, a, 0] = left[seen[w] + (0,)]
+                return QuiverBraiding(SR, left)
+            seen[w] = (lam, a)
+    raise AssertionError("no two in-arrows share x <- y's source")
+
+
+def _initial_chain():
+    """Initial vertices r and t and a unital vertex s on two labels, with the
+    arrows r -> t, r -> s, t -> s twice, s -> s and s -> t: (y, x) ->
+    (y, x <- y) is injective, but t has in-degree 2 where s has 4."""
+    table = [[0, 1], [1, 0]]
+    phi = [[1, 2], [2, 2], [2, 1]]
+    bracoid = make_bracoid(["r", "t", "s"], ["0", "1"], phi, [table] * 3, [table] * 3, [-1, -1, 0])
+    right = np.array([[0, 0], [0, 0], [1, 0]], dtype=np.int16)[:, :, None].repeat(2, axis=2)
+    left = np.array([[0, 0], [0, 1], [1, 0]], dtype=np.int16)[:, :, None].repeat(2, axis=2)
+    return bracoid, QuiverBraiding(right, left)
+
+
+def _cases():
+    """name -> (bracoid, braiding, the oracle's expected two halves).
+
+    On the families, in-degrees agree, and injectivity holds exactly when
+    there is no initial vertex."""
+    families = [(g, full) for g in SMALL_GROUPS for full in (False, True)] + [("cyclic:8", True)]
+    cases = {}
+    for g, full in families:
+        bracoid, braiding = _braided(g, full)
+        cases[f"{g}-{'full' if full else 'unital'}"] = (bracoid, braiding, (bool(bracoid.unital.all()), True))
+    for g in ("klein4", "sym:3"):
+        bracoid, braiding = _braided(g, False)
+        L = bracoid.vertex_count
+        cases[f"{g}-collide-first"] = (bracoid, _colliding(bracoid, braiding, range(L)), (False, True))
+        cases[f"{g}-collide-last"] = (bracoid, _colliding(bracoid, braiding, range(L - 1, -1, -1)), (False, True))
+    cases["initial-chain"] = _initial_chain() + ((True, False),)
+    return cases
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_right_nondegeneracy_agrees_with_the_whole_family_sort(monkeypatch, budget):
+    if budget is not None:  # one target vertex with in-arrows per block
+        monkeypatch.setattr(structures, "BLOCK_CELLS", budget)
+    for name, (bracoid, braiding, halves) in _cases().items():
+        assert right_nondegenerate(bracoid, braiding) == halves, name
+        check = structures._right_nondegenerate(bracoid, braiding)
+        assert check == Check("right_nondegenerate", all(halves), bool(bracoid.unital.all())), name
+
+
+def test_verify_braiding_holds_no_table_per_composable_pair():
+    # cyclic:8 full: 65,536 vertices and 4,194,304 composable pairs, whose
+    # int64 keys alone would take 33.5 MB; half of one int64 (L, n, n) table
+    # is the bound, the braiding's other checks staying within their blocks
+    bracoid, braiding = _braided("cyclic:8", True)
+    L, n = bracoid.phi.shape
+    assert _traced_peak(lambda: verify_braiding(bracoid, braiding)) < L * n * n * 4

@@ -488,6 +488,19 @@ def test_seed_examples_unknown_group(capsys):
     assert code == 2
 
 
+def test_seed_examples_help_names_the_bundled_groups():
+    # every other group exits 2, so each help lists the groups that have names
+    from dynbrace.cli import build_parser
+    from dynbrace.families import _SEEDED
+
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    helps = {name: a.help for name, sub in commands.items()
+             for a in sub._actions if "--seed-examples" in a.option_strings}
+    assert set(helps) == {"enumerate", "export-dot"}
+    for name, text in helps.items():
+        assert all(group in text for group in _SEEDED), (name, text)
+
+
 @pytest.mark.parametrize("argv,message", [
     pytest.param(("invariants", "--group", "cyclic:3", "--cap", "-1"), "positive integer", id="--cap--1"),
     pytest.param(("invariants", "--group", "cyclic:3", "--cap", "0"), "positive integer", id="--cap-0"),

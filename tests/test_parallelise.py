@@ -385,6 +385,20 @@ def test_heap_consumers_name_every_failure(build):
     assert str(info.value) == TAMPERED_HEAP
 
 
+@pytest.mark.parametrize("names,message", [
+    ([None, 1.5], "heap elements[0] = None is not a string"),
+    (["a", "a"], "duplicate element name 'a'"),
+    ("ab", "heap elements must be a list of names"),
+], ids=["non-string", "repeated", "string"])
+def test_make_heap_checks_its_names(names, message):
+    # names were once read through str(), so None became 'None' and a repeat
+    # left index() unable to reach the second element
+    table = heap_from_group(build_group("cyclic:2")).table
+    with pytest.raises(InputError) as info:
+        make_heap(names, table)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("call,message", [
     (lambda heap, bracoid: make_heap(heap.names, [[[0.4, 1, 2]] * 3] * 3), "ternary table entries must be integers"),
     (lambda heap, bracoid: make_heap(heap.names, heap.table.astype(bool)), "ternary table entries must be integers"),
