@@ -11,24 +11,23 @@ low and over the high digits of a key ``h * W + l`` gives tables
 ``low[a, f, l]`` and ``high[a, f, h]``, and a translate is
 ``high[a, f_a, h] + low[a, f_a, l]``: two lookups and one add.  The kernel,
 :meth:`KeySpace.translation_table`, fills the translates of a run of whole high
-rows, and every streaming loop asks it for one block of rows at a time through
-one block iterator and one reused buffer, so the census never holds a
-whole-space table.  Component structure comes from minimum propagation along
-translation images in one int32 label array: a gather-free first pass, exact on
-unital spaces because their components are complete quivers, then a fixpoint
-pass lowered in place block by block.  The component sizes are the run lengths
-of the label array sorted in place, counted block by block into a histogram,
-so the census holds that one 4-byte-per-key array and buffers of
-O(n * BLOCK_KEYS); the table of component counts is exact.  Materialising a
-family builds the ``(K, n)`` digits and ``phi`` per key block and the
-component report, and nothing else per vertex but its name; the family is
-the quiver of those arrays, and the unital flags are a view of them.  The
-dynamical skew brace, whose ``(K, n, n)`` ops
-(:func:`~dynbrace.structures.dsb_ops` of the digits) are the bulk of a
-family, is built when :attr:`EnumerationResult.dsb` is first read, from
-arrays the materialisation has already validated.  The checks of a
-family read those arrays too, so only the census and materialisation build a
-key space.
+rows, and every kernel stream asks it for one block of rows at a time through
+one block iterator, which first bounds every translate by the share tables,
+and one reused buffer, so the census never holds a whole-space table.  The
+census labels components by the one routine of :mod:`~dynbrace.quivers` fed
+those blocks, in one int32 label array, in two passes.  The component sizes
+are the run lengths of the label array sorted in place, counted block by
+block into a histogram, so the census holds that one 4-byte-per-key array and
+buffers of O(n * ROW_BLOCK); the table of component counts is exact.
+Materialising a family builds the ``(K, n)`` digits and ``phi`` per key block
+in one kernel stream, takes the component report from ``phi`` as for a file,
+and builds nothing else per vertex but its name; the family is the quiver of
+those arrays, and the unital flags are a view of them.  The dynamical skew
+brace, whose ``(K, n, n)`` ops (:func:`~dynbrace.structures.dsb_ops` of the
+digits) are the bulk of a family, is built when
+:attr:`EnumerationResult.dsb` is first read, from arrays the materialisation
+has already validated.  The checks of a family read those arrays too, so
+only the census and materialisation build a key space.
 """
 from __future__ import annotations
 
@@ -41,7 +40,9 @@ import numpy as np
 from .errors import ResourceCapError
 from .groups import FiniteGroup, automorphism_group
 from .holomorph import DEFAULT_CAP, holomorph
-from .quivers import ComponentReport, QuiverBase, component_report, restrict_phi, uneven_rows, validate_phi
+from . import quivers
+from .quivers import ComponentReport, QuiverBase, connected_components, propagate_labels, restrict_phi
+from .quivers import uneven_rows, validate_phi
 from .structures import (
     LABEL_DTYPE,
     VERTEX_DTYPE,
@@ -58,12 +59,6 @@ KEY_DTYPE = np.int32
 #: Largest space whose keys fit :data:`KEY_DTYPE`.
 KEY_LIMIT = int(np.iinfo(KEY_DTYPE).max)
 
-
-#: Keys per block of the key-space loops (:func:`component_labels`,
-#: materialisation), rounded down to whole high rows of W keys and up to at
-#: least one row; also labels per block of the census size count and ``phi``
-#: rows per block of :func:`initial_counts` and :func:`check_partition_constancy`.
-BLOCK_KEYS = 1 << 14
 #: Bound on W, the number of low values of the two-level contribution table.
 LOW_KEYS = 4096
 
@@ -209,61 +204,33 @@ class KeySpace:
 
 
 def _block_buffer(space: KeySpace) -> np.ndarray:
-    """The ``(n, block)`` buffer of :func:`_blocks`: ``max(1, BLOCK_KEYS // W)``
+    """The ``(n, block)`` buffer of :func:`_blocks`: ``max(1, ROW_BLOCK // W)``
     whole high rows, or the whole space when that is smaller."""
-    rows = max(1, BLOCK_KEYS // space.low_size)
+    rows = max(1, quivers.ROW_BLOCK // space.low_size)
     return np.empty((space.n, min(rows * space.low_size, space.size)), dtype=KEY_DTYPE)
 
 
 def _blocks(space: KeySpace, buf: np.ndarray):
     """``(lo, hi, translates)`` per block of the keys, each block's translates
-    written into ``buf`` by :meth:`KeySpace.translation_table`."""
+    written into ``buf`` by :meth:`KeySpace.translation_table`, once every
+    translate the share tables can form is known to be a key."""
+    if not space.translates_in_range():
+        raise AssertionError("a translation image lies outside the key space")
     for start in range(0, space.size, buf.shape[1]):
         stop = min(start + buf.shape[1], space.size)
         yield start, stop, space.translation_table(start, stop, out=buf)
 
 
 def component_labels(space: KeySpace) -> np.ndarray:
-    """Per-key component label: the minimal key of the component.
+    """Per-key component label: the least key of the key's undirected component.
 
-    One int32 label array, lowered in place.  Both passes walk the blocks of
-    :func:`_blocks`, whole high rows whose translates fill one ``(n, block)``
-    buffer reused across passes, so no whole-space table is built.  The labels
-    start as the keys themselves, so the first pass is the minimum over each
-    block's translates with no gather.  The fixpoint pass gathers the labels
-    of each block's targets into a block-sized buffer and writes the block's
-    minimum back; it repeats until a whole pass changes nothing.  Labels only
-    decrease and always name a key reachable from their vertex, and a pass
-    without change leaves every label at most the labels of its targets, so
-    each label is the minimum over the forward-reachable set.  For unital
-    spaces the first pass is already exact because every out-neighbourhood is
-    the whole component; the fixpoint pass checks it.
+    :func:`~dynbrace.quivers.propagate_labels` over the blocks of
+    :func:`_blocks`, one buffer reused across passes.  Every key's arrows
+    reach the whole unital part of its component, which holds the least key,
+    so the first pass is exact and the second, which confirms it, the last.
     """
-    if not space.translates_in_range():
-        raise AssertionError("a translation image lies outside the key space")
     buf = _block_buffer(space)
-    comp = np.arange(space.size, dtype=KEY_DTYPE)
-    for lo, hi, targets in _blocks(space, buf):
-        block = comp[lo:hi]
-        for ta in targets:
-            np.minimum(block, ta, out=block)
-    gather_buf = np.empty(buf.shape[1], dtype=KEY_DTYPE)
-    least_buf = np.empty_like(gather_buf)
-    changed = True
-    while changed:
-        changed = False
-        for lo, hi, targets in _blocks(space, buf):
-            block = comp[lo:hi]
-            least, gathered = least_buf[:block.size], gather_buf[:block.size]
-            np.copyto(least, block)
-            for ta in targets:
-                # in range by the check above; "wrap" lets take write without a buffer
-                np.take(comp, ta, out=gathered, mode="wrap")
-                np.minimum(least, gathered, out=least)
-            if not np.array_equal(least, block):
-                np.copyto(block, least)
-                changed = True
-    return comp
+    return propagate_labels(space.size, lambda: _blocks(space, buf))
 
 
 def _partition_matrix(digits: np.ndarray, radix: int) -> np.ndarray:
@@ -323,10 +290,10 @@ def invariants(group: FiniteGroup, *, cap: int = DEFAULT_CAP) -> InvariantTable:
 
     The labels of :func:`component_labels` are sorted in place; each
     component is then one run, roots ascending.  The run lengths are counted
-    in one pass over blocks of :data:`BLOCK_KEYS` labels, the open run carried
-    across each block boundary, into a histogram of sizes; the run starts are
-    kept only while there are few enough to list, so the census holds no
-    array of one entry per key besides the labels.  The relation
+    in one pass over blocks of :data:`~dynbrace.quivers.ROW_BLOCK` labels,
+    the open run carried across each block boundary, into a histogram of
+    sizes; the run starts are kept only while there are few enough to list,
+    so the census holds no array of one entry per key besides the labels.  The relation
     sum(s * N_s) = |Aut|^(|A|-1) and the divisibility constraint are
     asserted; initial-vertex counts use the closed form s*(|Aut|-1), which
     :func:`initial_counts` verifies on a materialised full family.
@@ -337,8 +304,8 @@ def invariants(group: FiniteGroup, *, cap: int = DEFAULT_CAP) -> InvariantTable:
     hist = np.zeros(0, dtype=np.intp)  # hist[s]: runs of length s closed so far
     listed = [np.zeros(1, dtype=np.intp)]  # run starts, while the runs fit the listing
     runs, open_start = 1, 0
-    for lo in range(1, comp.size, BLOCK_KEYS):
-        hi = min(lo + BLOCK_KEYS, comp.size)
+    for lo in range(1, comp.size, quivers.ROW_BLOCK):
+        hi = min(lo + quivers.ROW_BLOCK, comp.size)
         starts = np.flatnonzero(comp[lo:hi] != comp[lo - 1:hi - 1]) + lo
         if starts.size:
             hist = _add_counts(hist, np.diff(starts, prepend=open_start))
@@ -397,7 +364,8 @@ def initial_counts(result: EnumerationResult) -> InitialCountsResult:
     with |A|/s parallel arrows onto each unital vertex of that component.  The
     identity's digit has the highest weight, so the unital vertices are the
     first k0 keys and the components holding them, numbered by least key, come
-    first; the initial rows of ``phi`` are read in blocks of :data:`BLOCK_KEYS`.
+    first; the initial rows of ``phi`` are read in blocks of
+    :data:`~dynbrace.quivers.ROW_BLOCK`.
     """
     if not result.full:
         raise ValueError("initial counts need the full family")
@@ -406,8 +374,8 @@ def initial_counts(result: EnumerationResult) -> InitialCountsResult:
     k0 = int(np.count_nonzero(result.unital_flags))
     unital_sizes = np.bincount(component_of[:k0])  # s per unital component
     step = np.where(n % unital_sizes == 0, n // unital_sizes, 0)
-    for lo in range(k0, phi.shape[0], BLOCK_KEYS):
-        rows, comps = phi[lo:lo + BLOCK_KEYS], component_of[lo:lo + BLOCK_KEYS]
+    for lo in range(k0, phi.shape[0], quivers.ROW_BLOCK):
+        rows, comps = phi[lo:lo + quivers.ROW_BLOCK], component_of[lo:lo + quivers.ROW_BLOCK]
         if comps.max() >= unital_sizes.size:
             raise AssertionError("an initial vertex is attached to no unital component")
         if (component_of[rows] != comps[:, None]).any():
@@ -469,7 +437,6 @@ class EnumerationResult(QuiverBase):
 
 
 def _materialise(group: FiniteGroup, space: KeySpace, named: Mapping[tuple, str] | None) -> EnumerationResult:
-    comp = component_labels(space)
     size, n = space.size, space.n
     k0 = space.unital_size
 
@@ -486,7 +453,7 @@ def _materialise(group: FiniteGroup, space: KeySpace, named: Mapping[tuple, str]
     digits.setflags(write=False)
 
     # only bundled names can repeat: the default ones are distinct, and every
-    # target in phi is a key, as component_labels checked every translate
+    # target in phi is a key, as _blocks bounded every translate
     names = tuple(f"s{k}" if k < k0 else f"r{k - k0}" for k in range(size))
     if named:
         names, phi = validate_phi(tuple(map(named.get, map(tuple, digits.tolist()), names)), phi, n)
@@ -496,8 +463,7 @@ def _materialise(group: FiniteGroup, space: KeySpace, named: Mapping[tuple, str]
         assignments=digits,
         vertex_names=names,
         phi=phi,
-        # keys are vertex indices, so the minimal-key labels are minimal-vertex labels
-        components=component_report(phi, comp),
+        components=connected_components(phi),
         full=not space.unital,
     )
 
@@ -535,10 +501,10 @@ def check_partition_constancy(result: EnumerationResult) -> None:
     """part(S) is constant on every component of a materialised family: no
     arrow of ``phi`` joins two vertices of different profiles."""
     profiles = _partition_matrix(result.assignments, len(automorphism_group(result.group)))
-    phi = result.phi
-    for lo in range(0, phi.shape[0], BLOCK_KEYS):
-        block = profiles[lo:lo + BLOCK_KEYS]
-        for ta in phi[lo:lo + BLOCK_KEYS].T:
+    phi, step = result.phi, quivers.ROW_BLOCK
+    for lo in range(0, phi.shape[0], step):
+        block = profiles[lo:lo + step]
+        for ta in phi[lo:lo + step].T:
             changes = (block != profiles[ta]).any(axis=1)
             if changes.any():
                 bad = lo + int(np.argmax(changes))

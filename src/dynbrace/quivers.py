@@ -16,8 +16,10 @@ compared with the expected shape before the next is gathered, so an oversized
 or ragged nest is refused before its cells are read.  The first defect is the
 error; the input is never changed: an array is copied, and the copy frozen.
 
-Connected components come from one numpy routine: :func:`labels` propagates
-minimal vertex indices along arrows in both directions, and
+Connected components come from one numpy routine: :func:`propagate_labels`
+lowers minimal vertex indices along arrows in both directions, reading the
+targets one block of sources at a time, from ``phi`` (:func:`labels`) or
+from the translation kernel of :mod:`~dynbrace.enumeration`, and
 :func:`component_report` numbers the components by their smallest vertex and
 checks completeness: a component of s vertices is complete of degree d = n/s
 exactly when every member's sorted ``phi`` row changes value every d entries,
@@ -39,7 +41,8 @@ import numpy as np
 from .errors import InputError, quote
 
 VERTEX_DTYPE = np.int32
-#: Rows of ``phi`` per block of the completeness test of :func:`component_report`.
+#: Rows of ``phi``, or keys, per block of every blocked loop over vertices; the
+#: kernel rounds it down to whole high rows of keys, and up to at least one.
 ROW_BLOCK = 1 << 14
 
 
@@ -234,21 +237,51 @@ def quiver_of_dynamical_set(
     return LabelledQuiver(vertex_names=names, label_names=labels, phi=phi)
 
 
-def labels(phi: np.ndarray) -> np.ndarray:
-    """Per-vertex component label: the smallest vertex of its undirected component.
+def propagate_labels(size: int, blocks) -> np.ndarray:
+    """Per-vertex smallest vertex of its undirected component, in the quiver
+    whose arrows ``blocks()`` yields once per pass as ``(lo, hi, targets)``
+    per block of sources, row a of ``targets`` (n by hi - lo) holding the
+    targets in [0, size) along label a.
 
-    Each round pulls the minimum over a vertex's targets, pushes each label
-    to the vertex's targets, then shortcuts ``lab = lab[lab]``; it stops when
-    a round changes nothing, which needs every arrow to join equal labels.
+    The first pass lowers each vertex to its least target, with no gather.
+    Later passes gather a block's target labels, a label at a time, into one
+    buffer; where an arrow joins unequal labels the smaller is pulled to the
+    source and pushed to the target, and the block is shortcut (``lab =
+    lab[lab]``), after Shiloach and Vishkin, J. Algorithms 3 (1982).  A label
+    stays a vertex of its component, never above its own vertex; so once a pass
+    finds every arrow joining equal labels, each is its component's least.
     """
-    lab = np.arange(phi.shape[0], dtype=VERTEX_DTYPE)
-    while True:
-        new = np.minimum(lab, lab[phi].min(axis=1))
-        np.minimum.at(new, phi, new[:, None])
-        new = new[new]
-        if np.array_equal(new, lab):
-            return lab
-        lab = new
+    lab = np.arange(size, dtype=VERTEX_DTYPE)
+    width = 0
+    for lo, hi, targets in blocks():
+        block = lab[lo:hi]
+        for ta in targets:
+            np.minimum(block, ta, out=block)
+        width = max(width, hi - lo)
+    buf = np.empty(width, dtype=VERTEX_DTYPE)
+    settled = False
+    while not settled:
+        settled = True
+        for lo, hi, targets in blocks():
+            block, gathered = lab[lo:hi], buf[:hi - lo]
+            for ta in targets:
+                # targets are in range; "wrap" lets take write without a buffer
+                np.take(lab, ta, out=gathered, mode="wrap")
+                unequal = gathered != block
+                if unequal.any():
+                    np.minimum(block, gathered, out=block)
+                    np.minimum.at(lab, ta[unequal], block[unequal])
+                    settled = False
+            if not settled:  # from the pass's first change on, every block is shortcut
+                block[:] = lab[block]
+    return lab
+
+
+def labels(phi: np.ndarray) -> np.ndarray:
+    """The component labels of ``phi``, by :func:`propagate_labels` over its :data:`ROW_BLOCK`-row blocks."""
+    nv = phi.shape[0]
+    return propagate_labels(nv, lambda: ((lo, min(lo + ROW_BLOCK, nv), phi[lo:lo + ROW_BLOCK].T)
+                                         for lo in range(0, nv, ROW_BLOCK)))
 
 
 def uneven_rows(rows: np.ndarray, step: np.ndarray) -> np.ndarray:

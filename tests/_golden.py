@@ -3,8 +3,10 @@ list-form JSON encoders that serve as the stdlib oracle, the parent's
 validator of every other caller table, the former whole-family sort of
 right non-degeneracy, the pure-Python group-table checks,
 isomorphism search and holomorph tables that the array
-code in ``groups`` and ``holomorph`` must agree with, and the scalar
-translation of regular subsets that the key-space kernel must agree with.
+code in ``groups`` and ``holomorph`` must agree with, the scalar
+translation of regular subsets that the key-space kernel must agree with,
+and the former whole-table component labelling and a brute-force search
+that the blocked labelling of ``quivers`` must agree with.
 
 A regular subset {(a, f_a) : a in A} of Hol(A) is given here by its
 assignment, the tuple of automorphism indices f_a.
@@ -297,6 +299,44 @@ def orbit_closure(seed, group) -> tuple[tuple[int, ...], ...]:
                     nxt.append(t)
         frontier = nxt
     return tuple(sorted(seen))
+
+
+def whole_table_labels(phi) -> np.ndarray:
+    """The former ``quivers.labels``: each round pulls the minimum over a
+    vertex's targets, pushes each label to the vertex's targets, then
+    shortcuts ``lab = lab[lab]``, on whole-table arrays; it stops when a round
+    changes nothing, which needs every arrow to join equal labels."""
+    phi = np.asarray(phi)
+    lab = np.arange(phi.shape[0], dtype=VERTEX_DTYPE)
+    while True:
+        new = np.minimum(lab, lab[phi].min(axis=1))
+        np.minimum.at(new, phi, new[:, None])
+        new = new[new]
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
+
+
+def undirected_minima(phi) -> np.ndarray:
+    """Brute force: the smallest vertex of each vertex's undirected component,
+    by a search over arrows in both directions from each unlabelled vertex in
+    increasing order."""
+    rows = np.asarray(phi).tolist()
+    neighbours = [[] for _ in rows]
+    for v, row in enumerate(rows):
+        for w in row:
+            neighbours[v].append(w)
+            neighbours[w].append(v)
+    out = [-1] * len(rows)
+    for root in range(len(rows)):
+        if out[root] < 0:
+            out[root], stack = root, [root]
+            while stack:
+                for w in neighbours[stack.pop()]:
+                    if out[w] < 0:
+                        out[w] = root
+                        stack.append(w)
+    return np.array(out, dtype=VERTEX_DTYPE)
 
 
 def dsb_from_subgroup_family(group, family):

@@ -6,6 +6,7 @@ import pytest
 
 import dynbrace.cli as cli
 import dynbrace.enumeration as enumeration
+import dynbrace.quivers as quivers
 from dynbrace.enumeration import (
     KEY_DTYPE,
     KeySpace,
@@ -13,6 +14,7 @@ from dynbrace.enumeration import (
     component_dsb,
     component_labels,
     enumerate_full,
+    enumerate_unital,
     initial_counts,
     invariants,
 )
@@ -173,60 +175,59 @@ def test_partition_constant_on_components(name):
     check_partition_constancy(cached_full(name))
 
 
+# one group of each isomorphism type of order <= 6
+SMALL_PRESETS = ("trivial", "cyclic:2", "cyclic:3", "cyclic:4", "klein4", "cyclic:5", "cyclic:6", "sym:3")
+
+
+def _check_labels(result, unital):
+    """The labels of the family's ``phi`` equal both oracles, and the
+    streamed labels of its key space equal them."""
+    lab = labels(result.phi)
+    assert np.array_equal(lab, _golden.undirected_minima(result.phi))
+    assert np.array_equal(lab, _golden.whole_table_labels(result.phi))
+    assert np.array_equal(component_labels(KeySpace(result.group, unital=unital)), lab)
+
+
 def test_component_labels_match_union_find():
-    # the vectorised component labelling agrees with the generic union-find
-    for name in ("cyclic:4", "klein4", "cyclic:5"):
-        result = cached_unital(name)
-        report = connected_components(result.phi)
-        for field in ("component_of", "order", "starts", "rank"):
-            assert np.array_equal(getattr(report, field), getattr(result.components, field))
-        assert report.degrees == result.components.degrees
+    # the oracles are a search over both arrow directions and the former
+    # whole-table labelling
+    for name in SMALL_PRESETS:
+        _check_labels(cached_unital(name), unital=True)
 
 
 def test_component_labels_on_full_families():
-    # initial vertices join their unital component; the loop's checking pass
-    # must agree with the quiver's own labelling
-    for name in ("cyclic:4", "klein4", "sym:3"):
-        result = cached_full(name)
-        space = KeySpace(result.group, unital=False)
-        assert np.array_equal(component_labels(space), labels(result.dsb.phi))
+    # initial vertices join their unital component
+    for name in SMALL_PRESETS:
+        _check_labels(cached_full(name), unital=False)
 
 
-class _TableSpace:
-    """A key space whose translates along each label are the given arrays, so
-    :func:`component_labels` can be driven with arbitrary functional tables."""
-
-    low_size = 1
-
-    def __init__(self, tables: list[np.ndarray]):
-        self._tables = np.stack(tables)
-        self.n, self.size = self._tables.shape
-
-    def translates_in_range(self) -> bool:
-        return bool(self._tables.min() >= 0 and self._tables.max() < self.size)
-
-    def translation_table(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        out = out[:, :hi - lo]
-        out[...] = self._tables[:, lo:hi]
-        return out
-
-
-def test_component_labels_run_to_fixpoint():
-    # arbitrary permutations need many passes, unlike translation tables
-    rng = np.random.default_rng(11)
-    size = KeySpace(cached_group("cyclic:5"), unital=True).size
-    tables = [rng.permutation(size).astype(KEY_DTYPE) for _ in range(2)]
-    assert np.array_equal(component_labels(_TableSpace(tables)), labels(np.stack(tables, axis=1)))
+def _least_reachable(tables: list[np.ndarray]) -> np.ndarray:
+    """Brute force: the least key of each key's forward-reachable set."""
+    size = tables[0].size
+    out = np.empty(size, dtype=KEY_DTYPE)
+    for key in range(size):
+        seen, stack = {key}, [key]
+        while stack:
+            vertex = stack.pop()
+            for ta in tables:
+                target = int(ta[vertex])
+                if target not in seen:
+                    seen.add(target)
+                    stack.append(target)
+        out[key] = min(seen)
+    return out
 
 
 def _tampered(result, edits):
     """A copy of the materialised ``result`` with ``phi[v, a] = w`` for each
     ``(v, a, w)`` of ``edits``, its report recomputed from the forward-minimum
-    labels of the new ``phi``, as materialisation computes it."""
+    labels of the new ``phi``.  Undirected labels would merge the two
+    components a stray arrow joins, so the "two components" text below
+    could never show; forward minima keep every failure text reachable."""
     phi = result.phi.copy()
     for v, a, w in edits:
         phi[v, a] = w
-    forward = component_labels(_TableSpace(list(phi.T.astype(KEY_DTYPE))))
+    forward = _least_reachable(list(phi.T))
     return dataclasses.replace(result, phi=phi, components=component_report(phi, forward))
 
 
@@ -263,57 +264,28 @@ def test_initial_counts_need_the_full_family():
         initial_counts(cached_unital("cyclic:4"))
 
 
-def test_enumerate_full_labels_the_space_once(monkeypatch, capsys):
-    sizes = []
+def test_enumerate_full_translates_the_space_once(monkeypatch, capsys):
+    # materialisation is one kernel stream: n * K translated keys, 4 * 16 here
+    translated = []
+    kernel = KeySpace.translation_table
 
-    def counted(space):
-        sizes.append(space.size)
-        return component_labels(space)
+    def counted(space, *args, **kwargs):
+        out = kernel(space, *args, **kwargs)
+        translated.append(out.size)
+        return out
 
-    monkeypatch.setattr(enumeration, "component_labels", counted)
+    monkeypatch.setattr(KeySpace, "translation_table", counted)
     assert cli.main(["enumerate", "--group", "cyclic:4", "--full"]) == 0
     assert "initial vertices into component of size 4: 4" in capsys.readouterr().out
-    assert sizes == [16]
-
-
-def _least_reachable(tables: list[np.ndarray]) -> np.ndarray:
-    """Brute force: the least key of each key's forward-reachable set."""
-    size = tables[0].size
-    out = np.empty(size, dtype=KEY_DTYPE)
-    for key in range(size):
-        seen, stack = {key}, [key]
-        while stack:
-            vertex = stack.pop()
-            for ta in tables:
-                target = int(ta[vertex])
-                if target not in seen:
-                    seen.add(target)
-                    stack.append(target)
-        out[key] = min(seen)
-    return out
-
-
-def test_component_labels_fixpoint_in_place_by_blocks(monkeypatch):
-    # functional, non-bijective tables: minima travel backwards along chains,
-    # so the fixpoint needs several passes and updates crossing 7-key blocks
-    monkeypatch.setattr(enumeration, "BLOCK_KEYS", 7)
-    rng = np.random.default_rng(23)
-    size = KeySpace(cached_group("cyclic:5"), unital=True).size
-    for count in (1, 2, 3):
-        tables = [rng.integers(0, size, size).astype(KEY_DTYPE) for _ in range(count)]
-        first_pass = np.minimum.reduce([np.arange(size, dtype=KEY_DTYPE), *tables])
-        expected = _least_reachable(tables)
-        assert not np.array_equal(first_pass, expected)
-        got = component_labels(_TableSpace(tables))
-        assert got.dtype == KEY_DTYPE and np.array_equal(got, expected)
+    assert sum(translated) == 4 * 16
 
 
 def test_streamed_component_labels_hold_one_label_array(monkeypatch):
     # cyclic:8 unital: 16,384 keys and W = 4096, so 4096-key blocks are one
     # high row each, four blocks; the labelling keeps one int32 label array
-    # plus buffers of O(n * BLOCK_KEYS) bytes
+    # plus buffers of O(n * ROW_BLOCK) bytes
     block = 4096
-    monkeypatch.setattr(enumeration, "BLOCK_KEYS", block)
+    monkeypatch.setattr(quivers, "ROW_BLOCK", block)
     space = KeySpace(cached_group("cyclic:8"), unital=True)
     assert space.size == 16384 and space.low_size == 4096
     tracemalloc.start()
@@ -330,17 +302,25 @@ def test_streamed_component_labels_hold_one_label_array(monkeypatch):
 
 @pytest.mark.parametrize("unital", [True, False])
 @pytest.mark.parametrize("where", [(0, 1, 0), (0, 1, 1), (1, 2, 0), (7, 3, 3)])
-def test_streamed_labels_reject_corrupt_share_tables(unital, where):
-    # one share entry pushed past either end of the key space: the streamed
-    # path bounds every translate from the share tables before its first take
+def test_streamed_labels_reject_corrupt_share_tables(monkeypatch, unital, where):
+    # one share entry pushed past either end of the key space: every kernel
+    # stream, the census labels and materialisation alike, bounds every
+    # translate from the share tables before its first take
     a, f, index = where
+    group = cached_group("cyclic:8")
+    materialise = enumerate_unital if unital else enumerate_full
     for table in ("_high", "_low"):
         for below in (True, False):
-            space = KeySpace(cached_group("cyclic:8"), unital=unital)
-            assert space.translates_in_range()
-            getattr(space, table)[a, f, index] = -space.size if below else space.size
-            with pytest.raises(AssertionError, match="outside the key space"):
-                component_labels(space)
+            def corrupt(*args, **kwargs):
+                space = KeySpace(*args, **kwargs)
+                assert space.translates_in_range()
+                getattr(space, table)[a, f, index] = -space.size if below else space.size
+                return space
+
+            monkeypatch.setattr(enumeration, "KeySpace", corrupt)
+            for run in (lambda: component_labels(corrupt(group, unital=unital)), lambda: materialise(group)):
+                with pytest.raises(AssertionError, match="outside the key space"):
+                    run()
 
 
 # radix 6 (cyclic:7: W = 1296 and 36 high values), radix 8 split 8^4 x 8^3 or
@@ -589,7 +569,7 @@ def test_block_sizes_do_not_change_results(monkeypatch, name):
         return space.low_size, results, space.translation_table()
 
     width, base, base_tables = run()
-    monkeypatch.setattr(enumeration, "BLOCK_KEYS", 7)
+    monkeypatch.setattr(quivers, "ROW_BLOCK", 7)
     monkeypatch.setattr(enumeration, "LOW_KEYS", 3)
     small_width, small, small_tables = run()
     assert small_width < width
@@ -619,7 +599,7 @@ def test_census_counts_runs_across_blocks(monkeypatch, name):
     # than the listing shows
     group = cached_group(name)
     expected = _census_oracle(group)
-    monkeypatch.setattr(enumeration, "BLOCK_KEYS", 7)
+    monkeypatch.setattr(quivers, "ROW_BLOCK", 7)
     table = invariants(group)
     assert (dict(table.counts), table.partitions, table.partitions_omitted) == expected
     assert table.sizes == tuple(sorted(expected[0]))
@@ -631,7 +611,7 @@ def test_census_holds_one_label_array(monkeypatch):
     # and at most PARTITION_LISTING_LIMIT listed run starts: no second array
     # of a byte or more per key (2 MB here)
     block = 4096
-    monkeypatch.setattr(enumeration, "BLOCK_KEYS", block)
+    monkeypatch.setattr(quivers, "ROW_BLOCK", block)
     group = cached_group("dihedral:4")
     space = KeySpace(group, unital=True)
     shares = sum(a.nbytes for a in (space._low, space._high, *space._own_digit, *space._own_share))

@@ -19,6 +19,7 @@ from dynbrace.quivers import (
     uneven_rows,
 )
 
+from tests import _golden
 from tests._golden import quiver_to_json
 from tests.conftest import cached_full, cached_unital
 
@@ -241,6 +242,47 @@ def test_component_report_blocks_do_not_change_degrees(monkeypatch):
     assert {None, 1, 2, 4, 5} <= set(chain.from_iterable(want))
     monkeypatch.setattr(quivers, "ROW_BLOCK", 5)
     assert [component_report(phi, labels(phi)).degrees for phi in phis] == want
+
+
+@pytest.mark.parametrize("kind", ["functional-1", "functional-2", "functional-3", "permutations", "path"])
+def test_labels_match_oracles_by_blocks(monkeypatch, kind):
+    # 7-row blocks: labels move across block boundaries both ways.  Minima
+    # travel backwards along the chains of a functional table and along a
+    # path through the vertices in shuffled order, so the gather-free first
+    # pass falls short and later passes must pull, push and shortcut.
+    rng = np.random.default_rng(23)
+    size = 500
+    if kind.startswith("functional"):
+        phi = rng.integers(0, size, (size, int(kind[-1])))
+    elif kind == "permutations":
+        phi = np.stack([rng.permutation(size) for _ in range(2)], axis=1)
+    else:
+        order = rng.permutation(size)
+        phi = np.empty((size, 1), dtype=np.intp)
+        phi[order, 0] = np.append(order[1:], order[-1])
+    phi = phi.astype(np.int32)
+    expected = _golden.undirected_minima(phi)
+    assert not np.array_equal(np.minimum.reduce([np.arange(size), *phi.T]), expected)
+    assert np.array_equal(_golden.whole_table_labels(phi), expected)
+    monkeypatch.setattr(quivers, "ROW_BLOCK", 7)
+    got = labels(phi)
+    assert got.dtype == np.int32 and np.array_equal(got, expected)
+
+
+def test_labels_hold_no_whole_table_gather():
+    # cyclic:8 full: a 65,536 x 8 int32 phi of 2 MB.  The labelling holds its
+    # int32 labels and one block's buffers, never an array the size of phi.
+    phi = cached_full("cyclic:8").phi
+    assert phi.shape == (65536, 8)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lab = labels(phi)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < phi.nbytes / 2
+    assert np.array_equal(lab, _golden.whole_table_labels(phi))
 
 
 def test_quiver_phi_is_the_read_only_int32_array():
